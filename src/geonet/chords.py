@@ -12,6 +12,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
+from .errors import CrossingEdges
+
 ENUMERATION_CAP = 12  # Catalan-type growth; exhaustive search stays desk-scale
 
 
@@ -46,7 +48,7 @@ class ChordSet:
         for a in range(len(cs)):
             for b in range(a + 1, len(cs)):
                 if chords_cross(cs[a], cs[b]):
-                    raise ValueError(f"chords {cs[a]} and {cs[b]} cross")
+                    raise CrossingEdges(f"chords {cs[a]} and {cs[b]} cross")
         object.__setattr__(self, "chords", tuple(cs))
 
     def degrees(self) -> list[int]:

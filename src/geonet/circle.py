@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cmp_to_key
+from typing import Sequence, Union
 
-from .errors import ExactDataMissing, InexactPosition
+from .errors import DuplicateVertexAngle, ExactDataMissing, InexactPosition
 from .exact import RadExpr
 
 TAU = math.tau
@@ -157,6 +158,56 @@ class CirclePoint:
         if self.tan_half is None:
             raise ExactDataMissing("point has no exact parametrization")
         return exact_xy_of_tan(self.tan_half)
+
+
+# An exact point's float angle, angle_of_tan(t), is off by a few ulps of tau
+# (~1e-15) for rational t and by ~1e-16 of the terms' size for radical t; a
+# CirclePoint may also carry an angle ~1e-9 from its tan-half.  The margin lies
+# far above these errors, so float angles at least this far apart are ordered
+# exactly; closer pairs of exact points are decided on their tan-halves.
+ANGLE_MARGIN = 1e-7
+
+
+def _half(t: TanHalf) -> int:
+    """0 for angles in [0, pi), 1 for pi itself, 2 for (pi, tau); exact."""
+    return 1 if t is INFINITY else 2 * (RadExpr.of(t).sign() < 0)
+
+
+def _sort_angle(p: CirclePoint) -> float:
+    """The float angle; near the cut, an exact point's is moved to its own side."""
+    a = p.angle
+    if p.tan_half is None or ANGLE_MARGIN <= a <= TAU - ANGLE_MARGIN:
+        return a
+    side = -math.pi if _half(p.tan_half) == 0 else math.pi  # near 0 or near tau
+    return (a - side) % TAU + side
+
+
+def angle_order(points: Sequence[CirclePoint]) -> list[int]:
+    """Indices of the points by increasing angle in [0, tau).
+
+    Raises DuplicateVertexAngle when two points coincide, the pair across the
+    cut included: equal tan-halves, or float angles within ANGLE_MARGIN when
+    either point is inexact.
+    """
+    keys = [_sort_angle(p) for p in points]
+
+    def compare(i: int, j: int) -> int:
+        s, t = points[i].tan_half, points[j].tan_half
+        if s is None or t is None or abs(keys[i] - keys[j]) >= ANGLE_MARGIN:
+            return (keys[i] > keys[j]) - (keys[i] < keys[j])
+        # within a half the angle 2*atan(t) grows with t
+        hs, ht = _half(s), _half(t)
+        return (hs > ht) - (hs < ht) or (0 if hs == 1 else RadExpr.of(s - t).sign())
+
+    order = sorted(range(len(points)), key=cmp_to_key(compare))
+    for i, j in zip(order, order[1:] + order[:1]):
+        gap = abs(keys[j] - keys[i])
+        near = i != j and min(gap, TAU - gap) < ANGLE_MARGIN
+        if near and not (points[i].is_exact and points[j].is_exact and compare(i, j)):
+            raise DuplicateVertexAngle(
+                f"points at angles {points[i].angle} and {points[j].angle} coincide"
+            )
+    return order
 
 
 def point_mul(p: CirclePoint, q: CirclePoint) -> CirclePoint:

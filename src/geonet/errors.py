@@ -31,8 +31,8 @@ class InexactPosition(GeonetError):
     """A solver-grade operation needs exact positions (or exact tangent data)."""
 
 
-class CrossingEdges(GeonetError):
-    pass
+class CrossingEdges(GeonetError, ValueError):
+    """Two chords of a chord set cross; a ValueError like ChordSet's other checks."""
 
 
 class IsolatedVertex(GeonetError):

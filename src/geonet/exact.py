@@ -285,7 +285,3 @@ def _coerce(x) -> "RadExpr":
     if isinstance(x, (int, Fraction)):
         return RadExpr({1: Fraction(x)})
     return NotImplemented
-
-
-ZERO = RadExpr()
-ONE = RadExpr.of(1)

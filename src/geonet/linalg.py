@@ -79,16 +79,6 @@ def particular_from_rref(
     return vec
 
 
-def solve_linear(rows, rhs):
-    """Full exact solve: (particular or None, kernel basis, rank, free columns)."""
-    ncols = len(rows[0]) if rows else 0
-    m, pivots, b = rref(rows, rhs)
-    particular = particular_from_rref(m, pivots, b)
-    kernel = kernel_from_rref(m, pivots, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    return particular, kernel, len(pivots), free
-
-
 def matvec(rows, vec) -> Vector:
     return [
         sum((RadExpr.of(a) * RadExpr.of(x) for a, x in zip(row, vec)), RadExpr.of(0))

@@ -6,21 +6,22 @@ with positive integer multiplicities.  Stationarity at a vertex v means
 
     m_v * v + sum over neighbors w of m_vw * (w - v)/|w - v| = 0.
 
-Vertices are stored sorted by angle, so chord crossings are decided by the
-cyclic-interval test on indices alone.
+Vertices are stored in exact angle order (circle.angle_order), so chord
+crossings are decided by the cyclic-interval test on indices alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .chords import chords_cross, closed_form_bounds
 from .circle import (
+    INFINITY,
     TAU,
     CirclePoint,
+    angle_order,
     point_div,
     reflect_point,
     chord_length_exact,
@@ -28,7 +29,6 @@ from .circle import (
 )
 from .errors import (
     DuplicateEdge,
-    DuplicateVertexAngle,
     ExactDataMissing,
     InexactPosition,
     ZeroMultiplicity,
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .exact import RadExpr
 
-ANGLE_MERGE_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
@@ -111,22 +110,9 @@ class ValidationReport:
 
 
 def make_network(vertices: Sequence[Vertex], edges: Sequence[InteriorEdge]) -> Network:
-    """Sort vertices by angle, renumber edges accordingly, enforce invariants."""
-    order = sorted(range(len(vertices)), key=lambda k: vertices[k].position.angle)
-    sorted_vs = tuple(vertices[k] for k in order)
-    for a in range(len(sorted_vs) - 1):
-        if sorted_vs[a + 1].position.angle - sorted_vs[a].position.angle < ANGLE_MERGE_TOL:
-            raise DuplicateVertexAngle(
-                f"vertices at angles {sorted_vs[a].position.angle} and "
-                f"{sorted_vs[a + 1].position.angle} coincide"
-            )
-    if len(sorted_vs) >= 2:
-        wrap = sorted_vs[0].position.angle + TAU - sorted_vs[-1].position.angle
-        if wrap < ANGLE_MERGE_TOL:
-            raise DuplicateVertexAngle("first and last vertices coincide across the cut")
-    remap = [0] * len(vertices)
-    for new, old in enumerate(order):
-        remap[old] = new
+    """Put vertices in angle order, renumber edges accordingly, enforce invariants."""
+    order = angle_order([v.position for v in vertices])
+    remap = sorted(range(len(order)), key=order.__getitem__)  # inverse permutation
     seen: set[tuple[int, int]] = set()
     new_edges = []
     for e in edges:
@@ -138,14 +124,12 @@ def make_network(vertices: Sequence[Vertex], edges: Sequence[InteriorEdge]) -> N
         seen.add((i, j))
         new_edges.append(InteriorEdge(i, j, e.mult))
     new_edges.sort(key=lambda e: (e.i, e.j))
-    return Network(sorted_vs, tuple(new_edges))
+    return Network(tuple(vertices[k] for k in order), tuple(new_edges))
 
 
 def _residual_exact(net: Network, i: int) -> tuple[RadExpr, RadExpr]:
     v = net.vertices[i]
-    px, py = v.position.exact_xy()
-    rx = RadExpr.of(v.exterior_mult) * RadExpr.of(px)
-    ry = RadExpr.of(v.exterior_mult) * RadExpr.of(py)
+    rx, ry = exterior_balance([(v.position, v.exterior_mult)])
     for j, mult in net.neighbors(i):
         tx, ty = tangent_components_exact(v.position, net.vertices[j].position)
         rx = rx + mult * tx
@@ -192,15 +176,7 @@ def _vertex_scale(net: Network, i: int) -> float:
 
 
 def is_stationary(net: Network, mode: str = "auto", tol: float = DEFAULT_TOL) -> bool:
-    for i in range(net.n_vertices):
-        r = stationarity_residual(net, i, mode=mode)
-        if isinstance(r[0], RadExpr):
-            if not (r[0].is_zero() and r[1].is_zero()):
-                return False
-        else:
-            if math.hypot(*r) > tol * _vertex_scale(net, i):
-                return False
-    return True
+    return is_admissible(net, mode=mode, tol=tol).stationary
 
 
 def crossing_pairs(net: Network) -> list[tuple[int, int]]:
@@ -217,6 +193,8 @@ def crossing_pairs(net: Network) -> list[tuple[int, int]]:
 def is_admissible(
     net: Network, mode: str = "auto", tol: float = DEFAULT_TOL
 ) -> ValidationReport:
+    """Per-vertex stationarity verdicts (an exact residual must be zero, a
+    float one within tol of the vertex's total multiplicity) and crossings."""
     violations: list[str] = []
     max_resid = 0.0
     stationary = True
@@ -251,6 +229,16 @@ class InvariantReport:
     exact: bool
 
 
+def exterior_balance(rays: Iterable[tuple[CirclePoint, int]]) -> tuple:
+    """The exact ray resultant, sum of m * p over (p, m); needs exact points."""
+    bx = by = RadExpr.of(0)
+    for p, m in rays:
+        px, py = p.exact_xy()
+        bx = bx + m * RadExpr.of(px)
+        by = by + m * RadExpr.of(py)
+    return bx, by
+
+
 def invariant_report(net: Network) -> InvariantReport:
     """Global identities: ray balance, interior-vs-exterior mass, ray parity.
 
@@ -263,19 +251,15 @@ def invariant_report(net: Network) -> InvariantReport:
     parity = "even" if total_ext % 2 == 0 else "odd"
     if net.is_exact:
         try:
-            bx = RadExpr.of(0)
-            by = RadExpr.of(0)
-            for v in net.vertices:
-                px, py = v.position.exact_xy()
-                bx = bx + v.exterior_mult * RadExpr.of(px)
-                by = by + v.exterior_mult * RadExpr.of(py)
+            rays = ((v.position, v.exterior_mult) for v in net.vertices)
+            balance = exterior_balance(rays)
             mass = RadExpr.of(total_ext)
             for e in net.edges:
                 ln = chord_length_exact(
                     net.vertices[e.i].position, net.vertices[e.j].position
                 )
                 mass = mass - e.mult * ln
-            return InvariantReport((bx, by), mass, parity, True)
+            return InvariantReport(balance, mass, parity, True)
         except (ExactDataMissing, InexactPosition):
             pass
     bx = by = 0.0
@@ -301,9 +285,19 @@ def _transformed(net: Network, anchor: int, reflected: bool) -> Network:
     return make_network(vs, net.edges)
 
 
+def _point_key(p: CirclePoint) -> tuple:
+    """Exact points by the terms of their tan-half, others by rounded angle."""
+    if p.tan_half is None:
+        return (0, round(p.angle, 12) % TAU)
+    if p.tan_half is INFINITY:
+        return (2, ())
+    return (1, tuple(sorted(RadExpr.of(p.tan_half).terms().items())))
+
+
 def _signature(net: Network):
+    """Equal signatures of exact networks mean equal exact data."""
     return (
-        tuple(round(v.position.angle, 12) % TAU for v in net.vertices),
+        tuple(_point_key(v.position) for v in net.vertices),
         tuple(v.exterior_mult for v in net.vertices),
         tuple((e.i, e.j, e.mult) for e in net.edges),
     )
@@ -313,17 +307,11 @@ def canonical_form(net: Network) -> Network:
     """Least representative over rotations-to-zero and reflection; idempotent."""
     if net.n_vertices == 0:
         return net
-    best = None
-    best_sig = None
-    for anchor in range(net.n_vertices):
-        for reflected in (False, True):
-            cand = _transformed(net, anchor, reflected)
-            sig = _signature(cand)
-            if best_sig is None or sig < best_sig:
-                best, best_sig = cand, sig
-    return best
+    anchors = range(net.n_vertices)
+    candidates = (_transformed(net, a, r) for a in anchors for r in (False, True))
+    return min(candidates, key=_signature)
 
 
 def canonical_key(net: Network) -> tuple:
-    """Hashable rotation/reflection-invariant fingerprint."""
+    """Hashable rotation/reflection-invariant fingerprint; exact for exact data."""
     return _signature(canonical_form(net))

@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chords import enumerate_chord_sets
-from .circle import CirclePoint, point_div, reflect_point, tangent_point
+from .circle import CirclePoint, angle_order, point_div, tangent_point
 from .errors import InexactPosition, IsolatedVertex
-from .exact import RadExpr
 from .network import (
     InteriorEdge,
     Network,
     Vertex,
     canonical_key,
+    exterior_balance,
     is_admissible,
     make_network,
 )
@@ -202,13 +202,9 @@ class ReplacementProblem:
             raise ValueError("need at least one ray")
         if any(not isinstance(m, int) or m < 1 for m in self.exterior_mults):
             raise ValueError("ray multiplicities must be positive integers")
-        order = sorted(range(len(self.positions)), key=lambda k: self.positions[k].angle)
-        ps = tuple(self.positions[k] for k in order)
+        order = angle_order(self.positions)
         ms = tuple(self.exterior_mults[k] for k in order)
-        for a in range(len(ps) - 1):
-            if ps[a + 1].angle - ps[a].angle < 1e-12:
-                raise ValueError("ray directions coincide")
-        object.__setattr__(self, "positions", ps)
+        object.__setattr__(self, "positions", tuple(self.positions[k] for k in order))
         object.__setattr__(self, "exterior_mults", ms)
 
     @property
@@ -216,21 +212,9 @@ class ReplacementProblem:
         return all(p.is_exact for p in self.positions)
 
     def canonical_key(self) -> tuple:
-        best = None
-        for anchor in range(len(self.positions)):
-            for reflected in (False, True):
-                ps = self.positions
-                if reflected:
-                    ps = tuple(reflect_point(p) for p in ps)
-                base = ps[anchor]
-                rotated = sorted(
-                    (point_div(p, base).angle, m)
-                    for p, m in zip(ps, self.exterior_mults)
-                )
-                sig = tuple((round(a, 12), m) for a, m in rotated)
-                if best is None or sig < best:
-                    best = sig
-        return best
+        """The canonical key of the rays as a network without chords."""
+        rays = zip(self.positions, self.exterior_mults)
+        return canonical_key(Network(tuple(Vertex(p, m) for p, m in rays), ()))
 
 
 def replacement_problem(net: Network, i: int) -> ReplacementProblem:
@@ -249,16 +233,6 @@ def replacement_problem(net: Network, i: int) -> ReplacementProblem:
     return ReplacementProblem(tuple(rays), tuple(mults))
 
 
-def _balance_nonzero(problem: ReplacementProblem) -> bool:
-    bx = RadExpr.of(0)
-    by = RadExpr.of(0)
-    for p, m in zip(problem.positions, problem.exterior_mults):
-        px, py = p.exact_xy()
-        bx = bx + m * RadExpr.of(px)
-        by = by + m * RadExpr.of(py)
-    return not (bx.is_zero() and by.is_zero())
-
-
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
@@ -271,7 +245,8 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         raise ValueError("bound must be positive")
     if not problem.is_exact:
         raise InexactPosition("feasibility search needs exact ray directions")
-    if _balance_nonzero(problem):
+    bx, by = exterior_balance(zip(problem.positions, problem.exterior_mults))
+    if not (bx.is_zero() and by.is_zero()):
         return None
     n = len(problem.positions)
     for cs in enumerate_chord_sets(n, allow_adjacent=True):

@@ -18,17 +18,18 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .chords import ChordSet, chords_cross
+from .chords import ChordSet
 from .circle import (
     CirclePoint,
     ExactScalar,
     INFINITY,
     TanHalf,
     _InfinityType,
+    angle_order,
     tan_half_add,
     tangent_components_exact,
 )
-from .errors import CrossingEdges, DomainError, InexactPosition
+from .errors import DomainError, InexactPosition
 from .exact import RadExpr
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
@@ -68,8 +69,9 @@ def build_system(
 ) -> StationaritySystem:
     """Assemble the 2N-row system on the angle-sorted positions.
 
-    Positions are sorted (and chord indices remapped) so the cyclic order
-    matches vertex order; with fixed_exterior the m_v columns move to the
+    Positions are put in angle order (and chord indices remapped) so the
+    cyclic order matches vertex order; chords that cross after the remap raise
+    CrossingEdges.  With fixed_exterior the m_v columns move to the
     right-hand side and only edge multiplicities remain unknown.
     """
     n = len(positions)
@@ -78,20 +80,14 @@ def build_system(
     for p in positions:
         if not p.is_exact:
             raise InexactPosition("solver needs exact positions")
-    order = sorted(range(n), key=lambda k: positions[k].angle)
+    order = angle_order(positions)
     pos = tuple(positions[k] for k in order)
-    for a in range(n - 1):
-        if pos[a + 1].angle - pos[a].angle < 1e-12:
-            raise ValueError("positions coincide")
-    remap = [0] * n
-    for new, old in enumerate(order):
-        remap[old] = new
-    pairs = sorted(tuple(sorted((remap[i], remap[j]))) for i, j in edges.chords)
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if chords_cross(pairs[a], pairs[b]):
-                raise CrossingEdges(f"chords {pairs[a]} and {pairs[b]} cross")
-    chord_set = ChordSet(n, tuple(pairs))
+    chord_set = edges
+    if order != list(range(n)):
+        remap = sorted(range(n), key=order.__getitem__)  # inverse permutation
+        pairs = (tuple(sorted((remap[i], remap[j]))) for i, j in edges.chords)
+        chord_set = ChordSet(n, tuple(pairs))
+    pairs = chord_set.chords
 
     e = len(pairs)
     fixed = tuple(fixed_exterior) if fixed_exterior is not None else None

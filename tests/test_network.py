@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from geonet.circle import INFINITY, CirclePoint
+from geonet.circle import INFINITY, TAU, CirclePoint
 from geonet.errors import (
     DuplicateEdge,
     DuplicateVertexAngle,
@@ -49,6 +49,10 @@ def test_self_loop_guard():
 def test_duplicate_angle_guard():
     with pytest.raises(DuplicateVertexAngle):
         make_network([Vertex(pt(0), 1), Vertex(pt(0), 2)], [])
+    # the same exact point, its float angle 1e-10 below tau: equal across the cut
+    with pytest.raises(DuplicateVertexAngle):
+        zero = CirclePoint(TAU - 1e-10, Fraction(0))
+        make_network([Vertex(zero, 1), Vertex(pt(0), 2)], [])
 
 
 def test_duplicate_edge_guard():
@@ -65,6 +69,18 @@ def test_make_network_sorts_by_angle():
     )
     assert [v.exterior_mult for v in net.vertices] == [1, 2]
     assert net.edges[0] == InteriorEdge(0, 1, 3)  # indices remapped to sorted order
+    # float angles 2e-14 apart, equal float angles, 2e-14 apart across the cut
+    for tans in (
+        [Fraction(10**7), Fraction(10**7 + 1)],
+        [Fraction(10**6), 10**6 + Fraction(1, 10**6)],
+        [Fraction(0), Fraction(-1, 10**14)],
+    ):
+        net = make_network([Vertex(pt(t), 1) for t in reversed(tans)], [])
+        assert [v.position.tan_half for v in net.vertices] == tans
+    # t = 0 comes first even when its float angle sits just below tau
+    zero = CirclePoint(TAU - 1e-10, Fraction(0))
+    net = make_network([Vertex(pt(1), 1), Vertex(zero, 2)], [])
+    assert [v.exterior_mult for v in net.vertices] == [2, 1]
 
 
 def test_line_is_exactly_stationary():
@@ -174,3 +190,9 @@ def test_canonical_key_invariant_under_reflection():
 def test_canonical_key_separates_different_networks():
     assert canonical_key(line_network(1)) != canonical_key(line_network(2))
     assert canonical_key(golden_triangle()) != canonical_key(rectangle_network())
+    # tan-halves 1e6 and 1e6 + 1e-6 have the same float angle
+    near = [
+        make_network([Vertex(pt(0), 1), Vertex(pt(t), 1)], [InteriorEdge(0, 1, 1)])
+        for t in (Fraction(10**6), 10**6 + Fraction(1, 10**6))
+    ]
+    assert canonical_key(near[0]) != canonical_key(near[1])

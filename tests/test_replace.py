@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geonet.circle import INFINITY
-from geonet.errors import IsolatedVertex
+from geonet.errors import DuplicateVertexAngle, IsolatedVertex
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
 from geonet.replace import (
     AngleExpr,
@@ -110,6 +110,14 @@ def test_line_problem_is_its_own_replacement():
     assert canonical_key(replacement) == canonical_key(line_network(2))
 
 
+def test_replacement_problem_orders_close_rays_exactly():
+    problem = ReplacementProblem((pt(0), pt(10**7 + 1), pt(10**7)), (1, 2, 3))
+    assert [p.tan_half for p in problem.positions] == [0, 10**7, 10**7 + 1]
+    assert problem.exterior_mults == (1, 3, 2)
+    with pytest.raises(DuplicateVertexAngle):
+        ReplacementProblem((pt(0), pt(10**7), pt(10**7)), (1, 1, 1))
+
+
 def test_unbalanced_problem_has_no_replacement():
     problem = ReplacementProblem((pt(0), pt(INFINITY)), (1, 2))
     assert replacement_feasible(problem, bound=20) is None
@@ -163,3 +171,9 @@ def test_problem_canonical_key_rotation_invariant():
     assert p1.canonical_key() == p2.canonical_key()
     p_mid = replacement_problem(golden_triangle(), 1)
     assert p1.canonical_key() != p_mid.canonical_key()
+    # rays at tan-halves 1e6 and 1e6 + 1e-6 have the same float angle
+    near = [
+        ReplacementProblem((pt(0), pt(t)), (1, 1))
+        for t in (Fraction(10**6), 10**6 + Fraction(1, 10**6))
+    ]
+    assert near[0].canonical_key() != near[1].canonical_key()

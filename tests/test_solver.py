@@ -4,7 +4,12 @@ import pytest
 
 from geonet.chords import ChordSet
 from geonet.circle import INFINITY, CirclePoint, tan_half_add
-from geonet.errors import CrossingEdges, DomainError, InexactPosition
+from geonet.errors import (
+    CrossingEdges,
+    DomainError,
+    DuplicateVertexAngle,
+    InexactPosition,
+)
 from geonet.exact import RadExpr
 from geonet.rng import seeded_rng
 from geonet.solver import (
@@ -105,6 +110,17 @@ def test_build_system_rejects_crossings():
             [pt(1), pt(-1), pt(0), pt(INFINITY)],
             ChordSet(4, ((0, 1), (2, 3))),
         )
+
+
+def test_build_system_orders_close_points_exactly():
+    # float angles 2e-14 apart; given out of order, the chord is remapped
+    system = build_system(
+        [pt(10**7 + 1), pt(0), pt(10**7)], ChordSet(3, ((0, 1), (1, 2)))
+    )
+    assert [p.tan_half for p in system.positions] == [0, 10**7, 10**7 + 1]
+    assert system.edges.chords == ((0, 1), (0, 2))
+    with pytest.raises(DuplicateVertexAngle):
+        build_system([pt(10**7), pt(10**7)], ChordSet(2, ((0, 1),)))
 
 
 def test_normalize_vector():
