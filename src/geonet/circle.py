@@ -115,10 +115,20 @@ def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
     return _simplify((1 - t * t) / one_plus), _simplify((2 * t) / one_plus)
 
 
+def normalize_angle(angle: float) -> float:
+    """The angle reduced to [0, tau).
+
+    For a tiny negative angle, angle % tau rounds up to tau itself; the largest
+    float below tau is returned instead, so the point stays just below the cut.
+    """
+    a = angle % TAU
+    return a if a < TAU else math.nextafter(TAU, 0.0)
+
+
 def angle_of_tan(t: TanHalf) -> float:
     if isinstance(t, _InfinityType):
         return math.pi
-    return (2.0 * math.atan(float(t))) % TAU
+    return normalize_angle(2.0 * math.atan(float(t)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,7 @@ class CirclePoint:
 
     @classmethod
     def from_angle(cls, angle: float) -> "CirclePoint":
-        return cls(angle % TAU, None)
+        return cls(normalize_angle(angle), None)
 
     @classmethod
     def from_tan_half(cls, t) -> "CirclePoint":

@@ -6,7 +6,10 @@ interior edge multiplicities; each vertex contributes an x-row and a y-row
     m_v * v + sum_w m_vw * (w - v)/|w - v| = 0.
 
 Entries live in the radical scalar field, so kernels and particular solutions
-come out exact and positivity of candidate solutions is decided by true signs.
+come out exact.  Integer solutions are searched on the rational part of the
+solution space: splitting every coordinate by radical term leaves a rational
+lattice, usually of much lower dimension than the kernel, and only its points
+within the bound are enumerated.
 The three-vertex case additionally gets the closed forms in half-angle
 cosines/sines that drive the rationality analysis.
 """
@@ -33,7 +36,7 @@ from .errors import DomainError, InexactPosition
 from .exact import RadExpr
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
-SEARCH_BOX_CAP = 5_000_000  # enumeration guard: bound**n_free may not exceed this
+SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dimension
 
 
 @dataclass(frozen=True)
@@ -156,52 +159,76 @@ def solve(system: StationaritySystem) -> SolveResult:
     )
 
 
-def _as_int_in_range(x: RadExpr, bound: int) -> int | None:
-    if not x.is_integer():
-        return None
-    v = int(x.rational_value())
-    return v if 1 <= v <= bound else None
-
-
 def positive_integer_solutions(
     result: SolveResult, bound: int
 ) -> list[tuple[int, ...]]:
-    """All solutions with every coordinate an integer in [1, bound].
+    """All solutions with every coordinate an integer in [1, bound], sorted.
 
-    Kernel vectors are unit in their free column and zero in the others, so a
-    solution is determined by its free coordinates; those are enumerated over
-    the integer box and the pivot coordinates checked exactly.
+    A solution is x = particular + sum_k t_k * basis_k, with each kernel
+    vector scaled to one in its free column, so t_k = x[free_k] is an integer.
+    Square roots of distinct squarefree integers are linearly independent over
+    Q, so x is rational exactly when, in every coordinate, the coefficient of
+    each sqrt(d) with d != 1 vanishes.  Those equations are rational and linear
+    in t; their solutions are an affine family over the r' coordinates of t
+    they leave free.  Only that rational lattice is walked: bound**r' points,
+    refused above SEARCH_BOX_CAP, in integers over one common denominator.
+    Nullity zero is the case with no t.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     if result.particular is None:
         return []
-    n = result.n_unknowns
-    part = [RadExpr.of(x) for x in result.particular]
-    r = len(result.kernel_basis)
-    if r == 0:
-        vals = [_as_int_in_range(x, bound) for x in part]
-        return [tuple(vals)] if all(v is not None for v in vals) else []
-    if bound**r > SEARCH_BOX_CAP:
-        raise ValueError("search box too large for exhaustive enumeration")
-    # scale kernel vectors so their free coordinate is exactly 1 again
+    part = [RadExpr.of(x).terms() for x in result.particular]
     basis = []
     for vec, f in zip(result.kernel_basis, result.free_columns):
         v = [RadExpr.of(x) for x in vec]
-        basis.append([x / v[f] for x in v])
+        inv = v[f].inverse()
+        basis.append([(x * inv).terms() for x in v])
+
+    # the irrational parts must cancel: one rational equation in t per
+    # coordinate and radical
+    rows, rhs = [], []
+    for i, p in enumerate(part):
+        radicals = set(p).union(*(b[i] for b in basis)) - {1}
+        for d in sorted(radicals):
+            rows.append([b[i].get(d, 0) for b in basis])
+            rhs.append(-p.get(d, 0))
+    m, pivots, reduced = rref(rows, rhs)
+    if any(not x.is_zero() for x in reduced[len(pivots):]):
+        return []
+    t0 = [Fraction(0)] * len(basis)
+    for row, c in enumerate(pivots):
+        t0[c] = reduced[row].rational_value()
+    lattice = kernel_from_rref(m, pivots, len(basis))
+    if bound ** len(lattice) > SEARCH_BOX_CAP:
+        raise ValueError("search box too large for exhaustive enumeration")
+
+    # x = origin + sum_j s_j * steps_j over the rational parts alone, with
+    # s_j the t-coordinate left free by the split
+    def rational_part(coeffs, i):
+        return sum((c * b[i].get(1, 0) for c, b in zip(coeffs, basis)), Fraction(0))
+
+    origin = [p.get(1, 0) + rational_part(t0, i) for i, p in enumerate(part)]
+    steps = []
+    for w in lattice:
+        w = [x.rational_value() for x in w]
+        steps.append([rational_part(w, i) for i in range(len(part))])
+    den = lcm(*(q.denominator for row in (origin, *steps) for q in row))
+    origin = [int(q * den) for q in origin]
+    steps = [[int(q * den) for q in s] for s in steps]
 
     out: list[tuple[int, ...]] = []
 
-    def rec(k: int, acc: list[RadExpr]):
-        if k == r:
-            vals = [_as_int_in_range(x, bound) for x in acc]
-            if all(v is not None for v in vals):
-                out.append(tuple(vals))
+    def walk(k: int, acc: list[int]):
+        if k == len(steps):
+            if all(v % den == 0 and den <= v <= bound * den for v in acc):
+                out.append(tuple(v // den for v in acc))
             return
-        for t in range(1, bound + 1):
-            rec(k + 1, [a + t * bk for a, bk in zip(acc, basis[k])])
+        for _ in range(bound):
+            acc = [a + s for a, s in zip(acc, steps[k])]
+            walk(k + 1, acc)
 
-    rec(0, part)
+    walk(0, origin)
     return sorted(out)
 
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from geonet.circle import INFINITY, CirclePoint
+from geonet.exact import RadExpr
 from geonet.network import InteriorEdge, Network, Vertex, make_network
 
 
@@ -125,3 +126,56 @@ def axis_point_angles() -> set[Fraction]:
     the set is exactly the half-integers.
     """
     return {Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2)}
+
+
+def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
+    """Positive integer solutions by walking the whole box [1, bound]^nullity.
+
+    Independent oracle for solver.positive_integer_solutions: every free
+    coordinate is tried, and each candidate vector is built and tested over
+    the radicals, with no splitting by radical term.  Exponential in the
+    nullity, so small bounds only.
+    """
+    if result.particular is None:
+        return []
+
+    def in_range(x: RadExpr) -> int | None:
+        if not x.is_integer():
+            return None
+        v = int(x.rational_value())
+        return v if 1 <= v <= bound else None
+
+    basis = []
+    for vec, f in zip(result.kernel_basis, result.free_columns):
+        v = [RadExpr.of(x) for x in vec]
+        basis.append([x / v[f] for x in v])
+    out = []
+
+    def rec(k: int, acc: list[RadExpr]):
+        if k == len(basis):
+            vals = [in_range(x) for x in acc]
+            if all(v is not None for v in vals):
+                out.append(tuple(vals))
+            return
+        for t in range(1, bound + 1):
+            rec(k + 1, [a + t * bk for a, bk in zip(acc, basis[k])])
+
+    rec(0, [RadExpr.of(x) for x in result.particular])
+    return sorted(out)
+
+
+def fan_chords(n: int) -> tuple[tuple[int, int], ...]:
+    """Polygon sides plus the diagonals from vertex 0, on angle-ordered points."""
+    sides = [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)]
+    return tuple(sorted(set(sides + [(0, k) for k in range(2, n - 1)])))
+
+
+def sorted_by_angle(tans) -> list:
+    """Rational tan-halves in angle order: 0, then positive, then negative."""
+    return sorted(tans, key=lambda t: (t < 0, t))
+
+
+# criterion 04's anchored grid: tan-halves +-p/q with p, q <= 10
+TAN_GRID = sorted(
+    {Fraction(s * p, q) for s in (1, -1) for p in range(1, 11) for q in range(1, 11)}
+)

@@ -47,6 +47,7 @@ from geonet.sweep import (
 )
 from helpers import (
     STATIONARY_FIXTURES,
+    TAN_GRID,
     boundary_trace,
     line_network,
     pt,
@@ -108,42 +109,43 @@ def test_criterion_03_three_vertex_kernel():
 def test_criterion_04_rationality_of_integer_instances():
     def inner():
         start = time.perf_counter()
-        grid = sorted(
-            {
-                Fraction(sign * p, q)
-                for sign in (1, -1)
-                for p in range(1, 11)
-                for q in range(1, 11)
-            }
-        )
         chords = ChordSet(3, ((0, 1), (0, 2), (1, 2)))
         anchor = CirclePoint.from_tan_half(Fraction(0))
-        with_solutions = 0
+        with_solutions = 0  # at bound 20
+        found = []  # (t2, t3, smallest solution) at bound 100
         counterexamples = 0
         # rotation lets the first vertex sit at angle zero, so the search
-        # space is all pairs of further grid points
-        for t2, t3 in itertools.combinations(grid, 2):
+        # space is all pairs of further grid points; one search at bound 100
+        # also answers bound 20
+        for t2, t3 in itertools.combinations(TAN_GRID, 2):
             positions = [
                 anchor,
                 CirclePoint.from_tan_half(t2),
                 CirclePoint.from_tan_half(t3),
             ]
             system = build_system(positions, chords, None)
-            solutions = positive_integer_solutions(solve(system), 20)
+            solutions = positive_integer_solutions(solve(system), 100)
             if not solutions:
                 continue
-            with_solutions += 1
+            found.append((t2, t3, solutions[0]))
+            with_solutions += any(max(sol) <= 20 for sol in solutions)
             tans = [Fraction(0), t2, t3]
             for j, k in itertools.combinations(range(3), 2):
                 span = tan_half_sub(tans[k], tans[j])
                 if span is INFINITY or not isinstance(span, (int, Fraction)):
                     counterexamples += 1
         elapsed = time.perf_counter() - start
+        # the half-angle rationality check must run on at least one instance
+        assert found
         assert counterexamples == 0
+        listed = "; ".join(
+            f"tan-halves ({t2}, {t3}), solution {tuple(sol)}" for t2, t3, sol in found
+        )
         return (
-            f"{len(grid) * (len(grid) - 1) // 2} anchored instances, bound 20: "
+            f"{len(TAN_GRID) * (len(TAN_GRID) - 1) // 2} anchored instances, bound 20: "
             f"{with_solutions} admit positive integer solutions, "
-            f"0 counterexamples to half-angle rationality in {elapsed:.1f}s"
+            f"0 counterexamples to half-angle rationality in {elapsed:.1f}s; "
+            f"bound 100: {len(found)} instance{'s' * (len(found) != 1)}, {listed}"
         )
 
     _record(4, inner)

@@ -9,6 +9,7 @@ from geonet.circle import (
     INFINITY,
     CirclePoint,
     angle_of_tan,
+    angle_order,
     chord_length_exact,
     exact_xy_of_tan,
     point_div,
@@ -96,6 +97,28 @@ def test_mul_div_inverse(a, b):
     q = CirclePoint.from_tan_half(b)
     back = point_div(point_mul(p, q), q)
     assert back.tan_half == p.tan_half
+
+
+@pytest.mark.parametrize("t", [Fraction(-1, 10**16), Fraction(-1, 10**20)])
+def test_tiny_negative_tan_half_stays_below_tau(t):
+    # 2*atan(t) % tau rounds up to tau itself for these
+    p = CirclePoint.from_tan_half(t)
+    assert 0.0 <= p.angle < math.tau
+    assert p.tan_half == t
+
+
+def test_tiny_negative_angle_stays_below_tau():
+    p = CirclePoint.from_angle(-1e-17)
+    assert 0.0 <= p.angle < math.tau
+
+
+def test_angle_order_puts_tiny_negative_point_last():
+    points = [
+        CirclePoint.from_tan_half(Fraction(-1, 10**20)),
+        CirclePoint.from_tan_half(Fraction(0)),
+        CirclePoint.from_tan_half(Fraction(1)),
+    ]
+    assert angle_order(points) == [1, 2, 0]
 
 
 def test_reflect():

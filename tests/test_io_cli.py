@@ -17,7 +17,7 @@ from geonet.io import (
 )
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
 from geonet.sweep import SphereConfig, minmax_closed_form
-from helpers import golden_triangle, line_network, pt, square_network
+from helpers import fan_chords, golden_triangle, line_network, pt, square_network
 
 
 def roundtrip(net, tmp_path):
@@ -186,6 +186,23 @@ def test_cli_solve_positive_search(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["kernel"] == [[100, 56, 100, 35, 75, 35]]
     assert [100, 56, 100, 35, 75, 35] in out["positive_solutions"]
+
+
+def test_cli_solve_heptagon_bound_50(tmp_path, capsys):
+    # free exteriors on a fan-triangulated heptagon: nullity 5, so the whole
+    # box 50^5 is above SEARCH_BOX_CAP, but the rational lattice is a point
+    tans = [0, Fraction(1, 3), 1, 4, -5, Fraction(-3, 2), Fraction(-1, 4)]
+    net = make_network(
+        [Vertex(pt(t), 1) for t in tans],
+        [InteriorEdge(i, j, 1) for i, j in fan_chords(len(tans))],
+    )
+    path = write_fixture(net, tmp_path)
+    assert dispatch(["solve", "--network", path, "--bound", "50"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["nullity"] == 5
+    assert out["positive_solutions"] == []
+    assert captured.err == ""
 
 
 def test_cli_replace(tmp_path, capsys):

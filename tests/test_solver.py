@@ -13,6 +13,7 @@ from geonet.errors import (
 from geonet.exact import RadExpr
 from geonet.rng import seeded_rng
 from geonet.solver import (
+    SolveResult,
     build_system,
     half_cos_sin,
     n3_closed_forms,
@@ -22,7 +23,14 @@ from geonet.solver import (
     solve,
     system_residual,
 )
-from helpers import pt, random_domain_pair
+from helpers import (
+    TAN_GRID,
+    box_walk_solutions,
+    fan_chords,
+    pt,
+    random_domain_pair,
+    sorted_by_angle,
+)
 
 HALF = Fraction(1, 2)
 
@@ -138,6 +146,89 @@ def test_search_box_cap():
     result = solve(system)
     with pytest.raises(ValueError):
         positive_integer_solutions(result, 6_000_000)
+
+
+def fan_result(tans):
+    tans = sorted_by_angle(tans)
+    chords = ChordSet(len(tans), fan_chords(len(tans)))
+    return solve(build_system([pt(t) for t in tans], chords))
+
+
+def rectangle_results():
+    """Fan-triangulated inscribed rectangles t, 1/t, -t, -1/t: rational kernels."""
+    for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5)):
+        t = Fraction(p, q)
+        yield f"rectangle-{p}-{q}", fan_result([t, 1 / t, -t, -1 / t])
+
+
+def offset_lattice_result():
+    """Fixed-exterior-like result whose integer solutions form a shifted line.
+
+    A fixed-exterior system from build_system always has nullity zero (chords
+    in convex position carry no self-stress), so this inhomogeneous case with
+    a lattice of dimension one is built by hand.  x = (3 + sqrt2, 0, 0)
+    + t1*(-sqrt2, 1, 0) + t2*(1/2, 0, 1): the radical part pins t1 = 1 and
+    leaves t2 free, and x0 = 3 + t2/2 is an integer for even t2 only.
+    """
+    root2 = RadExpr.sqrt(2)
+    return SolveResult(
+        rank=1,
+        kernel_basis=((-root2, 1, 0), (1, 0, 2)),
+        particular=(3 + root2, 0, 0),
+        free_columns=(1, 2),
+        n_unknowns=3,
+    )
+
+
+def oracle_cases():
+    line = [pt(0), pt(INFINITY)]
+    square = [pt(0), pt(1), pt(INFINITY), pt(-1)]
+    yield "line", solve(build_system(line, ChordSet(2, ((0, 1),)))), 3
+    yield "square-fixed", solve(
+        build_system(square, ChordSet(4, ((0, 1), (1, 2), (2, 3), (0, 3))), [1, 1, 1, 1])
+    ), 50
+    yield "golden-fixed", solve(
+        triangle_system(Fraction(4, 3), Fraction(4, 3), fixed=[100, 56, 100])
+    ), 100
+    yield "line-infeasible", solve(
+        build_system(line, ChordSet(2, ((0, 1),)), fixed_exterior=[1, 2])
+    ), 10
+    for name, result in rectangle_results():
+        yield name, result, 20
+    rng = seeded_rng(salt=11)
+    for n, bound, count in ((4, 8, 6), (5, 4, 4)):
+        for k in range(count):
+            tans = [Fraction(0)] + rng.sample(TAN_GRID, n - 1)
+            yield f"fan-{n}-{k}", fan_result(tans), bound
+    yield "offset-lattice", offset_lattice_result(), 10
+
+
+@pytest.mark.parametrize(
+    "result,bound", [pytest.param(r, b, id=name) for name, r, b in oracle_cases()]
+)
+def test_positive_solutions_match_box_walk(result, bound):
+    assert positive_integer_solutions(result, bound) == box_walk_solutions(result, bound)
+
+
+def test_positive_solutions_on_offset_lattice():
+    assert positive_integer_solutions(offset_lattice_result(), 10) == [
+        (4, 1, 2), (5, 1, 4), (6, 1, 6), (7, 1, 8), (8, 1, 10)
+    ]
+
+
+def test_rectangle_solutions_are_many():
+    # the box-walk comparison is not vacuous on the rectangles
+    total = sum(len(positive_integer_solutions(r, 20)) for _, r in rectangle_results())
+    assert total == 80
+
+
+def test_fan_hexagon_bound_50_searches_without_cap():
+    # nullity 4: the whole box 50^4 is above SEARCH_BOX_CAP, but the rational
+    # lattice has dimension zero
+    result = fan_result([Fraction(0), Fraction(1, 2), Fraction(3), Fraction(-5),
+                         Fraction(-2, 3), Fraction(-1, 7)])
+    assert result.nullity == 4
+    assert positive_integer_solutions(result, 50) == []
 
 
 @pytest.mark.parametrize(
