@@ -116,11 +116,13 @@ def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
 
 
 def normalize_angle(angle: float) -> float:
-    """The angle reduced to [0, tau).
+    """The angle reduced to [0, tau); ValueError for NaN and infinities.
 
     For a tiny negative angle, angle % tau rounds up to tau itself; the largest
     float below tau is returned instead, so the point stays just below the cut.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {angle} is not finite")
     a = angle % TAU
     return a if a < TAU else math.nextafter(TAU, 0.0)
 
@@ -251,6 +253,18 @@ def chord_length_exact(v: CirclePoint, w: CirclePoint) -> RadExpr:
     if not sq.is_rational():
         raise InexactPosition("chord length is not a representable radical")
     return RadExpr.sqrt(sq.rational_value())
+
+
+def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
+    """Side of w relative to the diameter through v, decided exactly.
+
+    The sign of vx*wy - vy*wx: 1 when w lies less than a half turn
+    counterclockwise from v, -1 when clockwise, 0 when w is v or its antipode.
+    Works for radical tan-halves too; needs both points exact.
+    """
+    vx, vy = v.exact_xy()
+    wx, wy = w.exact_xy()
+    return RadExpr.of(vx * wy - vy * wx).sign()
 
 
 def tangent_components_exact(

@@ -14,6 +14,7 @@ written as null (angle only); reading such a file yields float positions.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,18 +69,37 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not, although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_float(x) -> float | None:
+    """A JSON number as a finite float, or None (NaN, infinities, non-numbers)."""
+    if not _is_int(x) and not isinstance(x, float):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _point_from_json(rec: dict, where: str) -> CirclePoint:
     if "angle" not in rec:
         raise ParseError(f"{where}: missing 'angle'")
+    angle = _finite_float(rec["angle"])
+    if angle is None:
+        raise ParseError(f"{where}: 'angle' must be a finite number")
     t = rec.get("tan_half")
     if t is None:
-        return CirclePoint.from_angle(float(rec["angle"]))
+        return CirclePoint.from_angle(angle)
     if t == "inf":
         return CirclePoint.from_tan_half(INFINITY)
     if (
         not isinstance(t, list)
         or len(t) != 2
-        or not all(isinstance(v, int) for v in t)
+        or not all(_is_int(v) for v in t)
     ):
         raise ParseError(f"{where}: 'tan_half' must be [num, den], \"inf\" or null")
     if t[1] == 0:
@@ -102,14 +122,14 @@ def network_from_dict(data: dict) -> Network:
     for k, rec in enumerate(data["vertices"]):
         if not isinstance(rec, dict) or "m" not in rec:
             raise ParseError(f"vertex {k}: expected an object with 'm'")
-        if not isinstance(rec["m"], int):
+        if not _is_int(rec["m"]):
             raise ParseError(f"vertex {k}: multiplicity must be an integer")
         vertices.append(Vertex(_point_from_json(rec, f"vertex {k}"), rec["m"]))
     edges = []
     for k, rec in enumerate(data["edges"]):
         if not isinstance(rec, dict) or not {"i", "j", "m"} <= rec.keys():
             raise ParseError(f"edge {k}: expected an object with 'i', 'j', 'm'")
-        if not all(isinstance(rec[f], int) for f in ("i", "j", "m")):
+        if not all(_is_int(rec[f]) for f in ("i", "j", "m")):
             raise ParseError(f"edge {k}: fields must be integers")
         edges.append(InteriorEdge(rec["i"], rec["j"], rec["m"]))
     return make_network(vertices, edges)

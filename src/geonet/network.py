@@ -45,9 +45,10 @@ class Vertex:
     exterior_mult: int
 
     def __post_init__(self):
-        if not isinstance(self.exterior_mult, int) or self.exterior_mult < 1:
+        m = self.exterior_mult
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ZeroMultiplicity(
-                f"exterior multiplicity must be a positive integer, got {self.exterior_mult}"
+                f"exterior multiplicity must be a positive integer, got {m}"
             )
 
 
@@ -60,9 +61,10 @@ class InteriorEdge:
     def __post_init__(self):
         if self.i == self.j:
             raise SelfLoopEdge(f"edge ({self.i}, {self.j}) is a self-loop")
-        if not isinstance(self.mult, int) or self.mult < 1:
+        m = self.mult
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ZeroMultiplicity(
-                f"edge multiplicity must be a positive integer, got {self.mult}"
+                f"edge multiplicity must be a positive integer, got {m}"
             )
 
 

@@ -16,7 +16,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chords import enumerate_chord_sets
-from .circle import CirclePoint, angle_order, point_div, tangent_point
+from .circle import (
+    CirclePoint,
+    angle_order,
+    diameter_side,
+    point_div,
+    tangent_point,
+)
 from .errors import InexactPosition, IsolatedVertex
 from .network import (
     InteriorEdge,
@@ -200,7 +206,10 @@ class ReplacementProblem:
             raise ValueError("one multiplicity per ray")
         if not self.positions:
             raise ValueError("need at least one ray")
-        if any(not isinstance(m, int) or m < 1 for m in self.exterior_mults):
+        if any(
+            isinstance(m, bool) or not isinstance(m, int) or m < 1
+            for m in self.exterior_mults
+        ):
             raise ValueError("ray multiplicities must be positive integers")
         order = angle_order(self.positions)
         ms = tuple(self.exterior_mults[k] for k in order)
@@ -233,13 +242,42 @@ def replacement_problem(net: Network, i: int) -> ReplacementProblem:
     return ReplacementProblem(tuple(rays), tuple(mults))
 
 
+def _diameter_sides(positions: Sequence[CirclePoint]) -> list[list[int]]:
+    """side[v][w] = circle.diameter_side(positions[v], positions[w]), exact."""
+    n = len(positions)
+    side = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            side[i][j] = diameter_side(positions[i], positions[j])
+            side[j][i] = -side[i][j]
+    return side
+
+
+def _in_balance_cone(side: list[list[int]], chords) -> bool:
+    """Whether every vertex can balance its ray with positive chord weights.
+
+    A vertex passes when it has a neighbour strictly on each side of the
+    diameter through it, or when its one neighbour is its antipode.  This is
+    necessary: crossing v's equation m_v*v + sum m_vw*(w - v)/|w - v| = 0 with
+    v gives sum m_vw*cross(v, w)/|w - v| = 0, so with every m_vw > 0 the
+    signs of cross(v, w) are mixed or all zero; all zero puts every neighbour
+    at -v, hence degree 1 (degree 0 would leave m_v*v = 0).  side is the
+    table of _diameter_sides, whose entry side[v][w] is the sign of cross(v, w).
+    """
+    signs: list[set[int]] = [set() for _ in side]
+    for i, j in chords:
+        signs[i].add(side[i][j])
+        signs[j].add(side[j][i])
+    return all(s == {0} or {1, -1} <= s for s in signs)
+
+
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
-    Enumerates non-crossing chord structures in deterministic order, solves
-    each with the rays' multiplicities fixed, and returns the first network
-    with a positive-integer edge solution; None when the bounded search is
-    exhausted.
+    Enumerates non-crossing chord structures in deterministic order, skips
+    those outside the balance cone (_in_balance_cone), solves the rest with
+    the rays' multiplicities fixed, and returns the first network with a
+    positive-integer edge solution; None when the bounded search is exhausted.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -249,7 +287,10 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     if not (bx.is_zero() and by.is_zero()):
         return None
     n = len(problem.positions)
+    side = _diameter_sides(problem.positions)
     for cs in enumerate_chord_sets(n, allow_adjacent=True):
+        if not _in_balance_cone(side, cs.chords):
+            continue
         system = build_system(problem.positions, cs, problem.exterior_mults)
         solutions = positive_integer_solutions(solve(system), bound)
         if not solutions:

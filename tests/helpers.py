@@ -2,9 +2,18 @@
 
 from fractions import Fraction
 
+from geonet.chords import enumerate_chord_sets
 from geonet.circle import INFINITY, CirclePoint
 from geonet.exact import RadExpr
-from geonet.network import InteriorEdge, Network, Vertex, make_network
+from geonet.network import (
+    InteriorEdge,
+    Network,
+    Vertex,
+    exterior_balance,
+    is_admissible,
+    make_network,
+)
+from geonet.solver import build_system, positive_integer_solutions, solve
 
 
 def pt(t) -> CirclePoint:
@@ -162,6 +171,34 @@ def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
 
     rec(0, [RadExpr.of(x) for x in result.particular])
     return sorted(out)
+
+
+def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
+    """First admissible network of a replacement problem, with no pruning.
+
+    Independent oracle for replace.replacement_feasible: every non-crossing
+    chord structure is built and solved, in the same order, so both searches
+    must return the same network (or None).
+    """
+    bx, by = exterior_balance(zip(problem.positions, problem.exterior_mults))
+    if not (bx.is_zero() and by.is_zero()):
+        return None
+    n = len(problem.positions)
+    for cs in enumerate_chord_sets(n, allow_adjacent=True):
+        system = build_system(problem.positions, cs, problem.exterior_mults)
+        solutions = positive_integer_solutions(solve(system), bound)
+        if not solutions:
+            continue
+        vertices = [
+            Vertex(p, m) for p, m in zip(problem.positions, problem.exterior_mults)
+        ]
+        edges = [
+            InteriorEdge(i, j, em) for (i, j), em in zip(cs.chords, solutions[0])
+        ]
+        net = make_network(vertices, edges)
+        assert is_admissible(net, mode="exact").admissible
+        return net
+    return None
 
 
 def fan_chords(n: int) -> tuple[tuple[int, int], ...]:

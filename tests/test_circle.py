@@ -11,7 +11,9 @@ from geonet.circle import (
     angle_of_tan,
     angle_order,
     chord_length_exact,
+    diameter_side,
     exact_xy_of_tan,
+    normalize_angle,
     point_div,
     point_mul,
     reflect_point,
@@ -110,6 +112,30 @@ def test_tiny_negative_tan_half_stays_below_tau(t):
 def test_tiny_negative_angle_stays_below_tau():
     p = CirclePoint.from_angle(-1e-17)
     assert 0.0 <= p.angle < math.tau
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_rejected(angle):
+    with pytest.raises(ValueError):
+        normalize_angle(angle)
+    with pytest.raises(ValueError):
+        CirclePoint.from_angle(angle)
+
+
+def test_diameter_side():
+    v = CirclePoint.from_tan_half(Fraction(1, 2))
+    assert diameter_side(v, CirclePoint.from_tan_half(1)) == 1
+    assert diameter_side(v, CirclePoint.from_tan_half(0)) == -1
+    assert diameter_side(v, CirclePoint.from_tan_half(-2)) == 0  # antipode
+    assert diameter_side(v, v) == 0
+    # just past the antipode: the side flips
+    assert diameter_side(v, CirclePoint.from_tan_half(Fraction(-199, 100))) == -1
+    assert diameter_side(v, CirclePoint.from_tan_half(Fraction(-201, 100))) == 1
+    # radical tan-halves: the diagonal at angle pi/4 and its antipode
+    r = CirclePoint.from_tan_half(RadExpr.sqrt(2) - 1)
+    assert diameter_side(r, CirclePoint.from_tan_half(-RadExpr.sqrt(2) - 1)) == 0
+    assert diameter_side(CirclePoint.from_tan_half(INFINITY), r) == -1
+    assert diameter_side(r, CirclePoint.from_tan_half(INFINITY)) == 1
 
 
 def test_angle_order_puts_tiny_negative_point_last():

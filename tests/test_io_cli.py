@@ -110,6 +110,28 @@ def test_malformed_records_rejected():
         network_from_dict(bad)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "abc", "1.5", True, None])
+def test_bad_angle_rejected(angle):
+    bad = network_to_dict(line_network())
+    bad["vertices"][1]["angle"] = angle
+    with pytest.raises(ParseError, match="vertex 1"):
+        network_from_dict(bad)
+    bad["vertices"][1]["tan_half"] = None
+    with pytest.raises(ParseError, match="vertex 1"):
+        network_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "where, field",
+    [("vertices", "m"), ("edges", "i"), ("edges", "j"), ("edges", "m")],
+)
+def test_boolean_integers_rejected(where, field):
+    bad = network_to_dict(line_network())
+    bad[where][0][field] = True
+    with pytest.raises(ParseError):
+        network_from_dict(bad)
+
+
 def test_scalar_encoding():
     assert scalar_to_json(7) == 7
     assert scalar_to_json(Fraction(3, 1)) == 3
@@ -144,6 +166,19 @@ def test_cli_validate_failure_writes_only_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not admissible" in captured.err
+
+
+def test_cli_validate_nan_angle_is_failure(tmp_path, capsys):
+    data = network_to_dict(line_network())
+    data["vertices"][0]["tan_half"] = None
+    data["vertices"][0]["angle"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # writes NaN, as json allows
+    assert "NaN" in path.read_text(encoding="utf-8")
+    assert dispatch(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 0" in captured.err
 
 
 def test_cli_missing_file_is_failure(tmp_path, capsys):

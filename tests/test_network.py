@@ -41,6 +41,15 @@ def test_vertex_multiplicity_guard():
         InteriorEdge(0, 1, 0)
 
 
+@pytest.mark.parametrize("m", [True, False])
+def test_boolean_multiplicity_rejected(m):
+    # bool subclasses int, but True is not a multiplicity
+    with pytest.raises(ZeroMultiplicity):
+        Vertex(pt(0), m)
+    with pytest.raises(ZeroMultiplicity):
+        InteriorEdge(0, 1, m)
+
+
 def test_self_loop_guard():
     with pytest.raises(SelfLoopEdge):
         InteriorEdge(2, 2, 1)

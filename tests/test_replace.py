@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from geonet.circle import INFINITY
-from geonet.errors import DuplicateVertexAngle, IsolatedVertex
+from geonet import replace
+from geonet.chords import enumerate_chord_sets
+from geonet.circle import INFINITY, CirclePoint, tan_half_add
+from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
+from geonet.exact import RadExpr
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
 from geonet.replace import (
     AngleExpr,
@@ -16,6 +19,7 @@ from geonet.replace import (
     replacement_feasible,
     replacement_problem,
 )
+from geonet.solver import build_system, solve
 from helpers import (
     axis_point_angles,
     golden_triangle,
@@ -23,6 +27,7 @@ from helpers import (
     pt,
     rectangle_network,
     square_network,
+    unpruned_replacement_feasible,
 )
 
 
@@ -118,6 +123,11 @@ def test_replacement_problem_orders_close_rays_exactly():
         ReplacementProblem((pt(0), pt(10**7), pt(10**7)), (1, 1, 1))
 
 
+def test_boolean_ray_multiplicity_rejected():
+    with pytest.raises(ValueError):
+        ReplacementProblem((pt(0), pt(INFINITY)), (True, True))
+
+
 def test_unbalanced_problem_has_no_replacement():
     problem = ReplacementProblem((pt(0), pt(INFINITY)), (1, 2))
     assert replacement_feasible(problem, bound=20) is None
@@ -177,3 +187,126 @@ def test_problem_canonical_key_rotation_invariant():
         for t in (Fraction(10**6), 10**6 + Fraction(1, 10**6))
     ]
     assert near[0].canonical_key() != near[1].canonical_key()
+
+
+# --- balance-cone pruning against the unpruned search ----------------------
+
+GOLDEN_RAYS = ((Fraction(0), 100), (Fraction(4, 3), 56), (Fraction(-24, 7), 100))
+
+
+def ray_problem(rays) -> ReplacementProblem:
+    """Rays as (exact tan-half, multiplicity) pairs."""
+    rays = tuple(rays)
+    points = tuple(CirclePoint.from_tan_half(t) for t, _ in rays)
+    return ReplacementProblem(points, tuple(m for _, m in rays))
+
+
+def antipodal(pairs) -> list:
+    rays = []
+    for t, m in pairs:
+        rays += [(t, m), (-1 / Fraction(t), m)]
+    return rays
+
+
+def six_rays(sign: int) -> ReplacementProblem:
+    tans = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 4))
+    return ray_problem(antipodal([(sign * t, m) for t, m in zip(tans, (1, 2, 3))]))
+
+
+def rotated_golden(r: Fraction) -> ReplacementProblem:
+    return ray_problem([(tan_half_add(t, r), m) for t, m in GOLDEN_RAYS])
+
+
+def vertex_problems() -> list[ReplacementProblem]:
+    """Every vertex problem of the golden triangle and the 3-4-5 rectangle.
+
+    Their rays have rational tan-halves, but most chords between them have
+    irrational length, so the systems have radical entries.
+    """
+    nets = (golden_triangle(), rectangle_network())
+    return [replacement_problem(net, i) for net in nets for i in range(net.n_vertices)]
+
+
+SQRT2 = RadExpr.sqrt(2)
+# the four diagonal directions: tan-halves tan(pi/8), tan(3pi/8), ...
+DIAGONALS = (SQRT2 - 1, SQRT2 + 1, -SQRT2 - 1, 1 - SQRT2)
+
+
+# (name, problem, bound, structures solved by the pruned search, total)
+ORACLE_CASES = [
+    ("six", six_rays(1), 50, 45, 2880),
+    ("six-mirrored", six_rays(-1), 50, 45, 2880),
+    ("golden-plus-pair", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(1, 2), 7)])]), 50, 11, 352),
+    ("golden-plus-pair-2", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(4, 5), 20)])]), 50, 11, 352),
+    ("two-pairs", ray_problem(antipodal([(Fraction(1, 2), 3), (Fraction(2, 5), 8)])), 50, 3, 48),
+    ("two-pairs-2", ray_problem(antipodal([(Fraction(1, 6), 1), (Fraction(2, 3), 9)])), 50, 3, 48),
+    ("rotated-golden", rotated_golden(Fraction(0)), 75, 1, 8),
+    ("rotated-golden-2", rotated_golden(Fraction(2, 5)), 75, 1, 8),
+    ("rotated-golden-3", rotated_golden(Fraction(-1, 3)), 75, 1, 8),
+    ("line", replacement_problem(line_network(2), 0), 5, 1, 2),
+    ("radical-two-pairs", ray_problem(zip(DIAGONALS, (1, 2, 1, 2))), 50, 3, 48),
+] + [
+    (f"vertex-{k}", problem, 50, None, None)
+    for k, problem in enumerate(vertex_problems())
+]
+FEASIBLE = {"rotated-golden", "rotated-golden-2", "rotated-golden-3", "line"}
+
+
+def count_solved(problem: ReplacementProblem, bound: int, monkeypatch) -> int:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_system(*args)
+
+    monkeypatch.setattr(replace, "build_system", counting)
+    replacement_feasible(problem, bound)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, problem, bound, solved, total",
+    ORACLE_CASES,
+    ids=[case[0] for case in ORACLE_CASES],
+)
+def test_pruned_search_matches_unpruned(name, problem, bound, solved, total, monkeypatch):
+    found = replacement_feasible(problem, bound)
+    assert found == unpruned_replacement_feasible(problem, bound)
+    assert (found is not None) == (name in FEASIBLE)
+    if solved is not None:
+        n = len(problem.positions)
+        assert sum(1 for _ in enumerate_chord_sets(n, allow_adjacent=True)) == total
+        assert count_solved(problem, bound, monkeypatch) == solved
+
+
+def test_pruned_search_fails_like_unpruned_on_inexact_chords():
+    # the diagonals plus the axis rays: some chords between them have an
+    # irrational squared length, which build_system cannot represent
+    problem = ray_problem(zip((*DIAGONALS, 0, INFINITY), (1,) * 6))
+    with pytest.raises(InexactPosition):
+        unpruned_replacement_feasible(problem, 50)
+    with pytest.raises(InexactPosition):
+        replacement_feasible(problem, 50)
+
+
+SOUNDNESS_CASES = [case for case in ORACLE_CASES if not case[0].startswith("six")]
+
+
+@pytest.mark.parametrize(
+    "problem", [case[1] for case in SOUNDNESS_CASES], ids=[c[0] for c in SOUNDNESS_CASES]
+)
+def test_rejected_structures_have_no_positive_solution(problem):
+    side = replace._diameter_sides(problem.positions)
+    n = len(problem.positions)
+    rejected = 0
+    for cs in enumerate_chord_sets(n, allow_adjacent=True):
+        if replace._in_balance_cone(side, cs.chords):
+            continue
+        rejected += 1
+        result = solve(build_system(problem.positions, cs, problem.exterior_mults))
+        if result.particular is None:
+            continue
+        # fixed-exterior systems of non-crossing chords carry no self-stress
+        assert result.nullity == 0
+        assert any(RadExpr.of(x).sign() <= 0 for x in result.particular)
+    assert rejected > 0
