@@ -46,18 +46,34 @@ from .solver import (
     positive_integer_solutions,
     solve,
 )
-from .sweep import (
-    CapRegion,
-    PolyCurve,
-    SphereConfig,
-    Sweepout,
-    c_length,
-    discrete_geodesic_curvature,
-    flow_to_cmc,
-    latitude_curve,
-    latitude_sweepout,
-    minmax_closed_form,
-    minmax_estimate,
-)
+
+# geonet.sweep is the only numpy user; its names load on first access (PEP 562),
+# so the exact-only library and CLI never import numpy
+_SWEEP_EXPORTS = frozenset({
+    "CapRegion",
+    "PolyCurve",
+    "SphereConfig",
+    "Sweepout",
+    "c_length",
+    "discrete_geodesic_curvature",
+    "flow_to_cmc",
+    "latitude_curve",
+    "latitude_sweepout",
+    "minmax_closed_form",
+    "minmax_estimate",
+})
+
+
+def __getattr__(name: str):
+    if name in _SWEEP_EXPORTS:
+        from . import sweep
+
+        return getattr(sweep, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SWEEP_EXPORTS)
+
 
 __version__ = "0.1.0"

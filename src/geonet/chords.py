@@ -51,6 +51,15 @@ class ChordSet:
                     raise CrossingEdges(f"chords {cs[a]} and {cs[b]} cross")
         object.__setattr__(self, "chords", tuple(cs))
 
+    @classmethod
+    def _trusted(cls, n: int, chords: tuple[tuple[int, int], ...]) -> ChordSet:
+        """A set built by the enumerator: sorted, in range and non-crossing by
+        construction, so it skips the O(k^2) checks of __post_init__."""
+        cs = object.__new__(cls)
+        object.__setattr__(cs, "n", n)
+        object.__setattr__(cs, "chords", chords)
+        return cs
+
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for i, j in self.chords:
@@ -78,13 +87,28 @@ def closed_form_bounds(n: int) -> ChordBounds:
     return ChordBounds(n, nonadj, total, leaf)
 
 
-def _candidate_pairs(n: int, allow_adjacent: bool) -> list[tuple[int, int]]:
-    return [
+@dataclass(frozen=True)
+class _CrossingTable:
+    """Candidate pairs in lexicographic order, and for each one the bitmask of
+    the candidates it crosses (bit k stands for pairs[k])."""
+
+    pairs: tuple[tuple[int, int], ...]
+    masks: tuple[int, ...]
+    index: dict[tuple[int, int], int]
+
+
+@lru_cache(maxsize=None)
+def _crossing_table(n: int, allow_adjacent: bool) -> _CrossingTable:
+    pairs = tuple(
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
         if allow_adjacent or not _adjacent(i, j, n)
-    ]
+    )
+    masks = tuple(
+        sum(1 << k for k, q in enumerate(pairs) if chords_cross(p, q)) for p in pairs
+    )
+    return _CrossingTable(pairs, masks, {p: k for k, p in enumerate(pairs)})
 
 
 def enumerate_chord_sets(n: int, allow_adjacent: bool = False) -> Iterator[ChordSet]:
@@ -93,18 +117,20 @@ def enumerate_chord_sets(n: int, allow_adjacent: bool = False) -> Iterator[Chord
         raise ValueError("need at least one point")
     if n > ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
-    pairs = _candidate_pairs(n, allow_adjacent)
+    table = _crossing_table(n, allow_adjacent)
+    pairs, masks = table.pairs, table.masks
+    trusted = ChordSet._trusted
 
-    def extend(current: list[tuple[int, int]], start: int) -> Iterator[ChordSet]:
-        yield ChordSet(n, tuple(current))
+    def extend(current: list[tuple[int, int]], blocked: int, start: int) -> Iterator[ChordSet]:
+        # blocked has bit k set when pairs[k] crosses a chord of current
+        yield trusted(n, tuple(current))
         for idx in range(start, len(pairs)):
-            p = pairs[idx]
-            if all(not chords_cross(p, q) for q in current):
-                current.append(p)
-                yield from extend(current, idx + 1)
+            if not blocked >> idx & 1:
+                current.append(pairs[idx])
+                yield from extend(current, blocked | masks[idx], idx + 1)
                 current.pop()
 
-    return extend([], 0)
+    return extend([], 0, 0)
 
 
 def max_nonadjacent_chords(n: int) -> int:
@@ -124,14 +150,14 @@ def nonadjacent_max_recursive(n: int) -> int:
 
 
 def is_maximal(cs: ChordSet) -> bool:
-    """No further chord (adjacent ones included) can be added without a crossing."""
-    have = set(cs.chords)
-    for p in _candidate_pairs(cs.n, allow_adjacent=True):
-        if p in have:
-            continue
-        if all(not chords_cross(p, q) for q in cs.chords):
-            return False
-    return True
+    """No further chord (adjacent ones included) can be added without a crossing:
+    every candidate pair is chosen or crosses a chosen chord."""
+    table = _crossing_table(cs.n, True)
+    covered = 0
+    for p in cs.chords:
+        k = table.index[p]
+        covered |= table.masks[k] | 1 << k
+    return covered == (1 << len(table.pairs)) - 1
 
 
 def maximal_chord_sets(n: int) -> list[ChordSet]:
@@ -172,11 +198,12 @@ class CountingAuditReport:
     rows: list[StructureRow] = field(repr=False, default_factory=list)
 
 
-def _classify(cs: ChordSet) -> str:
+def _classify(cs: ChordSet, deg: list[int]) -> str:
     """Kill reason for a chord structure, or why it remains in play.
 
-    The rules are the structural necessary conditions for the interior graph
-    of a network every vertex of which admits iterated replacements:
+    deg is cs.degrees(). The rules are the structural necessary conditions for
+    the interior graph of a network every vertex of which admits iterated
+    replacements:
       - a degree-0 vertex cannot balance its exterior ray;
       - a degree-1 vertex's edge must be a diameter, so at most one such edge
         exists (two leaves must share it) and its far endpoint either is the
@@ -185,8 +212,7 @@ def _classify(cs: ChordSet) -> str:
         degree-3 vertex needs a four-ray replacement, refuted by counting.
     """
     n = cs.n
-    deg = cs.degrees()
-    if any(d == 0 for d in deg):
+    if 0 in deg:
         return "isolated-vertex"
     leaves = [v for v in range(n) if deg[v] == 1]
     if len(leaves) > 2:
@@ -204,22 +230,43 @@ def _classify(cs: ChordSet) -> str:
         nbrs_w = {b if a == w else a for a, b in cs.chords if w in (a, b)} - {v}
         if not (nbrs_w & set(inside)) or not (nbrs_w & set(outside)):
             return "leaf-antipode-one-sided"
-    if n >= 4 and any(d == 2 for d in deg):
+    if n >= 4 and 2 in deg:
         return "degree-2"
-    if n >= 5 and any(d == 3 for d in deg):
+    if n >= 5 and 3 in deg:
         return "degree-3"
     if n == 3:
         return "forwarded-to-three-vertex"
     return "survivor"
 
 
-def audit_counting_argument(n: int) -> CountingAuditReport:
+_LEAF_GEOMETRY_KILLS = ("too-many-leaves", "disjoint-leaf-diameters", "leaf-antipode-one-sided")
+
+
+def _structure_row(cs: ChordSet, deg: list[int], fate: str, bounds: ChordBounds) -> StructureRow:
+    e = len(cs.chords)
+    has_leaf = 1 in deg
+    return StructureRow(
+        chords=cs.chords,
+        degrees=tuple(deg),
+        edge_count=e,
+        within_edge_max=e <= bounds.edge_max,
+        has_leaf=has_leaf,
+        leaf_bound_ok=(e <= bounds.leaf_edge_max) if has_leaf else None,
+        leaf_geometry_ok=(fate not in _LEAF_GEOMETRY_KILLS) if has_leaf else None,
+        fate=fate,
+    )
+
+
+def audit_counting_argument(n: int, *, keep_rows: bool = False) -> CountingAuditReport:
     """Exhaust all non-crossing structures on n points and classify each.
 
     For n >= 3 no structure survives: every one is eliminated by a structural
     rule, and the aggregate inequalities record why none could have slipped
     through (the degree floor would force more edges than non-crossing
     structures can carry).
+
+    The report's rows hold one StructureRow per structure only when keep_rows
+    is set; otherwise rows is empty and the tallies are counted directly.
     """
     if n < 3:
         raise ValueError("audit needs at least three points")
@@ -228,23 +275,15 @@ def audit_counting_argument(n: int) -> CountingAuditReport:
     kills: dict[str, int] = {}
     survivors: list[StructureRow] = []
     forwarded = 0
+    total = 0
     for cs in enumerate_chord_sets(n, allow_adjacent=True):
-        deg = tuple(cs.degrees())
-        e = len(cs.chords)
-        has_leaf = 1 in deg
-        fate = _classify(cs)
-        row = StructureRow(
-            chords=cs.chords,
-            degrees=deg,
-            edge_count=e,
-            within_edge_max=e <= bounds.edge_max,
-            has_leaf=has_leaf,
-            leaf_bound_ok=(e <= bounds.leaf_edge_max) if has_leaf else None,
-            leaf_geometry_ok=(fate not in ("too-many-leaves", "disjoint-leaf-diameters",
-                                           "leaf-antipode-one-sided")) if has_leaf else None,
-            fate=fate,
-        )
-        rows.append(row)
+        total += 1
+        deg = cs.degrees()
+        fate = _classify(cs, deg)
+        if keep_rows or fate == "survivor":
+            row = _structure_row(cs, deg, fate, bounds)
+            if keep_rows:
+                rows.append(row)
         if fate == "survivor":
             survivors.append(row)
         elif fate == "forwarded-to-three-vertex":
@@ -269,7 +308,7 @@ def audit_counting_argument(n: int) -> CountingAuditReport:
         )
     return CountingAuditReport(
         n=n,
-        total=len(rows),
+        total=total,
         survivors=survivors,
         forwarded_to_n3=forwarded,
         kills=kills,

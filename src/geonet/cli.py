@@ -31,17 +31,6 @@ from .replace import (
     replacement_problem,
 )
 from .solver import build_system, positive_integer_solutions, solve
-from .sweep import (
-    SphereConfig,
-    c_length,
-    curvature_profile,
-    enclosed_c_length,
-    flow_to_cmc,
-    latitude_curve,
-    latitude_sweepout,
-    minmax_closed_form,
-    minmax_estimate,
-)
 
 
 def _emit(obj) -> None:
@@ -99,10 +88,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    sets = list(enumerate_chord_sets(args.n, allow_adjacent=args.allow_adjacent))
+    sets = enumerate_chord_sets(args.n, allow_adjacent=args.allow_adjacent)
     if args.max_only:
-        top = max(len(cs.chords) for cs in sets)
-        sets = [cs for cs in sets if len(cs.chords) == top]
+        # streamed: only the sets of the largest size so far are held
+        top, largest = -1, []
+        for cs in sets:
+            if len(cs.chords) > top:
+                top, largest = len(cs.chords), []
+            if len(cs.chords) == top:
+                largest.append(cs)
+        sets = largest
     for cs in sets:
         _emit({"n": cs.n, "chords": [list(c) for c in cs.chords]})
     return 0
@@ -172,6 +167,19 @@ def _cmd_certify_n3(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # the only numpy user, imported here so the exact subcommands start without it
+    from .sweep import (
+        SphereConfig,
+        c_length,
+        curvature_profile,
+        enclosed_c_length,
+        flow_to_cmc,
+        latitude_curve,
+        latitude_sweepout,
+        minmax_closed_form,
+        minmax_estimate,
+    )
+
     cfg = SphereConfig(radius=1.0, c=args.c)
     sweep = latitude_sweepout(args.samples)
     estimate = minmax_estimate(sweep, cfg)

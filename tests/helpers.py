@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from geonet.chords import enumerate_chord_sets
+from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import INFINITY, CirclePoint
 from geonet.exact import RadExpr
 from geonet.network import (
@@ -171,6 +171,42 @@ def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
 
     rec(0, [RadExpr.of(x) for x in result.particular])
     return sorted(out)
+
+
+def naive_chord_sets(n: int, allow_adjacent: bool = False):
+    """All non-crossing chord sets, in lexicographic order of sorted pair lists.
+
+    Independent oracle for chords.enumerate_chord_sets: each candidate is
+    tested against every current chord with chords_cross, and each set goes
+    through ChordSet's full validation.
+    """
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if allow_adjacent or not (j - i == 1 or (i == 0 and j == n - 1))
+    ]
+
+    def extend(current, start):
+        yield ChordSet(n, tuple(current))
+        for idx in range(start, len(pairs)):
+            p = pairs[idx]
+            if all(not chords_cross(p, q) for q in current):
+                current.append(p)
+                yield from extend(current, idx + 1)
+                current.pop()
+
+    return extend([], 0)
+
+
+def naive_is_maximal(cs: ChordSet) -> bool:
+    """Oracle for chords.is_maximal: no unchosen pair avoids every chosen chord."""
+    have = set(cs.chords)
+    for i in range(cs.n):
+        for j in range(i + 1, cs.n):
+            if (i, j) not in have and all(not chords_cross((i, j), q) for q in cs.chords):
+                return False
+    return True
 
 
 def unpruned_replacement_feasible(problem, bound: int) -> Network | None:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from geonet.chords import (
     maximal_chord_sets,
     nonadjacent_max_recursive,
 )
-from helpers import segments_cross_float
+from helpers import naive_chord_sets, naive_is_maximal, segments_cross_float
 
 # non-crossing chord sets on n points allowing adjacent chords, n = 3..8
 # (OEIS A054726 shifted: includes the empty set and single chords)
@@ -119,7 +121,77 @@ def test_audit_n3_forwards_triangle():
 
 
 def test_audit_rows_cover_everything():
-    report = audit_counting_argument(4)
+    report = audit_counting_argument(4, keep_rows=True)
     assert len(report.rows) == report.total
     fates = {row.fate for row in report.rows}
     assert fates == set(report.kills)
+
+
+@pytest.mark.parametrize(
+    "n, allow_adjacent",
+    [(n, True) for n in range(1, 9)] + [(n, False) for n in range(1, 11)],
+)
+def test_enumeration_matches_naive_oracle(n, allow_adjacent):
+    got = enumerate_chord_sets(n, allow_adjacent=allow_adjacent)
+    want = naive_chord_sets(n, allow_adjacent=allow_adjacent)
+    for a, b in zip_longest(got, want):
+        assert a == b
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerated_sets_pass_validation(n):
+    for allow_adjacent in (True, False):
+        for cs in enumerate_chord_sets(n, allow_adjacent=allow_adjacent):
+            assert type(cs) is ChordSet
+            assert ChordSet(cs.n, cs.chords) == cs
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_is_maximal_matches_naive_oracle(n):
+    for cs in enumerate_chord_sets(n, allow_adjacent=True):
+        assert is_maximal(cs) == naive_is_maximal(cs)
+
+
+# (total, forwarded_to_n3, kills) of the audit on n points
+AUDIT_TALLIES = {
+    3: (8, 1, {"isolated-vertex": 4, "disjoint-leaf-diameters": 3}),
+    4: (48, 0, {"isolated-vertex": 23, "too-many-leaves": 6, "disjoint-leaf-diameters": 8,
+                "leaf-antipode-one-sided": 8, "degree-2": 3}),
+    5: (352, 0, {"isolated-vertex": 176, "too-many-leaves": 50, "disjoint-leaf-diameters": 55,
+                 "leaf-antipode-one-sided": 50, "degree-2": 21}),
+    6: (2880, 0, {"isolated-vertex": 1527, "too-many-leaves": 489, "disjoint-leaf-diameters": 432,
+                  "leaf-antipode-one-sided": 312, "degree-2": 120}),
+    7: (25216, 0, {"isolated-vertex": 14204, "too-many-leaves": 4886,
+                   "disjoint-leaf-diameters": 3262, "leaf-antipode-one-sided": 2100,
+                   "degree-2": 764}),
+    8: (231168, 0, {"isolated-vertex": 137839, "too-many-leaves": 48458,
+                    "disjoint-leaf-diameters": 25432, "leaf-antipode-one-sided": 14400,
+                    "degree-2": 5039}),
+}
+
+
+@pytest.mark.parametrize("n", sorted(AUDIT_TALLIES))
+def test_audit_tallies_pinned(n):
+    report = audit_counting_argument(n)
+    assert (report.total, report.forwarded_to_n3, report.kills) == AUDIT_TALLIES[n]
+    assert report.rows == []
+
+
+# sha256 of repr(rows) with every row kept
+AUDIT_ROW_DIGESTS = {
+    3: "8cf311febd958a04e15ce7441c9bb7967974cece0083af245d849eb677affb5d",
+    4: "b3ca414c581dbc475ad0f7da51a4f797268541e296241728e0d9994476ba5cab",
+    5: "900a9e7bb008924364c0e38df5bfa623b2407c3f94d80f8a3b974f7956600351",
+    6: "875afd118e2f4f66722006a30ed3e52ddd2c9ea0b38af9d84bfd3fb3c6859b21",
+}
+
+
+@pytest.mark.parametrize("n", sorted(AUDIT_ROW_DIGESTS))
+def test_audit_kept_rows_pinned(n):
+    report = audit_counting_argument(n, keep_rows=True)
+    assert len(report.rows) == report.total
+    assert hashlib.sha256(repr(report.rows).encode()).hexdigest() == AUDIT_ROW_DIGESTS[n]
+    plain = audit_counting_argument(n)
+    assert (plain.total, plain.forwarded_to_n3, plain.kills, plain.survivors) == (
+        report.total, report.forwarded_to_n3, report.kills, report.survivors
+    )

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import geonet
 from geonet.circle import INFINITY, tangent_point
 from geonet.cli import dispatch
 from geonet.errors import ParseError, VersionError
@@ -17,7 +22,14 @@ from geonet.io import (
 )
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
 from geonet.sweep import SphereConfig, minmax_closed_form
-from helpers import fan_chords, golden_triangle, line_network, pt, square_network
+from helpers import (
+    fan_chords,
+    golden_triangle,
+    line_network,
+    naive_chord_sets,
+    pt,
+    square_network,
+)
 
 
 def roundtrip(net, tmp_path):
@@ -203,6 +215,37 @@ def test_cli_enumerate(capsys):
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(rows) == 2
     assert all(len(r["chords"]) == 5 for r in rows)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("allow_adjacent", [False, True])
+@pytest.mark.parametrize("max_only", [False, True])
+def test_cli_enumerate_matches_oracle(n, allow_adjacent, max_only, capsys):
+    argv = ["enumerate", "--n", str(n)]
+    argv += ["--allow-adjacent"] * allow_adjacent + ["--max-only"] * max_only
+    assert dispatch(argv) == 0
+    sets = list(naive_chord_sets(n, allow_adjacent))
+    if max_only:
+        top = max(len(cs.chords) for cs in sets)
+        sets = [cs for cs in sets if len(cs.chords) == top]
+    want = "".join(
+        json.dumps({"n": n, "chords": [list(c) for c in cs.chords]}) + "\n" for cs in sets
+    )
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (want, "")
+
+
+def test_import_without_numpy():
+    src = str(Path(geonet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, geonet, geonet.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        "from geonet import flow_to_cmc\n"
+        "assert flow_to_cmc.__module__ == 'geonet.sweep' and 'numpy' in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_solve_fixed_exterior(tmp_path, capsys):
