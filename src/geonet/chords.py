@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CrossingEdges
 
@@ -111,13 +111,27 @@ def _crossing_table(n: int, allow_adjacent: bool) -> _CrossingTable:
     return _CrossingTable(pairs, masks, {p: k for k, p in enumerate(pairs)})
 
 
-def enumerate_chord_sets(n: int, allow_adjacent: bool = False) -> Iterator[ChordSet]:
-    """All non-crossing chord sets, in lexicographic order of sorted pair lists."""
+def enumerate_chord_sets(
+    n: int,
+    allow_adjacent: bool = False,
+    *,
+    vertex_ok: Callable[[int, int], bool] | None = None,
+) -> Iterator[ChordSet]:
+    """All non-crossing chord sets, in lexicographic order of sorted pair lists.
+
+    With vertex_ok, only the sets in which vertex_ok(v, neighbours) holds for
+    every vertex v, in the same order; neighbours is the bitmask of v's
+    neighbours (bit w for vertex w).  Once the recursion has passed v's last
+    candidate pair, v's neighbours are final, so a v that fails cuts the
+    whole subtree.
+    """
     if n < 1:
         raise ValueError("need at least one point")
     if n > ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
     table = _crossing_table(n, allow_adjacent)
+    if vertex_ok is not None:
+        return _enumerate_cut(n, table, vertex_ok)
     pairs, masks = table.pairs, table.masks
     trusted = ChordSet._trusted
 
@@ -131,6 +145,48 @@ def enumerate_chord_sets(n: int, allow_adjacent: bool = False) -> Iterator[Chord
                 current.pop()
 
     return extend([], 0, 0)
+
+
+def _enumerate_cut(
+    n: int, table: _CrossingTable, vertex_ok: Callable[[int, int], bool]
+) -> Iterator[ChordSet]:
+    """enumerate_chord_sets with a vertex predicate, applied as early as the
+    lexicographic recursion allows."""
+    pairs, masks = table.pairs, table.masks
+    trusted = ChordSet._trusted
+    last = [-1] * n  # index of each vertex's last candidate pair
+    for k, (i, j) in enumerate(pairs):
+        last[i] = last[j] = k
+    # settled[s]: the vertices whose neighbours are final once pairs[s:] remain
+    settled = [[v for v in range(n) if last[v] == s - 1] for s in range(len(pairs) + 1)]
+    unsettled = [[v for v in range(n) if last[v] >= s] for s in range(len(pairs) + 1)]
+    nbrs = [0] * n
+
+    def passes(vertices: list[int]) -> bool:
+        return all(vertex_ok(v, nbrs[v]) for v in vertices)
+
+    def extend(current: list[tuple[int, int]], blocked: int, start: int) -> Iterator[ChordSet]:
+        # every vertex settled before start passes; the others must pass too
+        # for current itself to be yielded
+        if passes(unsettled[start]):
+            yield trusted(n, tuple(current))
+        for idx in range(start, len(pairs)):
+            if idx > start and not passes(settled[idx]):
+                return  # its last pair was skipped here, so it fails for good
+            if blocked >> idx & 1:
+                continue
+            i, j = pairs[idx]
+            current.append(pairs[idx])
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+            if passes(settled[idx + 1]):
+                yield from extend(current, blocked | masks[idx], idx + 1)
+            current.pop()
+            nbrs[i] ^= 1 << j
+            nbrs[j] ^= 1 << i
+
+    if passes(settled[0]):
+        yield from extend([], 0, 0)
 
 
 def max_nonadjacent_chords(n: int) -> int:

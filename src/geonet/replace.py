@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chords import enumerate_chord_sets
 from .circle import (
@@ -21,6 +21,7 @@ from .circle import (
     angle_order,
     diameter_side,
     point_div,
+    tangent_components_exact,
     tangent_point,
 )
 from .errors import InexactPosition, IsolatedVertex
@@ -33,7 +34,7 @@ from .network import (
     is_admissible,
     make_network,
 )
-from .solver import build_system, positive_integer_solutions, solve
+from .solver import build_system, peel_solve, positive_integer_solutions, solve
 
 MAX_AUDIT_DEPTH = 4
 MAX_AUDIT_BOUND = 50
@@ -242,63 +243,84 @@ def replacement_problem(net: Network, i: int) -> ReplacementProblem:
     return ReplacementProblem(tuple(rays), tuple(mults))
 
 
-def _diameter_sides(positions: Sequence[CirclePoint]) -> list[list[int]]:
-    """side[v][w] = circle.diameter_side(positions[v], positions[w]), exact."""
-    n = len(positions)
-    side = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            side[i][j] = diameter_side(positions[i], positions[j])
-            side[j][i] = -side[i][j]
-    return side
+def _balance_cone(positions: Sequence[CirclePoint]) -> Callable[[int, int], bool]:
+    """The vertex predicate of the balance cone, for enumerate_chord_sets.
 
-
-def _in_balance_cone(side: list[list[int]], chords) -> bool:
-    """Whether every vertex can balance its ray with positive chord weights.
-
-    A vertex passes when it has a neighbour strictly on each side of the
-    diameter through it, or when its one neighbour is its antipode.  This is
-    necessary: crossing v's equation m_v*v + sum m_vw*(w - v)/|w - v| = 0 with
-    v gives sum m_vw*cross(v, w)/|w - v| = 0, so with every m_vw > 0 the
-    signs of cross(v, w) are mixed or all zero; all zero puts every neighbour
-    at -v, hence degree 1 (degree 0 would leave m_v*v = 0).  side is the
-    table of _diameter_sides, whose entry side[v][w] is the sign of cross(v, w).
+    ok(v, neighbours) holds when v, with the neighbours in the bitmask, can
+    balance its ray with positive chord weights: it has a neighbour strictly
+    on each side of the diameter through it, or its one neighbour is its
+    antipode.  This is necessary: crossing v's equation
+    m_v*v + sum m_vw*(w - v)/|w - v| = 0 with v gives
+    sum m_vw*cross(v, w)/|w - v| = 0, so with every m_vw > 0 the signs of
+    cross(v, w) are mixed or all zero; all zero puts every neighbour at -v,
+    hence degree 1 (degree 0 would leave m_v*v = 0).  The signs are
+    circle.diameter_side, decided exactly once per pair.
     """
-    signs: list[set[int]] = [set() for _ in side]
-    for i, j in chords:
-        signs[i].add(side[i][j])
-        signs[j].add(side[j][i])
-    return all(s == {0} or {1, -1} <= s for s in signs)
+    n = len(positions)
+    left, right, antipode = [0] * n, [0] * n, [0] * n
+    for v in range(n):
+        for w in range(v + 1, n):
+            side = diameter_side(positions[v], positions[w])
+            if side > 0:
+                left[v] |= 1 << w
+                right[w] |= 1 << v
+            elif side < 0:
+                right[v] |= 1 << w
+                left[w] |= 1 << v
+            else:
+                antipode[v] |= 1 << w
+                antipode[w] |= 1 << v
+
+    def ok(v: int, neighbours: int) -> bool:
+        if neighbours & left[v] and neighbours & right[v]:
+            return True
+        return neighbours != 0 and neighbours == antipode[v]
+
+    return ok
 
 
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
-    Enumerates non-crossing chord structures in deterministic order, skips
-    those outside the balance cone (_in_balance_cone), solves the rest with
-    the rays' multiplicities fixed, and returns the first network with a
-    positive-integer edge solution; None when the bounded search is exhausted.
+    Enumerates non-crossing chord structures in deterministic order, cutting
+    every subtree of the enumeration in which some vertex has left the
+    balance cone (_balance_cone), and solves each remaining structure with
+    the rays' multiplicities fixed by solver.peel_solve, on chord directions
+    computed once per problem.  The first structure with a positive-integer
+    solution is certified by an independent re-solve (build_system, solve,
+    positive_integer_solutions) and by the exact admissibility check, and
+    its network is returned; None when the bounded search is exhausted.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     if not problem.is_exact:
         raise InexactPosition("feasibility search needs exact ray directions")
-    bx, by = exterior_balance(zip(problem.positions, problem.exterior_mults))
+    positions, mults = problem.positions, problem.exterior_mults
+    bx, by = exterior_balance(zip(positions, mults))
     if not (bx.is_zero() and by.is_zero()):
         return None
-    n = len(problem.positions)
-    side = _diameter_sides(problem.positions)
-    for cs in enumerate_chord_sets(n, allow_adjacent=True):
-        if not _in_balance_cone(side, cs.chords):
+    tangents: dict[tuple[int, int], tuple] = {}
+
+    def tangent(i: int, j: int) -> tuple:
+        t = tangents.get((i, j))
+        if t is None:
+            t = tangents[i, j] = tangent_components_exact(positions[i], positions[j])
+        return t
+
+    xy = [p.exact_xy() for p in positions]
+    structures = enumerate_chord_sets(
+        len(positions), allow_adjacent=True, vertex_ok=_balance_cone(positions)
+    )
+    for cs in structures:
+        edge_mults = peel_solve(xy, mults, cs.chords, tangent, bound)
+        if edge_mults is None:
             continue
-        system = build_system(problem.positions, cs, problem.exterior_mults)
-        solutions = positive_integer_solutions(solve(system), bound)
-        if not solutions:
-            continue
-        edge_mults = solutions[0]
-        vertices = [
-            Vertex(p, m) for p, m in zip(problem.positions, problem.exterior_mults)
-        ]
+        certificate = positive_integer_solutions(
+            solve(build_system(positions, cs, mults)), bound
+        )
+        if certificate != [edge_mults]:  # pragma: no cover - the peel is exact
+            raise ArithmeticError("peel solve disagrees with the stationarity system")
+        vertices = [Vertex(p, m) for p, m in zip(positions, mults)]
         edges = [
             InteriorEdge(i, j, em) for (i, j), em in zip(cs.chords, edge_mults)
         ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .chords import ChordSet
 from .circle import (
@@ -230,6 +230,113 @@ def positive_integer_solutions(
 
     walk(0, origin)
     return sorted(out)
+
+
+# --- fixed-exterior structures by peeling ---------------------------------
+
+def _integer_quotient(num: RadExpr, den: RadExpr, bound: int) -> int | None:
+    """num/den when it is an integer in [1, bound], else None; den nonzero.
+
+    A rational quotient q has num = q*den termwise, so one term of den gives
+    the only candidate and one product confirms it; no inverse is formed.
+    """
+    d, q = next(iter(den.terms().items()))
+    x = num.terms().get(d, Fraction(0)) / q
+    if x.denominator != 1 or not 1 <= x <= bound or num != den * x:
+        return None
+    return int(x)
+
+
+def peel_solve(
+    positions: Sequence[tuple[ExactScalar, ExactScalar]],
+    exterior_mults: Sequence[int],
+    chords: Sequence[tuple[int, int]],
+    tangent: Callable[[int, int], tuple[RadExpr, RadExpr]],
+    bound: int,
+) -> tuple[int, ...] | None:
+    """The edge multiplicities of one fixed-exterior structure, by peeling.
+
+    Solves m_v * v + sum_w m_vw * (w - v)/|w - v| = 0 at every vertex for
+    the chords' multiplicities, in chord order, and returns them when they
+    are integers in [1, bound]; None otherwise.  positions holds each
+    vertex's exact (x, y), and tangent(i, j) the exact (w - v)/|w - v| from
+    vertex i to vertex j (i < j).  Every chord is looked up before any is
+    solved, so a lookup that raises InexactPosition does so on the same
+    structures as build_system.
+
+    Non-crossing chords on a circle form an outerplanar graph, and every
+    subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
+    unsolved vertex always has at most two unsolved chords.  Its 2x2
+    equation fixes them: Cramer's rule for two (two chords from v to
+    distinct circle points are never parallel), a parallel check and then
+    the value for one, a zero residual for none.  Each value is tested at once
+    and moved into its other endpoint's residual.  Every value is forced, so
+    the system has nullity 0 and this is its only solution.
+    """
+    dirs = [tangent(i, j) for i, j in chords]
+    residual: list[list[RadExpr] | None] = [None] * len(positions)
+
+    def rest(v: int) -> list[RadExpr]:
+        # m_v * v plus the solved chords at v; built on first use, since
+        # most structures are refuted after a vertex or two
+        r = residual[v]
+        if r is None:
+            (x, y), m = positions[v], exterior_mults[v]
+            r = residual[v] = [RadExpr.of(m * x), RadExpr.of(m * y)]
+        return r
+
+    open_chords: list[list[int]] = [[] for _ in positions]
+    for k, (i, j) in enumerate(chords):
+        open_chords[i].append(k)
+        open_chords[j].append(k)
+    values: list[int] = [0] * len(chords)
+    unsolved = set(range(len(positions)))
+
+    def direction(k: int, v: int) -> tuple[RadExpr, RadExpr]:
+        tx, ty = dirs[k]
+        return (tx, ty) if chords[k][0] == v else (-tx, -ty)
+
+    while unsolved:
+        v = min(unsolved, key=lambda u: len(open_chords[u]))
+        unsolved.remove(v)
+        rx, ry = rest(v)
+        ks = open_chords[v]
+        if len(ks) > 2:
+            raise ValueError("chords do not form an outerplanar graph")
+        if not ks:
+            if not (rx.is_zero() and ry.is_zero()):
+                return None
+            continue
+        if len(ks) == 1:
+            ax, ay = direction(ks[0], v)
+            # x * a = -r needs r parallel to a; a is a unit vector, so x = -r.a
+            if not (ax * ry - ay * rx).is_zero():
+                return None
+            x = -(rx * ax + ry * ay)
+            if not (x.is_integer() and 1 <= x.rational_value() <= bound):
+                return None
+            solved = [int(x.rational_value())]
+        else:
+            (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
+            det = ax * by - ay * bx
+            x = _integer_quotient(ry * bx - rx * by, det, bound)
+            if x is None:
+                return None
+            y = _integer_quotient(ay * rx - ax * ry, det, bound)
+            if y is None:
+                return None
+            solved = [x, y]
+        for k, value in zip(list(ks), solved):
+            values[k] = value
+            i, j = chords[k]
+            w = j if i == v else i
+            wx, wy = direction(k, w)
+            r = rest(w)
+            r[0] = r[0] + value * wx
+            r[1] = r[1] + value * wy
+            open_chords[w].remove(k)
+        ks.clear()
+    return tuple(values)
 
 
 # --- the three-vertex closed forms --------------------------------------

@@ -30,6 +30,8 @@ class SphereConfig:
     c: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.radius) and math.isfinite(self.c)):
+            raise DomainError("sphere radius and curvature must be finite")
         if self.radius <= 0:
             raise DomainError("sphere radius must be positive")
         if self.c < 0:
@@ -257,8 +259,8 @@ def flow_to_cmc(
         raise DomainError("flow needs at least 32 points")
     pts = curve.points.copy()
     n = len(pts)
-    if step is not None and step <= 0:
-        raise DomainError("step must be positive")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise DomainError("step must be positive and finite")
     best_pts = pts
     best_dev = math.inf
     for iteration in range(max_iters):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint
+from geonet.circle import INFINITY, CirclePoint, diameter_side
 from geonet.exact import RadExpr
 from geonet.network import (
     InteriorEdge,
@@ -209,6 +209,31 @@ def naive_is_maximal(cs: ChordSet) -> bool:
     return True
 
 
+def diameter_sides(positions) -> list[list[int]]:
+    """side[v][w] = circle.diameter_side(positions[v], positions[w]), exact."""
+    n = len(positions)
+    side = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            side[i][j] = diameter_side(positions[i], positions[j])
+            side[j][i] = -side[i][j]
+    return side
+
+
+def in_balance_cone(side, chords) -> bool:
+    """Oracle for replace._balance_cone, on a whole structure at once.
+
+    Every vertex needs neighbours strictly on both sides of the diameter
+    through it, or only its antipode as neighbour.  side is the table of
+    diameter_sides; the signs are collected into one set per vertex.
+    """
+    signs = [set() for _ in side]
+    for i, j in chords:
+        signs[i].add(side[i][j])
+        signs[j].add(side[j][i])
+    return all(s == {0} or {1, -1} <= s for s in signs)
+
+
 def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
     """First admissible network of a replacement problem, with no pruning.
 
@@ -247,6 +272,12 @@ def sorted_by_angle(tans) -> list:
     """Rational tan-halves in angle order: 0, then positive, then negative."""
     return sorted(tans, key=lambda t: (t < 0, t))
 
+
+# t of the fan-triangulated inscribed rectangles t, 1/t, -t, -1/t, whose
+# stationarity kernels are rational
+RECTANGLE_TANS = tuple(
+    Fraction(p, q) for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5))
+)
 
 # criterion 04's anchored grid: tan-halves +-p/q with p, q <= 10
 TAN_GRID = sorted(

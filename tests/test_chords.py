@@ -195,3 +195,32 @@ def test_audit_kept_rows_pinned(n):
     assert (plain.total, plain.forwarded_to_n3, plain.kills, plain.survivors) == (
         report.total, report.forwarded_to_n3, report.kills, report.survivors
     )
+
+
+def _degree_at_least_two(v: int, neighbours: int) -> bool:
+    return neighbours.bit_count() >= 2
+
+
+def _scattered(v: int, neighbours: int) -> bool:
+    # an irregular but fixed verdict per (vertex, neighbourhood)
+    return (v * 2654435761 + neighbours * 40503) % 7 != 0
+
+
+def _no_right_neighbour(v: int, neighbours: int) -> bool:
+    return not neighbours >> (v + 1) & 1
+
+
+@pytest.mark.parametrize("predicate", [_degree_at_least_two, _scattered, _no_right_neighbour])
+@pytest.mark.parametrize("allow_adjacent", [True, False])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_vertex_cut_matches_filter(n, allow_adjacent, predicate):
+    def passes(cs: ChordSet) -> bool:
+        nbrs = [0] * n
+        for i, j in cs.chords:
+            nbrs[i] |= 1 << j
+            nbrs[j] |= 1 << i
+        return all(predicate(v, nbrs[v]) for v in range(n))
+
+    expected = [cs for cs in enumerate_chord_sets(n, allow_adjacent) if passes(cs)]
+    got = list(enumerate_chord_sets(n, allow_adjacent, vertex_ok=predicate))
+    assert got == expected

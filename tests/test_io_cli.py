@@ -345,6 +345,14 @@ def test_cli_sweep_rejects_bad_c(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_cli_sweep_rejects_non_finite_c(c, capsys):
+    assert dispatch(["sweep", f"--c={c}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_cli_render(tmp_path, capsys):
     path = write_fixture(golden_triangle(), tmp_path)
     assert dispatch(["render", "--network", path]) == 0

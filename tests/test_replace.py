@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from geonet import replace
-from geonet.chords import enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint, tan_half_add
+from geonet.chords import ChordSet, enumerate_chord_sets
+from geonet.circle import INFINITY, CirclePoint, tan_half_add, tangent_components_exact
 from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
 from geonet.exact import RadExpr
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
@@ -19,13 +19,19 @@ from geonet.replace import (
     replacement_feasible,
     replacement_problem,
 )
-from geonet.solver import build_system, solve
+from geonet.rng import seeded_rng
+from geonet.solver import build_system, peel_solve, positive_integer_solutions, solve
 from helpers import (
+    RECTANGLE_TANS,
     axis_point_angles,
+    diameter_sides,
+    fan_chords,
     golden_triangle,
+    in_balance_cone,
     line_network,
     pt,
     rectangle_network,
+    sorted_by_angle,
     square_network,
     unpruned_replacement_feasible,
 )
@@ -257,9 +263,9 @@ def count_solved(problem: ReplacementProblem, bound: int, monkeypatch) -> int:
 
     def counting(*args):
         calls.append(args)
-        return build_system(*args)
+        return peel_solve(*args)
 
-    monkeypatch.setattr(replace, "build_system", counting)
+    monkeypatch.setattr(replace, "peel_solve", counting)
     replacement_feasible(problem, bound)
     return len(calls)
 
@@ -296,11 +302,11 @@ SOUNDNESS_CASES = [case for case in ORACLE_CASES if not case[0].startswith("six"
     "problem", [case[1] for case in SOUNDNESS_CASES], ids=[c[0] for c in SOUNDNESS_CASES]
 )
 def test_rejected_structures_have_no_positive_solution(problem):
-    side = replace._diameter_sides(problem.positions)
+    side = diameter_sides(problem.positions)
     n = len(problem.positions)
     rejected = 0
     for cs in enumerate_chord_sets(n, allow_adjacent=True):
-        if replace._in_balance_cone(side, cs.chords):
+        if in_balance_cone(side, cs.chords):
             continue
         rejected += 1
         result = solve(build_system(problem.positions, cs, problem.exterior_mults))
@@ -310,3 +316,94 @@ def test_rejected_structures_have_no_positive_solution(problem):
         assert result.nullity == 0
         assert any(RadExpr.of(x).sign() <= 0 for x in result.particular)
     assert rejected > 0
+
+
+# --- the peel solve against the rref path -----------------------------------
+
+def admissible_fan_rectangles(count: int) -> list:
+    """A seeded sample of the admissible fan-triangulated inscribed rectangles
+    t, 1/t, -t, -1/t with every multiplicity in [1, 20]."""
+    nets = []
+    for t in RECTANGLE_TANS:
+        points = [pt(x) for x in sorted_by_angle([t, 1 / t, -t, -1 / t])]
+        chords = fan_chords(4)
+        result = solve(build_system(points, ChordSet(4, chords)))
+        for x in positive_integer_solutions(result, 20):
+            vertices = [Vertex(pp, m) for pp, m in zip(points, x[:4])]
+            edges = [InteriorEdge(i, j, m) for (i, j), m in zip(chords, x[4:])]
+            nets.append(make_network(vertices, edges))
+    return seeded_rng(salt=6).sample(nets, count)
+
+
+FAN_RECTANGLES = admissible_fan_rectangles(6)
+
+
+def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
+    """Peel every in-cone structure and re-solve it through build_system,
+    solve and positive_integer_solutions; returns the solved structures."""
+    side = diameter_sides(problem.positions)
+    n = len(problem.positions)
+    xy = [p.exact_xy() for p in problem.positions]
+
+    def tangent(i, j):
+        return tangent_components_exact(problem.positions[i], problem.positions[j])
+
+    solved = []
+    for cs in enumerate_chord_sets(n, allow_adjacent=True):
+        if not in_balance_cone(side, cs.chords):
+            continue
+        result = solve(build_system(problem.positions, cs, problem.exterior_mults))
+        # fixed-exterior systems of non-crossing chords have nullity 0
+        assert result.nullity == 0
+        expected = positive_integer_solutions(result, bound)
+        peeled = peel_solve(xy, problem.exterior_mults, cs.chords, tangent, bound)
+        assert expected == ([] if peeled is None else [peeled])
+        if peeled is not None:
+            solved.append((cs.chords, peeled))
+    return solved
+
+
+# structures with a solution per ORACLE_CASES problem; every other has none,
+# the four-, five- and six-ray benchmark configurations among them
+PEEL_SOLVED = {"rotated-golden": 1, "rotated-golden-2": 1, "rotated-golden-3": 1, "line": 1}
+
+
+@pytest.mark.parametrize(
+    "name, problem, bound", [c[:3] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES]
+)
+def test_peel_matches_solver(name, problem, bound):
+    assert len(compare_peel_with_solver(problem, bound)) == PEEL_SOLVED.get(name, 0)
+
+
+@pytest.mark.parametrize("k", range(len(FAN_RECTANGLES)))
+def test_peel_matches_solver_on_fan_rectangles(k):
+    net = FAN_RECTANGLES[k]
+    own = ReplacementProblem(
+        tuple(v.position for v in net.vertices), tuple(v.exterior_mult for v in net.vertices)
+    )
+    solved = compare_peel_with_solver(own, 20)
+    # the rectangle itself is one of its boundary data's solutions
+    chords = tuple((e.i, e.j) for e in net.edges)
+    assert (chords, tuple(e.mult for e in net.edges)) in solved
+    for i in range(net.n_vertices):
+        compare_peel_with_solver(replacement_problem(net, i), 20)
+
+
+# ROADMAP's eight-ray problem: four antipodal pairs, 231168 structures
+EIGHT_RAYS = ray_problem(
+    antipodal(zip((Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(2, 5)), (1, 2, 3, 4)))
+)
+
+
+def test_eight_ray_problem_has_no_replacement():
+    assert replacement_feasible(EIGHT_RAYS, 50) is None
+
+
+def test_cone_cut_matches_uncut_enumeration_on_eight_rays():
+    positions = EIGHT_RAYS.positions
+    side = diameter_sides(positions)
+    cut = enumerate_chord_sets(8, allow_adjacent=True, vertex_ok=replace._balance_cone(positions))
+    uncut = enumerate_chord_sets(8, allow_adjacent=True)
+    in_cone = [cs for cs in uncut if in_balance_cone(side, cs.chords)]
+    assert list(cut) == in_cone
+    assert len(in_cone) == 903

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 from geonet.chords import ChordSet
-from geonet.circle import INFINITY, CirclePoint, tan_half_add
+from geonet.circle import INFINITY, CirclePoint, tan_half_add, tangent_components_exact
 from geonet.errors import (
     CrossingEdges,
     DomainError,
     DuplicateVertexAngle,
     InexactPosition,
 )
+from geonet import solver
 from geonet.exact import RadExpr
 from geonet.rng import seeded_rng
 from geonet.solver import (
@@ -19,11 +20,13 @@ from geonet.solver import (
     n3_closed_forms,
     n3_imaginary_kernel,
     normalize_vector,
+    peel_solve,
     positive_integer_solutions,
     solve,
     system_residual,
 )
 from helpers import (
+    RECTANGLE_TANS,
     TAN_GRID,
     box_walk_solutions,
     fan_chords,
@@ -156,9 +159,8 @@ def fan_result(tans):
 
 def rectangle_results():
     """Fan-triangulated inscribed rectangles t, 1/t, -t, -1/t: rational kernels."""
-    for p, q in ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5)):
-        t = Fraction(p, q)
-        yield f"rectangle-{p}-{q}", fan_result([t, 1 / t, -t, -1 / t])
+    for t in RECTANGLE_TANS:
+        yield f"rectangle-{t.numerator}-{t.denominator}", fan_result([t, 1 / t, -t, -1 / t])
 
 
 def offset_lattice_result():
@@ -323,3 +325,41 @@ def test_closed_form_signs():
         forms = n3_closed_forms(*n3_points(u12, u23))
         assert all(RadExpr.of(x).sign() < 0 for x in forms.edge_vector)
         assert all(RadExpr.of(x).sign() > 0 for x in forms.exterior_vector)
+
+
+def peel(points, mults, chords, bound):
+    xy = [p.exact_xy() for p in points]
+
+    def tangent(i, j):
+        return tangent_components_exact(points[i], points[j])
+
+    return peel_solve(xy, mults, chords, tangent, bound)
+
+
+def test_peel_solves_fixed_exterior_structures():
+    golden = [pt(0), pt(Fraction(4, 3)), pt(Fraction(-24, 7))]
+    triangle = ((0, 1), (0, 2), (1, 2))
+    assert peel(golden, (100, 56, 100), triangle, 100) == (35, 75, 35)
+    assert peel(golden, (100, 56, 100), triangle, 74) is None
+    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 5) == (3,)
+    assert peel([pt(0), pt(INFINITY)], (3, 4), ((0, 1),), 5) is None
+
+
+def test_peel_checks_every_single_chord_vertex():
+    # rays 25, 17 and 1 at tan-halves 3/4, inf and 0, chords 0-1 and 1-2: the
+    # equations along each chord alone give (20, 1), which leaves no residual
+    # at vertex 2, but vertex 0's ray is not parallel to its chord
+    points = [pt(Fraction(3, 4)), pt(INFINITY), pt(0)]
+    chords = ((0, 1), (1, 2))
+    result = solve(build_system(points, ChordSet(3, chords), (25, 17, 1)))
+    assert positive_integer_solutions(result, 50) == []
+    assert peel(points, (25, 17, 1), chords, 50) is None
+
+
+def test_integer_quotient_needs_a_rational_quotient():
+    den = 1 + RadExpr.sqrt(2)
+    # (2 + sqrt2)/(1 + sqrt2) = sqrt2, though the rational terms divide to 2
+    assert solver._integer_quotient(2 + RadExpr.sqrt(2), den, 10) is None
+    assert solver._integer_quotient(3 * den, den, 10) == 3
+    assert solver._integer_quotient(3 * den, den, 2) is None
+    assert solver._integer_quotient(-3 * den, den, 10) is None

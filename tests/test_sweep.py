@@ -35,6 +35,13 @@ def test_config_validation():
         CapRegion(math.pi + 0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["radius", "c"])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match="finite"):
+        SphereConfig(**{field: value})
+
+
 def test_sweepout_validation():
     with pytest.raises(DomainError):
         Sweepout(((0.0, CapRegion(0.0)), (0.0, CapRegion(math.pi))))
@@ -149,6 +156,9 @@ def test_flow_validation():
         flow_to_cmc(latitude_curve(1.0, 16), cfg)
     with pytest.raises(DomainError):
         flow_to_cmc(latitude_curve(1.0, 64), cfg, step=0.0)
+    for step in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            flow_to_cmc(latitude_curve(1.0, 64), cfg, step=step)
 
 
 def test_flow_equator_fixed_for_c_zero():
