@@ -10,7 +10,7 @@ chord directions can be computed without any floating error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence, Union
@@ -72,12 +72,9 @@ def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
     binf = isinstance(b, _InfinityType)
     if ainf and binf:
         return Fraction(0)
-    if ainf:
-        r = _recip(b)
-        return INFINITY if isinstance(r, _InfinityType) else _simplify(-r)
-    if binf:
-        r = _recip(a)
-        return INFINITY if isinstance(r, _InfinityType) else _simplify(-r)
+    if ainf or binf:
+        # tan((alpha + pi)/2) = -1/tan(alpha/2)
+        return tan_half_neg(_recip(a if binf else b))
     denom = 1 - a * b
     if _is_zero(denom):
         return INFINITY
@@ -86,19 +83,7 @@ def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
 
 def tan_half_sub(a: TanHalf, b: TanHalf) -> TanHalf:
     """tan((alpha-beta)/2) from the two half-angle tangents."""
-    ainf = isinstance(a, _InfinityType)
-    binf = isinstance(b, _InfinityType)
-    if ainf and binf:
-        return Fraction(0)
-    if ainf:
-        return _recip(b)
-    if binf:
-        r = _recip(a)
-        return INFINITY if isinstance(r, _InfinityType) else _simplify(-r)
-    denom = 1 + a * b
-    if _is_zero(denom):
-        return INFINITY
-    return _simplify((a - b) / denom)
+    return tan_half_add(a, tan_half_neg(b))
 
 
 def tan_half_neg(a: TanHalf) -> TanHalf:
@@ -139,6 +124,8 @@ class CirclePoint:
 
     angle: float
     tan_half: TanHalf | None = None
+    # exact (x, y) of tan_half, kept from the consistency check
+    _xy: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.angle < TAU:
@@ -149,6 +136,7 @@ class CirclePoint:
                 float(ey) - math.sin(self.angle)
             ) > 1e-9:
                 raise ValueError("angle and tan_half describe different points")
+            object.__setattr__(self, "_xy", (ex, ey))
 
     @classmethod
     def from_angle(cls, angle: float) -> "CirclePoint":
@@ -167,9 +155,9 @@ class CirclePoint:
         return math.cos(self.angle), math.sin(self.angle)
 
     def exact_xy(self) -> tuple[ExactScalar, ExactScalar]:
-        if self.tan_half is None:
+        if self._xy is None:
             raise ExactDataMissing("point has no exact parametrization")
-        return exact_xy_of_tan(self.tan_half)
+        return self._xy
 
 
 # An exact point's float angle, angle_of_tan(t), is off by a few ulps of tau

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .chords import ChordSet, enumerate_chord_sets
-from .errors import GeonetError, NonConvergence
+from .errors import GeonetError
 from .io import (
     network_to_dict,
     read_network,
@@ -288,9 +288,6 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (GeonetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

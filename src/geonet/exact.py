@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 Rational = Union[int, Fraction]
 
@@ -69,15 +69,9 @@ class RadExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, Rational] | None = None):
-        # keys must already be squarefree; use the constructors below otherwise
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for d, q in terms.items():
-                q = Fraction(q)
-                if q:
-                    clean[d] = q
-        object.__setattr__(self, "_terms", clean)
+    def __init__(self, terms: dict[int, Fraction] | None = None):
+        # squarefree keys and nonzero Fractions; of, sqrt and _coerce clean input
+        object.__setattr__(self, "_terms", terms or {})
 
     def __setattr__(self, *a):  # pragma: no cover - guards accidental mutation
         raise AttributeError("RadExpr is immutable")
@@ -86,7 +80,8 @@ class RadExpr:
     def of(cls, x: Rational | "RadExpr") -> "RadExpr":
         if isinstance(x, RadExpr):
             return x
-        return cls({1: Fraction(x)})
+        x = Fraction(x)
+        return cls({1: x} if x else None)
 
     @classmethod
     def sqrt(cls, x: Rational | "RadExpr") -> "RadExpr":
@@ -177,29 +172,20 @@ class RadExpr:
     __rmul__ = __mul__
 
     def inverse(self) -> "RadExpr":
+        """1/self, one prime at a time: times the conjugate that flips sqrt(p),
+        the denominator loses p; conjugates of a nonzero value are nonzero."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return RadExpr({1: 1 / self._terms[1]})
-        ds = [d for d in self._terms if d != 1]
-        if len(self._terms) == 1:
-            # (q*sqrt(d))^-1 = sqrt(d)/(q*d)
-            d = ds[0]
-            return RadExpr({d: 1 / (self._terms[d] * d)})
-        # multiply by every nontrivial Galois conjugate; the product of all
-        # conjugates is rational (and nonzero for a nonzero element)
-        primes = sorted({p for d in ds for p in _prime_factors(d)})
-        prod = RadExpr.of(1)
-        for mask in range(1, 1 << len(primes)):
-            flip = {primes[i] for i in range(len(primes)) if mask >> i & 1}
-            conj = {
-                d: (-q if sum(p in flip for p in _prime_factors(d)) % 2 else q)
-                for d, q in self._terms.items()
-            }
-            prod = prod * RadExpr(conj)
-        norm = self * prod
-        assert norm.is_rational() and not norm.is_zero()
-        return prod * RadExpr({1: 1 / norm.rational_value()})
+        num, den = RadExpr.of(1), self
+        while not den.is_rational():
+            p = _prime_factors(max(den._terms))[0]
+            # d is squarefree, so sqrt(d) changes sign exactly when p divides d
+            conj = RadExpr({d: -q if d % p == 0 else q for d, q in den._terms.items()})
+            num, den = num * conj, den * conj
+        r = 1 / den.rational_value()
+        return RadExpr({d: q * r for d, q in num._terms.items()})
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -280,8 +266,6 @@ class RadExpr:
 
 
 def _coerce(x) -> "RadExpr":
-    if isinstance(x, RadExpr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RadExpr({1: Fraction(x)})
+    if isinstance(x, (RadExpr, int, Fraction)):
+        return RadExpr.of(x)
     return NotImplemented

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .circle import INFINITY, CirclePoint, _InfinityType
+from .circle import INFINITY, CirclePoint, _InfinityType, normalize_angle
 from .errors import ParseError, VersionError
 from .exact import RadExpr
 from .network import InteriorEdge, Network, Vertex, make_network
@@ -95,16 +95,23 @@ def _point_from_json(rec: dict, where: str) -> CirclePoint:
     if t is None:
         return CirclePoint.from_angle(angle)
     if t == "inf":
-        return CirclePoint.from_tan_half(INFINITY)
-    if (
+        t = INFINITY
+    elif (
         not isinstance(t, list)
         or len(t) != 2
         or not all(_is_int(v) for v in t)
     ):
         raise ParseError(f"{where}: 'tan_half' must be [num, den], \"inf\" or null")
-    if t[1] == 0:
+    elif t[1] == 0:
         raise ParseError(f"{where}: zero denominator in 'tan_half'")
-    return CirclePoint.from_tan_half(Fraction(t[0], t[1]))
+    else:
+        t = Fraction(t[0], t[1])
+    try:
+        CirclePoint(normalize_angle(angle), t)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+    # the angle computed from tan_half is kept, so files round-trip unchanged
+    return CirclePoint.from_tan_half(t)
 
 
 def network_from_dict(data: dict) -> Network:

@@ -66,13 +66,12 @@ def kernel_from_rref(m: Matrix, pivots: list[int], ncols: int) -> list[Vector]:
 
 
 def particular_from_rref(
-    m: Matrix, pivots: list[int], b: Vector
+    m: Matrix, pivots: list[int], b: Vector, ncols: int
 ) -> Vector | None:
-    """A solution with all free coordinates zero, or None if inconsistent."""
-    ncols = len(m[0]) if m else 0
-    for r in range(len(m)):
-        if all(x.is_zero() for x in m[r]) and not b[r].is_zero():
-            return None
+    """A solution with all free coordinates zero, or None if inconsistent:
+    the rows of m below the pivot rows are zero, so b must vanish there."""
+    if any(not x.is_zero() for x in b[len(pivots):]):
+        return None
     vec = [RadExpr.of(0)] * ncols
     for r, p in enumerate(pivots):
         vec[p] = b[r]

@@ -307,12 +307,11 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
             t = tangents[i, j] = tangent_components_exact(positions[i], positions[j])
         return t
 
-    xy = [p.exact_xy() for p in positions]
     structures = enumerate_chord_sets(
         len(positions), allow_adjacent=True, vertex_ok=_balance_cone(positions)
     )
     for cs in structures:
-        edge_mults = peel_solve(xy, mults, cs.chords, tangent, bound)
+        edge_mults = peel_solve(positions, mults, cs.chords, tangent, bound)
         if edge_mults is None:
             continue
         certificate = positive_integer_solutions(

@@ -147,7 +147,7 @@ def normalize_vector(vec: Sequence) -> tuple:
 def solve(system: StationaritySystem) -> SolveResult:
     m, pivots, b = rref(system.matrix, system.rhs)
     ncols = system.n_unknowns
-    particular = particular_from_rref(m, pivots, b)
+    particular = particular_from_rref(m, pivots, b, ncols)
     kernel = [normalize_vector(v) for v in kernel_from_rref(m, pivots, ncols)]
     free = tuple(c for c in range(ncols) if c not in pivots)
     return SolveResult(
@@ -194,11 +194,10 @@ def positive_integer_solutions(
             rows.append([b[i].get(d, 0) for b in basis])
             rhs.append(-p.get(d, 0))
     m, pivots, reduced = rref(rows, rhs)
-    if any(not x.is_zero() for x in reduced[len(pivots):]):
+    t0 = particular_from_rref(m, pivots, reduced, len(basis))
+    if t0 is None:
         return []
-    t0 = [Fraction(0)] * len(basis)
-    for row, c in enumerate(pivots):
-        t0[c] = reduced[row].rational_value()
+    t0 = [x.rational_value() for x in t0]
     lattice = kernel_from_rref(m, pivots, len(basis))
     if bound ** len(lattice) > SEARCH_BOX_CAP:
         raise ValueError("search box too large for exhaustive enumeration")
@@ -248,7 +247,7 @@ def _integer_quotient(num: RadExpr, den: RadExpr, bound: int) -> int | None:
 
 
 def peel_solve(
-    positions: Sequence[tuple[ExactScalar, ExactScalar]],
+    positions: Sequence[CirclePoint],
     exterior_mults: Sequence[int],
     chords: Sequence[tuple[int, int]],
     tangent: Callable[[int, int], tuple[RadExpr, RadExpr]],
@@ -258,9 +257,9 @@ def peel_solve(
 
     Solves m_v * v + sum_w m_vw * (w - v)/|w - v| = 0 at every vertex for
     the chords' multiplicities, in chord order, and returns them when they
-    are integers in [1, bound]; None otherwise.  positions holds each
-    vertex's exact (x, y), and tangent(i, j) the exact (w - v)/|w - v| from
-    vertex i to vertex j (i < j).  Every chord is looked up before any is
+    are integers in [1, bound]; None otherwise.  positions are the exact
+    vertices, and tangent(i, j) gives the exact (w - v)/|w - v| from vertex
+    i to vertex j (i < j).  Every chord is looked up before any is
     solved, so a lookup that raises InexactPosition does so on the same
     structures as build_system.
 
@@ -281,7 +280,7 @@ def peel_solve(
         # most structures are refuted after a vertex or two
         r = residual[v]
         if r is None:
-            (x, y), m = positions[v], exterior_mults[v]
+            (x, y), m = positions[v].exact_xy(), exterior_mults[v]
             r = residual[v] = [RadExpr.of(m * x), RadExpr.of(m * y)]
         return r
 

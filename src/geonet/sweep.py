@@ -168,34 +168,28 @@ def _segment_tangents(pts: np.ndarray):
     return u, w, arc_in, arc_out
 
 
+def _curvatures(pts: np.ndarray):
+    """Curvatures, turning angles, in and out tangents, and the length."""
+    u, w, arc_in, arc_out = _segment_tangents(pts)
+    cross = np.cross(u, w)
+    delta = np.arctan2(np.sum(cross * pts, axis=1), np.sum(u * w, axis=1))
+    return delta / (0.5 * (arc_in + arc_out)), delta, u, w, float(np.sum(arc_out))
+
+
 def turning_angles(curve: PolyCurve) -> np.ndarray:
     """Signed exterior angles; positive where the curve bends toward the
     region on its left (the north side for a counterclockwise latitude)."""
-    u, w, _, _ = _segment_tangents(curve.points)
-    cross = np.cross(u, w)
-    return np.arctan2(np.sum(cross * curve.points, axis=1), np.sum(u * w, axis=1))
+    return _curvatures(curve.points)[1]
 
 
 def discrete_geodesic_curvature(curve: PolyCurve, i: int) -> float:
     """Turning angle over mean adjacent arc; +cot(phi) on a CCW latitude."""
-    u, w, arc_in, arc_out = _segment_tangents(curve.points)
-    pts = curve.points
-    delta = math.atan2(float(np.dot(np.cross(u[i], w[i]), pts[i])),
-                       float(np.dot(u[i], w[i])))
-    return delta / (0.5 * (arc_in[i] + arc_out[i]))
-
-
-def _curvatures(pts: np.ndarray):
-    u, w, arc_in, arc_out = _segment_tangents(pts)
-    cross = np.cross(u, w)
-    delta = np.arctan2(np.sum(cross * pts, axis=1), np.sum(u * w, axis=1))
-    return delta / (0.5 * (arc_in + arc_out)), u, w, float(np.sum(arc_out))
+    return float(_curvatures(curve.points)[0][i])
 
 
 def curvature_profile(curve: PolyCurve) -> np.ndarray:
     """Discrete geodesic curvature at every vertex."""
-    kappa, _, _, _ = _curvatures(curve.points)
-    return kappa
+    return _curvatures(curve.points)[0]
 
 
 def curve_length(curve: PolyCurve) -> float:
@@ -204,10 +198,16 @@ def curve_length(curve: PolyCurve) -> float:
     return float(np.sum(np.arccos(dots)))
 
 
+def _c_length(turning: np.ndarray, length: float, cfg: SphereConfig) -> float:
+    # L^c with the enclosed area from Gauss-Bonnet: A = 2*pi - sum(turning)
+    area = 2.0 * math.pi - float(np.sum(turning))
+    return cfg.radius * length - cfg.c * cfg.radius**2 * area
+
+
 def enclosed_c_length(curve: PolyCurve, cfg: SphereConfig) -> float:
-    """L^c with the enclosed area from Gauss-Bonnet: A = 2*pi - sum(turning)."""
-    area = 2.0 * math.pi - float(np.sum(turning_angles(curve)))
-    return cfg.radius * curve_length(curve) - cfg.c * cfg.radius**2 * area
+    """L^c of the curve: its length less c times its enclosed area."""
+    _, turning, _, _, length = _curvatures(curve.points)
+    return _c_length(turning, length, cfg)
 
 
 def _resample_uniform(pts: np.ndarray) -> np.ndarray:
@@ -264,7 +264,7 @@ def flow_to_cmc(
     best_pts = pts
     best_dev = math.inf
     for iteration in range(max_iters):
-        kappa, u, w, length = _curvatures(pts)
+        kappa, turning, u, w, length = _curvatures(pts)
         deviation = float(np.max(np.abs(kappa - cfg.c)))
         if not math.isfinite(deviation):
             raise NonConvergence(
@@ -276,7 +276,7 @@ def flow_to_cmc(
                 {
                     "iteration": iteration,
                     "max_deviation": deviation,
-                    "c_length": enclosed_c_length(PolyCurve(pts), cfg),
+                    "c_length": _c_length(turning, length, cfg),
                 }
             )
         if deviation < best_dev:

@@ -173,6 +173,35 @@ def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _prime_divisors(d: int) -> set[int]:
+    return {p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))}
+
+
+def conjugate_product_inverse(x: RadExpr) -> RadExpr:
+    """1/x as the product of all 2^k - 1 nontrivial Galois conjugates of x
+    over its norm, k the number of primes under its radicals.
+
+    Independent oracle for RadExpr.inverse, which eliminates one prime at a
+    time: flipping the primes in a set negates sqrt(d) when d has an odd
+    number of them.  Exponential in k, so small k only.
+    """
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    terms = x.terms()
+    primes = sorted(set().union(*(_prime_divisors(d) for d in terms)))
+    prod = RadExpr.of(1)
+    for mask in range(1, 1 << len(primes)):
+        flip = {p for i, p in enumerate(primes) if mask >> i & 1}
+        conj = RadExpr.of(0)
+        for d, q in terms.items():
+            odd = len(flip & _prime_divisors(d)) % 2
+            conj = conj + RadExpr.sqrt(d) * (-q if odd else q)
+        prod = prod * conj
+    norm = x * prod
+    assert norm.is_rational() and not norm.is_zero()
+    return prod * (1 / norm.rational_value())
+
+
 def naive_chord_sets(n: int, allow_adjacent: bool = False):
     """All non-crossing chord sets, in lexicographic order of sorted pair lists.
 

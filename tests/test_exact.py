@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonet.exact import RadExpr, squarefree_decompose
+from helpers import conjugate_product_inverse
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -63,6 +66,53 @@ def test_sign_of_close_combination():
 def test_inverse_three_radicals():
     x = RadExpr.of(1) + RadExpr.sqrt(2) + RadExpr.sqrt(3) + RadExpr.sqrt(5)
     assert x * x.inverse() == RadExpr.of(1)
+
+
+def one_plus_roots(k: int) -> RadExpr:
+    """1 + sqrt(2) + sqrt(3) + ... over the first k primes."""
+    return sum((RadExpr.sqrt(p) for p in PRIMES[:k]), RadExpr.of(1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_inverse_matches_conjugate_product(k):
+    x = one_plus_roots(k)
+    assert x.inverse() == conjugate_product_inverse(x)
+
+
+def test_inverse_round_trip_on_eight_primes():
+    x = one_plus_roots(8)
+    assert x * x.inverse() == RadExpr.of(1)
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.sampled_from([1, 2, 3, 5, 6, 10, 15, 7, 14, 11]), rationals),
+        min_size=1,
+        max_size=4,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_inverse_matches_conjugate_product_on_random_radicals(pairs):
+    x = rad(pairs)
+    if x.is_zero():
+        return
+    assert x.inverse() == conjugate_product_inverse(x)
+
+
+def test_zero_has_the_empty_term_map():
+    x = RadExpr.of(1) + RadExpr.sqrt(2) * Fraction(3, 4)
+    zeros = [
+        RadExpr.of(0),
+        RadExpr.of(Fraction(0, 5)),
+        x - x,
+        0 * x,
+        x + (-x),
+        RadExpr.of(3) - 3,
+    ]
+    for z in zeros:
+        assert z.is_zero()
+        assert z == RadExpr()
+        assert hash(z) == hash(RadExpr())
 
 
 def test_inverse_of_zero():

@@ -133,6 +133,30 @@ def test_bad_angle_rejected(angle):
         network_from_dict(bad)
 
 
+@pytest.mark.parametrize("tan_half", [[0, 1], "inf"])
+def test_angle_contradicting_tan_half_rejected(tmp_path, capsys, tan_half):
+    data = network_to_dict(line_network())
+    data["vertices"][0]["angle"] = 1.0
+    data["vertices"][0]["tan_half"] = tan_half
+    with pytest.raises(ParseError, match="vertex 0"):
+        network_from_dict(data)
+    path = tmp_path / "contradiction.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert dispatch(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "vertex 0" in captured.err
+
+
+def test_angle_near_tan_half_keeps_exact_angle():
+    data = network_to_dict(golden_triangle())
+    exact = [v["angle"] for v in data["vertices"]]
+    data["vertices"][0]["angle"] = -1e-13  # t = 0, written just below the cut
+    data["vertices"][1]["angle"] += 1e-12
+    back = network_from_dict(data)
+    assert [v.position.angle for v in back.vertices] == exact
+
+
 @pytest.mark.parametrize(
     "where, field",
     [("vertices", "m"), ("edges", "i"), ("edges", "j"), ("edges", "m")],

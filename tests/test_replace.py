@@ -343,7 +343,6 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
     solve and positive_integer_solutions; returns the solved structures."""
     side = diameter_sides(problem.positions)
     n = len(problem.positions)
-    xy = [p.exact_xy() for p in problem.positions]
 
     def tangent(i, j):
         return tangent_components_exact(problem.positions[i], problem.positions[j])
@@ -356,7 +355,7 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
         # fixed-exterior systems of non-crossing chords have nullity 0
         assert result.nullity == 0
         expected = positive_integer_solutions(result, bound)
-        peeled = peel_solve(xy, problem.exterior_mults, cs.chords, tangent, bound)
+        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, tangent, bound)
         assert expected == ([] if peeled is None else [peeled])
         if peeled is not None:
             solved.append((cs.chords, peeled))

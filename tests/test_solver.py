@@ -12,6 +12,7 @@ from geonet.errors import (
 )
 from geonet import solver
 from geonet.exact import RadExpr
+from geonet.linalg import particular_from_rref, rref
 from geonet.rng import seeded_rng
 from geonet.solver import (
     SolveResult,
@@ -102,6 +103,15 @@ def test_infeasible_fixed_exterior():
     result = solve(system)
     assert result.particular is None
     assert positive_integer_solutions(result, 10) == []
+
+
+def test_particular_checks_every_zero_row():
+    # x = 1 and x = 2 leave the first zero row inconsistent, the second not
+    m, pivots, b = rref([[1, 0], [1, 0], [2, 0]], [1, 2, 2])
+    assert pivots == [0]
+    assert particular_from_rref(m, pivots, b, 2) is None
+    m, pivots, b = rref([[1, 1], [2, 2]], [1, 2])
+    assert particular_from_rref(m, pivots, b, 2) == [RadExpr.of(1), RadExpr.of(0)]
 
 
 def test_build_system_rejects_inexact():
@@ -328,12 +338,10 @@ def test_closed_form_signs():
 
 
 def peel(points, mults, chords, bound):
-    xy = [p.exact_xy() for p in points]
-
     def tangent(i, j):
         return tangent_components_exact(points[i], points[j])
 
-    return peel_solve(xy, mults, chords, tangent, bound)
+    return peel_solve(points, mults, chords, tangent, bound)
 
 
 def test_peel_solves_fixed_exterior_structures():

@@ -187,6 +187,20 @@ def test_flow_equator_to_cmc_one():
     assert values[-1] == pytest.approx(minmax_closed_form(SphereConfig(c=1.0)), abs=2e-3)
 
 
+def test_traced_c_length_matches_enclosed_c_length():
+    cfg = SphereConfig(c=1.0)
+    rng = np.random.default_rng(3)
+    pts = latitude_curve(1.0, 64).points + 0.01 * rng.standard_normal((64, 3))
+    start = PolyCurve(pts / np.linalg.norm(pts, axis=1)[:, None])
+    trace: list = []
+    with pytest.raises(NonConvergence):
+        flow_to_cmc(start, cfg, max_iters=3, trace=trace)
+    assert trace[0]["c_length"] == enclosed_c_length(start, cfg)
+    trace = []
+    final = flow_to_cmc(latitude_curve(math.pi / 2, 64), cfg, trace=trace)
+    assert trace[-1]["c_length"] == enclosed_c_length(final, cfg)
+
+
 def test_flow_from_small_cap():
     final = flow_to_cmc(latitude_curve(0.3, 256), SphereConfig(c=1.0))
     _assert_at_target_latitude(final, 1.0)
