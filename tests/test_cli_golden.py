@@ -1,0 +1,85 @@
+"""Byte-for-byte CLI replay against recorded output.
+
+tests/data/cli_golden.json holds the stdout, stderr and exit code of a fixed
+command set.  A change that alters any of them on purpose re-records the file
+with
+
+    PYTHONPATH=src:tests python tests/test_cli_golden.py
+
+and says so in its change notes.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from geonet.cli import dispatch
+from geonet.io import write_network
+from helpers import golden_triangle, line_network, rectangle_network, square_network
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+
+NETWORKS = {
+    "line": line_network,
+    "golden": golden_triangle,
+    "rectangle": rectangle_network,
+    "square": square_network,
+}
+RAY_NETWORKS = ("line", "golden", "rectangle")
+
+
+def golden_commands() -> list[list[str]]:
+    """argv lists; "{name}" stands for the path of that network's file."""
+    commands = []
+    for name in RAY_NETWORKS:
+        net = NETWORKS[name]()
+        for depth in (1, 2, 3, 4):
+            commands.append(["audit", "--network", f"{{{name}}}", "--depth", str(depth), "--bound", "50"])
+        for vertex in range(net.n_vertices):
+            commands.append(["replace", "--network", f"{{{name}}}", "--vertex", str(vertex), "--bound", "50"])
+    for name in NETWORKS:
+        for extra in (["--bound", "20"], ["--bound", "100"], ["--bound", "7"], ["--fix-exterior", "--bound", "50"]):
+            commands.append(["solve", "--network", f"{{{name}}}", *extra])
+    for name in NETWORKS:
+        for mode in ("auto", "exact", "float"):
+            commands.append(["validate", "--network", f"{{{name}}}", "--mode", mode])
+    commands.append(["enumerate", "--n", "5", "--max-only"])
+    commands.append(["certify-n3"])
+    return commands
+
+
+def replay(workdir: Path) -> list[dict]:
+    paths = {}
+    for name, build in NETWORKS.items():
+        paths[name] = workdir / f"{name}.json"
+        write_network(build(), paths[name])
+    records = []
+    for argv in golden_commands():
+        concrete = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(concrete)
+        records.append(
+            {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        )
+    return records
+
+
+def test_cli_matches_golden(tmp_path):
+    expected = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    got = replay(tmp_path)
+    assert [r["argv"] for r in got] == [r["argv"] for r in expected]
+    for g, e in zip(got, expected):
+        assert g == e, " ".join(e["argv"])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        records = replay(Path(tmp))
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(records)} commands to {GOLDEN_PATH}", file=sys.stderr)
