@@ -231,16 +231,21 @@ def reflect_point(p: CirclePoint) -> CirclePoint:
     return CirclePoint.from_angle(-p.angle)
 
 
-def chord_length_exact(v: CirclePoint, w: CirclePoint) -> RadExpr:
-    """|w - v| as an exact radical, for exactly parametrized endpoints."""
+def _chord(v: CirclePoint, w: CirclePoint) -> tuple[RadExpr, RadExpr, RadExpr]:
+    """(w - v) componentwise and |w - v|, exact; needs a rational squared length."""
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
     dx = RadExpr.of(wx) - RadExpr.of(vx)
     dy = RadExpr.of(wy) - RadExpr.of(vy)
     sq = dx * dx + dy * dy
     if not sq.is_rational():
-        raise InexactPosition("chord length is not a representable radical")
-    return RadExpr.sqrt(sq.rational_value())
+        raise InexactPosition("chord direction is not a representable radical")
+    return dx, dy, RadExpr.sqrt(sq.rational_value())
+
+
+def chord_length_exact(v: CirclePoint, w: CirclePoint) -> RadExpr:
+    """|w - v| as an exact radical, for exactly parametrized endpoints."""
+    return _chord(v, w)[2]
 
 
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
@@ -259,17 +264,11 @@ def tangent_components_exact(
     v: CirclePoint, w: CirclePoint
 ) -> tuple[RadExpr, RadExpr]:
     """(w - v)/|w - v| componentwise, exact; needs a rational squared length."""
-    vx, vy = v.exact_xy()
-    wx, wy = w.exact_xy()
-    dx = RadExpr.of(wx) - RadExpr.of(vx)
-    dy = RadExpr.of(wy) - RadExpr.of(vy)
-    sq = dx * dx + dy * dy
-    if sq.is_zero():
+    dx, dy, length = _chord(v, w)
+    if length.is_zero():
         raise ValueError("tangent direction of coincident points")
-    if not sq.is_rational():
-        raise InexactPosition("chord direction is not a representable radical")
-    length = RadExpr.sqrt(sq.rational_value())
-    return dx / length, dy / length
+    inv = length.inverse()
+    return dx * inv, dy * inv
 
 
 def tangent_point(v: CirclePoint, w: CirclePoint) -> CirclePoint:

@@ -126,11 +126,12 @@ class RadExpr:
             return NotImplemented
         out = dict(self._terms)
         for d, q in other._terms.items():
-            s = out.get(d, Fraction(0)) + q
-            if s:
+            if d not in out:
+                out[d] = q
+            elif s := out[d] + q:
                 out[d] = s
             else:
-                out.pop(d, None)
+                del out[d]
         return RadExpr(out)
 
     __radd__ = __add__
@@ -161,12 +162,13 @@ class RadExpr:
                 # so the reduced radical is squarefree again without factoring.
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
-                q = q1 * q2 * g
-                s = out.get(d, Fraction(0)) + q
-                if s:
+                q = q1 * q2 * g if g > 1 else q1 * q2
+                if d not in out:
+                    out[d] = q
+                elif s := out[d] + q:
                     out[d] = s
                 else:
-                    out.pop(d, None)
+                    del out[d]
         return RadExpr(out)
 
     __rmul__ = __mul__
@@ -176,8 +178,6 @@ class RadExpr:
         the denominator loses p; conjugates of a nonzero value are nonzero."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return RadExpr({1: 1 / self._terms[1]})
         num, den = RadExpr.of(1), self
         while not den.is_rational():
             p = _prime_factors(max(den._terms))[0]
@@ -198,14 +198,6 @@ class RadExpr:
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            return NotImplemented
-        out = RadExpr.of(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # --- order and conversion ----------------------------------------------
 
@@ -240,7 +232,8 @@ class RadExpr:
         return -self if self.sign() < 0 else self
 
     def __float__(self) -> float:
-        return sum((float(q) * math.sqrt(d) for d, q in self._terms.items()), 0.0)
+        # fsum rounds the exact sum once, so equal values in any term order agree
+        return math.fsum(float(q) * math.sqrt(d) for d, q in self._terms.items())
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -12,43 +12,33 @@ Matrix = list[list[RadExpr]]
 Vector = list[RadExpr]
 
 
-def _coerce_matrix(rows) -> Matrix:
-    return [[RadExpr.of(x) for x in row] for row in rows]
-
-
 def rref(rows, rhs=None) -> tuple[Matrix, list[int], Vector | None]:
-    """Reduced row echelon form; returns (matrix, pivot columns, reduced rhs)."""
-    m = _coerce_matrix(rows)
-    b: Vector | None = [RadExpr.of(x) for x in rhs] if rhs is not None else None
+    """Reduced row echelon form; returns (matrix, pivot columns, reduced rhs).
+
+    The rhs rides along as a last column that the pivot loop never reaches.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m = [[RadExpr.of(x) for x in row] for row in rows]
+    if rhs is not None:
+        for row, y in zip(m, rhs, strict=True):
+            row.append(RadExpr.of(y))
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for rr in range(r, nrows):
-            if not m[rr][c].is_zero():
-                pivot_row = rr
-                break
+        pivot_row = next((rr for rr in range(r, nrows) if not m[rr][c].is_zero()), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        if b is not None:
-            b[r], b[pivot_row] = b[pivot_row], b[r]
         inv = m[r][c].inverse()
         m[r] = [x * inv for x in m[r]]
-        if b is not None:
-            b[r] = b[r] * inv
         for rr in range(nrows):
             if rr != r and not m[rr][c].is_zero():
                 factor = m[rr][c]
                 m[rr] = [x - factor * y for x, y in zip(m[rr], m[r])]
-                if b is not None:
-                    b[rr] = b[rr] - factor * b[r]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
+    b = [row.pop() for row in m] if rhs is not None else None
     return m, pivots, b
 
 

@@ -196,7 +196,10 @@ def is_admissible(
     net: Network, mode: str = "auto", tol: float = DEFAULT_TOL
 ) -> ValidationReport:
     """Per-vertex stationarity verdicts (an exact residual must be zero, a
-    float one within tol of the vertex's total multiplicity) and crossings."""
+    float one within tol of the vertex's total multiplicity) and crossings;
+    tol must be finite and nonnegative."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance {tol} must be finite and nonnegative")
     violations: list[str] = []
     max_resid = 0.0
     stationary = True

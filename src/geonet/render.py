@@ -6,6 +6,7 @@ to byte-identical documents, so images can be golden-tested.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .network import Network
@@ -22,8 +23,8 @@ class RenderStyle:
     def __post_init__(self):
         if self.size < 64:
             raise ValueError("canvas must be at least 64 px")
-        if self.stroke_scale <= 0:
-            raise ValueError("stroke scale must be positive")
+        if not 0 < self.stroke_scale < math.inf:
+            raise ValueError("stroke scale must be positive and finite")
 
 
 def _fmt(x: float) -> str:

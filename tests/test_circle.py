@@ -23,7 +23,7 @@ from geonet.circle import (
     tangent_components_exact,
     tangent_point,
 )
-from geonet.errors import ExactDataMissing
+from geonet.errors import ExactDataMissing, InexactPosition
 from geonet.exact import RadExpr
 
 tan_halves = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -164,6 +164,20 @@ def test_chord_length_exact_matches_float(a, b):
     px, py = p.xy()
     qx, qy = q.xy()
     assert float(ln) == pytest.approx(math.hypot(qx - px, qy - py), abs=1e-9)
+
+
+def test_chord_length_exact_edge_cases():
+    p = CirclePoint.from_tan_half(Fraction(2, 3))
+    assert chord_length_exact(p, p).is_zero()
+    with pytest.raises(ValueError, match="coincident"):
+        tangent_components_exact(p, p)
+    # v.w = 1/6 + sqrt(6)/3, so |w - v|^2 = 2 - 2 v.w is irrational
+    v = CirclePoint.from_tan_half(RadExpr.sqrt(2))
+    w = CirclePoint.from_tan_half(RadExpr.sqrt(3))
+    with pytest.raises(InexactPosition):
+        chord_length_exact(v, w)
+    with pytest.raises(InexactPosition, match="chord direction"):
+        tangent_components_exact(v, w)
 
 
 @given(a=tan_halves, b=tan_halves)

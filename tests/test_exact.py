@@ -169,3 +169,21 @@ def test_square_then_sqrt(a, d):
     sq = x * x
     assert sq.is_rational()
     assert RadExpr.sqrt(sq.rational_value()) == abs(x)
+
+
+def test_float_does_not_depend_on_term_order():
+    # the same exact value, with its terms inserted in two orders
+    x = sum((RadExpr.sqrt(k) for k in range(1, 14)), RadExpr.of(0)).inverse()
+    y = RadExpr(dict(reversed(x.terms().items())))
+    assert y == x and list(y.terms()) != list(x.terms())
+    want = math.fsum(float(q) * math.sqrt(d) for d, q in sorted(x.terms().items()))
+    assert float(x) == float(y) == want
+
+
+def test_ring_operations_keep_term_order():
+    # new keys go last, cancelled keys drop out, surviving keys keep their place
+    x = rad([(1, 2), (3, 5)])
+    assert list((x + RadExpr.sqrt(2)).terms().items()) == [(1, 2), (3, 5), (2, 1)]
+    assert list((x + rad([(3, -5), (7, 1)])).terms().items()) == [(1, 2), (7, 1)]
+    assert list((x * RadExpr.sqrt(6)).terms().items()) == [(6, 2), (2, 15)]
+    assert list((x * x).terms().items()) == [(1, 79), (3, 20)]

@@ -20,7 +20,7 @@ from geonet.io import (
     scalar_to_json,
     write_network,
 )
-from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
+from geonet.network import InteriorEdge, Vertex, canonical_key, is_admissible, make_network
 from geonet.sweep import SphereConfig, minmax_closed_form
 from helpers import (
     fan_chords,
@@ -395,3 +395,40 @@ def test_cli_render_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert dispatch(["render", "--network", path]) == 0
     assert capsys.readouterr().out == first
+
+
+def off_line_network(tmp_path):
+    """Two float vertices 0.1416 rad off antipodal: residual norm 0.0708."""
+    data = network_to_dict(line_network())
+    data["vertices"][1] = {"angle": math.pi + 0.1416, "tan_half": None, "m": 1}
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+def test_cli_validate_rejects_bad_tol(tol, tmp_path, capsys):
+    path = off_line_network(tmp_path)
+    assert dispatch(["validate", "--network", path, "--mode", "float", f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: tolerance" in captured.err
+
+
+def test_validate_tolerance_rule(tmp_path):
+    net = read_network(off_line_network(tmp_path))
+    report = is_admissible(net, mode="float", tol=0.1)
+    assert report.admissible and report.max_residual == pytest.approx(0.0708, abs=1e-4)
+    assert not is_admissible(net, mode="float", tol=0.0).admissible
+    for tol in (math.inf, math.nan, -1e-12):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            is_admissible(net, mode="float", tol=tol)
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0"])
+def test_cli_render_rejects_bad_stroke_scale(scale, tmp_path, capsys):
+    path = write_fixture(golden_triangle(), tmp_path)
+    assert dispatch(["render", "--network", path, f"--stroke-scale={scale}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: stroke scale" in captured.err

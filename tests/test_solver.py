@@ -114,6 +114,22 @@ def test_particular_checks_every_zero_row():
     assert particular_from_rref(m, pivots, b, 2) == [RadExpr.of(1), RadExpr.of(0)]
 
 
+def test_rref_without_rows():
+    assert rref([]) == ([], [], None)
+    assert rref([], []) == ([], [], [])
+
+
+def test_rref_zero_row_with_nonzero_rhs():
+    # the rhs column is never a pivot column, even where the coefficients vanish
+    m, pivots, b = rref([[0, 0], [0, 1]], [3, 2])
+    assert pivots == [1]
+    assert m == [[RadExpr.of(0), RadExpr.of(1)], [RadExpr.of(0), RadExpr.of(0)]]
+    assert b == [RadExpr.of(2), RadExpr.of(3)]
+    assert particular_from_rref(m, pivots, b, 2) is None
+    m, pivots, b = rref([[0]], [1])
+    assert pivots == [] and particular_from_rref(m, pivots, b, 1) is None
+
+
 def test_build_system_rejects_inexact():
     with pytest.raises(InexactPosition):
         build_system(
