@@ -12,8 +12,10 @@ and says so in its change notes.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from geonet.cli import dispatch
 from geonet.io import write_network
@@ -47,6 +49,20 @@ def golden_commands() -> list[list[str]]:
             commands.append(["validate", "--network", f"{{{name}}}", "--mode", mode])
     commands.append(["enumerate", "--n", "5", "--max-only"])
     commands.append(["certify-n3"])
+    # each usage error (exit 2) runs just before a valid command, so a parser
+    # that keeps state from a failed parse shows up in the next record
+    usage_then_valid = [
+        ([], ["replace", "--network", "{line}", "--vertex", "5"]),
+        (["frobnicate"], ["render", "--network", "{golden}", "--labels"]),
+        (["solve"], ["render", "--network", "{golden}", "--size", "10"]),
+        (
+            ["validate", "--network", "{line}", "--mode", "fuzzy"],
+            ["enumerate", "--n", "6", "--allow-adjacent", "--max-only"],
+        ),
+        (["enumerate", "--n", "x"], ["validate", "--network", "{golden}"]),
+    ]
+    for usage, valid in usage_then_valid:
+        commands.extend([usage, valid])
     return commands
 
 
@@ -59,7 +75,10 @@ def replay(workdir: Path) -> list[dict]:
     for argv in golden_commands():
         concrete = [a.format(**{k: str(p) for k, p in paths.items()}) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps its usage text to the terminal width read from COLUMNS
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(
+            out
+        ), contextlib.redirect_stderr(err):
             code = dispatch(concrete)
         records.append(
             {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
