@@ -16,7 +16,6 @@ from .network import (
     InteriorEdge,
     Network,
     Vertex,
-    canonical_form,
     crossing_pairs,
     invariant_report,
     is_admissible,

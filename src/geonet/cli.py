@@ -8,6 +8,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,8 @@ from .solver import build_system, positive_integer_solutions, solve
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, ensure_ascii=False))
+    # strict JSON: a non-finite float raises before anything is printed
+    print(json.dumps(obj, ensure_ascii=False, allow_nan=False))
 
 
 def _problem_to_dict(problem: ReplacementProblem) -> dict:
@@ -168,40 +170,30 @@ def _cmd_certify_n3(args) -> int:
 
 def _cmd_sweep(args) -> int:
     # the only numpy user, imported here so the exact subcommands start without it
-    from .sweep import (
-        SphereConfig,
-        c_length,
-        curvature_profile,
-        enclosed_c_length,
-        flow_to_cmc,
-        latitude_curve,
-        latitude_sweepout,
-        minmax_closed_form,
-        minmax_estimate,
-    )
+    from . import sweep as sw
 
-    cfg = SphereConfig(radius=1.0, c=args.c)
-    sweep = latitude_sweepout(args.samples)
-    estimate = minmax_estimate(sweep, cfg)
+    cfg = sw.SphereConfig(radius=1.0, c=args.c)
+    sweepout = sw.latitude_sweepout(args.samples)
+    estimate = sw.minmax_estimate(sweepout, cfg)
     out = {
         "c": args.c,
         "samples": args.samples,
         "value": estimate.value,
         "argmax_phi": estimate.argmax_phi,
-        "closed_form": minmax_closed_form(cfg),
+        "closed_form": sw.minmax_closed_form(cfg),
     }
     if args.emit_csv:
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
             fh.write("t,phi,c_length\n")
-            for t, region in sweep.samples:
-                fh.write(f"{t},{region.polar_angle},{c_length(region, cfg)}\n")
+            for t, region in sweepout.samples:
+                fh.write(f"{t},{region.polar_angle},{sw.c_length(region, cfg)}\n")
     if args.flow:
-        curve = latitude_curve(math.pi / 2.0, args.points)
-        final = flow_to_cmc(curve, cfg, max_iters=args.max_iters)
-        kappa_dev = max(abs(float(k) - cfg.c) for k in curvature_profile(final))
+        curve = sw.latitude_curve(math.pi / 2.0, args.points)
+        final = sw.flow_to_cmc(curve, cfg, max_iters=args.max_iters)
+        kappa_dev = max(abs(float(k) - cfg.c) for k in sw.curvature_profile(final))
         out["flow_curve"] = {
             "points": [[float(c) for c in p] for p in final.points],
-            "final_c_length": enclosed_c_length(final, cfg),
+            "final_c_length": sw.enclosed_c_length(final, cfg),
             "max_curvature_deviation": kappa_dev,
         }
     _emit(out)
@@ -217,6 +209,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # the _cmd_* functions look up their library calls at call time
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geonet",

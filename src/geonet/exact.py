@@ -41,20 +41,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _prime_factors(d: int) -> tuple[int, ...]:
-    if d <= 1:
-        return ()
-    out = []
-    m = d
+def _least_prime(d: int) -> int:
+    """The least prime factor of d > 1."""
     p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            m //= p
+    while p * p <= d:
+        if d % p == 0:
+            return p
         p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +174,7 @@ class RadExpr:
             raise ZeroDivisionError("inverse of zero")
         num, den = RadExpr.of(1), self
         while not den.is_rational():
-            p = _prime_factors(max(den._terms))[0]
+            p = _least_prime(max(den._terms))
             # d is squarefree, so sqrt(d) changes sign exactly when p divides d
             conj = RadExpr({d: -q if d % p == 0 else q for d, q in den._terms.items()})
             num, den = num * conj, den * conj

@@ -23,7 +23,6 @@ from .circle import (
     CirclePoint,
     angle_order,
     point_div,
-    reflect_point,
     chord_length_exact,
     tangent_components_exact,
 )
@@ -280,16 +279,6 @@ def invariant_report(net: Network) -> InvariantReport:
     return InvariantReport((bx, by), mass, parity, False)
 
 
-def _transformed(net: Network, anchor: int, reflected: bool) -> Network:
-    ps = [v.position for v in net.vertices]
-    if reflected:
-        ps = [reflect_point(p) for p in ps]
-    base = ps[anchor]
-    ps = [point_div(p, base) for p in ps]
-    vs = [Vertex(p, v.exterior_mult) for p, v in zip(ps, net.vertices)]
-    return make_network(vs, net.edges)
-
-
 def _point_key(p: CirclePoint) -> tuple:
     """Exact points by the terms of their tan-half, others by rounded angle."""
     if p.tan_half is None:
@@ -299,24 +288,25 @@ def _point_key(p: CirclePoint) -> tuple:
     return (1, tuple(sorted(RadExpr.of(p.tan_half).terms().items())))
 
 
-def _signature(net: Network):
-    """Equal signatures of exact networks mean equal exact data."""
-    return (
-        tuple(_point_key(v.position) for v in net.vertices),
-        tuple(v.exterior_mult for v in net.vertices),
-        tuple((e.i, e.j, e.mult) for e in net.edges),
-    )
-
-
-def canonical_form(net: Network) -> Network:
-    """Least representative over rotations-to-zero and reflection; idempotent."""
-    if net.n_vertices == 0:
-        return net
-    anchors = range(net.n_vertices)
-    candidates = (_transformed(net, a, r) for a in anchors for r in (False, True))
-    return min(candidates, key=_signature)
-
-
 def canonical_key(net: Network) -> tuple:
-    """Hashable rotation/reflection-invariant fingerprint; exact for exact data."""
-    return _signature(canonical_form(net))
+    """Hashable rotation/reflection-invariant fingerprint; exact for exact data.
+
+    The least of the 2N readings of the vertex cycle, one per start vertex a
+    and direction s: gap keys, exterior multiplicities and renumbered edges.
+    Rotations keep the cyclic order and reflections reverse it; read backwards,
+    the gap after v is gaps[v - 1], as conj(p[v-1] / p[v]) = p[v] / p[v-1].
+    """
+    n = net.n_vertices
+    ps = [v.position for v in net.vertices]
+    gaps = [_point_key(point_div(ps[(k + 1) % n], ps[k])) for k in range(n)]
+
+    def reading(a: int, s: int) -> tuple:
+        order = [(a + s * j) % n for j in range(n)]
+        ends = ((s * (e.i - a) % n, s * (e.j - a) % n, e.mult) for e in net.edges)
+        return (
+            tuple(gaps[v if s > 0 else v - 1] for v in order),
+            tuple(net.vertices[v].exterior_mult for v in order),
+            tuple(sorted((min(i, j), max(i, j), m) for i, j, m in ends)),
+        )
+
+    return min((reading(a, s) for a in range(n) for s in (1, -1)), default=((), (), ()))

@@ -2,7 +2,7 @@
 
 The functional is L^c(region) = length(boundary) - c * area(region).  For the
 family of polar caps on a radius-R sphere everything is closed form, and the
-family's max over colatitude phi, at cot(phi) = c, is the min-max value
+family's max over colatitude phi, at cot(phi) = cR, is the min-max value
 2*pi*R*(sqrt(1 + c^2 R^2) - c R).  The polygonal flow drives a closed curve to
 the constant-geodesic-curvature latitude by moving each point along the
 in-surface normal at speed kappa - c; starting below the pass this ascends
@@ -22,6 +22,7 @@ from .errors import DomainError, NonConvergence
 # so stop well under the 1e-3 accuracy the flow advertises
 CURVATURE_STOP = 1e-4
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_CR = 1e300  # the estimate holds to a few ulps to 1e307; 2cR overflows at ~9e307
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class SphereConfig:
             raise DomainError("sphere radius must be positive")
         if self.c < 0:
             raise DomainError("prescribed curvature must be nonnegative")
+        if self.c * self.radius > MAX_CR:
+            raise DomainError(f"c times the radius must be at most {MAX_CR:g}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,13 @@ class Sweepout:
 
 
 def c_length(region: CapRegion, cfg: SphereConfig) -> float:
-    """Closed form: 2*pi*R*sin(phi) - c * 2*pi*R^2*(1 - cos(phi))."""
+    """Closed form: 2*pi*R*sin(phi) - c * 2*pi*R^2 * 2*sin(phi/2)^2."""
     r = cfg.radius
     phi = region.polar_angle
-    return 2.0 * math.pi * r * math.sin(phi) - cfg.c * 2.0 * math.pi * r * r * (
-        1.0 - math.cos(phi)
-    )
+    # 2 sin^2(phi/2) = 1 - cos(phi) without cancellation; each factor of it
+    # multiplies 2cR in turn, since sin(phi/2)^2 underflows near the max at large cR
+    half = math.sin(0.5 * phi)
+    return 2.0 * math.pi * r * (math.sin(phi) - 2.0 * cfg.c * r * half * half)
 
 
 def latitude_sweepout(n: int) -> Sweepout:
@@ -89,11 +93,12 @@ class MinmaxEstimate:
 
 
 def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Maximizer of a unimodal f on [lo, hi] >= 0, to tol relative to a + b."""
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > tol * (a + b):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
@@ -117,9 +122,9 @@ def minmax_estimate(sweep: Sweepout, cfg: SphereConfig) -> MinmaxEstimate:
 
 
 def minmax_closed_form(cfg: SphereConfig) -> float:
-    """2*pi*R*(sqrt(1 + (cR)^2) - cR), the cap-family max in closed form."""
+    """2*pi*R*(sqrt(1 + (cR)^2) - cR), written without cancellation."""
     cr = cfg.c * cfg.radius
-    return 2.0 * math.pi * cfg.radius * (math.sqrt(1.0 + cr * cr) - cr)
+    return 2.0 * math.pi * cfg.radius / (math.hypot(1.0, cr) + cr)
 
 
 # --- polygonal curves ----------------------------------------------------
@@ -257,6 +262,8 @@ def flow_to_cmc(
     """
     if len(curve) < 32:
         raise DomainError("flow needs at least 32 points")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     pts = curve.points.copy()
     n = len(pts)
     if step is not None and not (math.isfinite(step) and step > 0):

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint, diameter_side
+from geonet.circle import INFINITY, CirclePoint, diameter_side, point_div, reflect_point
 from geonet.exact import RadExpr
 from geonet.network import (
+    _point_key,
     InteriorEdge,
     Network,
     Vertex,
@@ -200,6 +201,35 @@ def conjugate_product_inverse(x: RadExpr) -> RadExpr:
     norm = x * prod
     assert norm.is_rational() and not norm.is_zero()
     return prod * (1 / norm.rational_value())
+
+
+def rebuilt_canonical_key(net: Network) -> tuple:
+    """The least signature over all 2N rotated and reflected images of net.
+
+    Independent oracle for network.canonical_key, which reads its key off the
+    vertex cycle instead: each image is reflected (or not), rotated to put
+    one vertex at angle zero and rebuilt by make_network, and its signature
+    lists the exact point keys, the exterior multiplicities and the edges in
+    angle order.  The key values differ from canonical_key's; the partitions
+    they induce must not.
+    """
+
+    def signature(anchor: int, reflected: bool) -> tuple:
+        ps = [v.position for v in net.vertices]
+        if reflected:
+            ps = [reflect_point(p) for p in ps]
+        ps = [point_div(p, ps[anchor]) for p in ps]
+        image = make_network(
+            [Vertex(p, v.exterior_mult) for p, v in zip(ps, net.vertices)], net.edges
+        )
+        return (
+            tuple(_point_key(v.position) for v in image.vertices),
+            tuple(v.exterior_mult for v in image.vertices),
+            tuple((e.i, e.j, e.mult) for e in image.edges),
+        )
+
+    images = (signature(a, r) for a in range(net.n_vertices) for r in (False, True))
+    return min(images, default=((), (), ()))
 
 
 def naive_chord_sets(n: int, allow_adjacent: bool = False):

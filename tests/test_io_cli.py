@@ -10,7 +10,7 @@ import pytest
 
 import geonet
 from geonet.circle import INFINITY, tangent_point
-from geonet.cli import dispatch
+from geonet.cli import _emit, dispatch
 from geonet.errors import ParseError, VersionError
 from geonet.exact import RadExpr
 from geonet.io import (
@@ -375,6 +375,36 @@ def test_cli_sweep_rejects_non_finite_c(c, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_cli_sweep_at_large_c_matches_closed_form(capsys):
+    assert dispatch(["sweep", "--c", "1e20", "--samples", "5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["closed_form"] == pytest.approx(math.pi * 1e-20, rel=1e-15)
+    assert out["value"] == pytest.approx(out["closed_form"], rel=1e-14)
+
+
+@pytest.mark.parametrize("c", ["1e301", "1e308"])
+def test_cli_sweep_rejects_unresolvable_c(c, capsys):
+    assert dispatch(["sweep", "--c", c, "--samples", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at most" in captured.err
+
+
+def test_cli_sweep_rejects_bad_max_iters(capsys):
+    argv = ["sweep", "--c", "1.0", "--flow", "--points", "64", "--max-iters", "-5"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_iters must be at least 1, got -5" in captured.err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emit_prints_only_strict_json(value, capsys):
+    with pytest.raises(ValueError):
+        _emit({"value": value})
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_render(tmp_path, capsys):

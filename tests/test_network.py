@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from geonet.circle import INFINITY, TAU, CirclePoint
+from geonet.circle import INFINITY, TAU, CirclePoint, point_mul, reflect_point
 from geonet.errors import (
     DuplicateEdge,
     DuplicateVertexAngle,
@@ -29,6 +30,7 @@ from helpers import (
     golden_triangle,
     line_network,
     pt,
+    rebuilt_canonical_key,
     rectangle_network,
     square_network,
 )
@@ -205,3 +207,66 @@ def test_canonical_key_separates_different_networks():
         for t in (Fraction(10**6), 10**6 + Fraction(1, 10**6))
     ]
     assert canonical_key(near[0]) != canonical_key(near[1])
+
+
+def _congruent_copies(rng, pool, count: int) -> list:
+    """count seeded networks on 1-6 points drawn from pool, each followed by
+    a rotated, a reflected and a rotated reflected copy."""
+
+    def image(net, turn=None, mirror=False):
+        ps = [v.position for v in net.vertices]
+        if mirror:
+            ps = [reflect_point(p) for p in ps]
+        if turn is not None:
+            ps = [point_mul(p, turn) for p in ps]
+        return make_network(
+            [Vertex(p, v.exterior_mult) for p, v in zip(ps, net.vertices)], net.edges
+        )
+
+    nets = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        points = [CirclePoint.from_tan_half(t) for t in rng.sample(pool, n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        base = make_network(
+            [Vertex(p, rng.randint(1, 2)) for p in points],
+            [InteriorEdge(i, j, rng.randint(1, 2)) for i, j in pairs if rng.random() < 0.4],
+        )
+        turn = CirclePoint.from_tan_half(rng.choice(pool))
+        nets += [base, image(base, turn), image(base, mirror=True), image(base, turn, True)]
+    return nets
+
+
+def _mismatched_pairs(keys_a: list, keys_b: list) -> int:
+    """Pairs of indices that one key list calls equal and the other does not."""
+
+    def equal_pairs(keys) -> int:
+        return sum(k * (k - 1) // 2 for k in Counter(keys).values())
+
+    both = equal_pairs(list(zip(keys_a, keys_b)))
+    return equal_pairs(keys_a) + equal_pairs(keys_b) - 2 * both
+
+
+RATIONAL_POOL = [INFINITY, Fraction(0)] + [
+    Fraction(s * p, q)
+    for s in (1, -1)
+    for p, q in ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+]
+RADICAL_POOL = [  # a + b*sqrt(2)
+    RadExpr.of(a) + b * RadExpr.sqrt(2)
+    for a in (0, 1, -1, Fraction(1, 2))
+    for b in (1, -1, Fraction(1, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "pool, count", [(RATIONAL_POOL, 300), (RADICAL_POOL, 112)], ids=["rational", "radical"]
+)
+def test_canonical_key_partition_matches_rebuilt_images(pool, count):
+    nets = _congruent_copies(seeded_rng(salt=91), pool, count)
+    keys = [canonical_key(net) for net in nets]
+    rebuilt = [rebuilt_canonical_key(net) for net in nets]
+    assert _mismatched_pairs(keys, rebuilt) == 0
+    # each base shares its class with its copies, and most bases differ
+    assert all(len(set(keys[i : i + 4])) == 1 for i in range(0, len(nets), 4))
+    assert len(set(keys)) > count // 2

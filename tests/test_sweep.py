@@ -6,6 +6,7 @@ import pytest
 from geonet.errors import DomainError, NonConvergence
 from geonet.sweep import (
     CURVATURE_STOP,
+    MAX_CR,
     CapRegion,
     PolyCurve,
     SphereConfig,
@@ -86,6 +87,31 @@ def test_minmax_matches_closed_form(c):
     assert est.argmax_phi == pytest.approx(expected_phi, abs=1e-6)
 
 
+@pytest.mark.parametrize("c", [1e9, 1e20, 1e154, MAX_CR])
+def test_minmax_matches_closed_form_at_large_c(c):
+    # the max sits at cot(phi) = c, where the value is about pi/c
+    cfg = SphereConfig(c=c)
+    closed = minmax_closed_form(cfg)
+    assert closed == pytest.approx(math.pi / c, rel=1e-15)
+    est = minmax_estimate(latitude_sweepout(1001), cfg)
+    assert est.value == pytest.approx(closed, rel=1e-14)
+    assert est.argmax_phi == pytest.approx(math.atan2(1.0, c), rel=1e-6)
+
+
+def test_c_length_of_a_small_cap():
+    # 1 - cos(phi) cancels to zero at phi = 1e-9; 2 sin(phi/2)^2 does not
+    cfg = SphereConfig(c=1e9)
+    assert c_length(CapRegion(1e-9), cfg) == pytest.approx(math.pi * 1e-9, rel=1e-12)
+
+
+def test_config_rejects_unresolvable_c_times_radius():
+    SphereConfig(c=MAX_CR)
+    SphereConfig(radius=1e-10, c=1e308)
+    for radius, c in ((1.0, 1e301), (1e10, 1e291), (1.0, 1e308)):
+        with pytest.raises(DomainError, match="at most"):
+            SphereConfig(radius=radius, c=c)
+
+
 def test_minmax_radius_scaling():
     cfg = SphereConfig(radius=2.0, c=0.0)
     assert minmax_closed_form(cfg) == pytest.approx(4.0 * math.pi)
@@ -159,6 +185,12 @@ def test_flow_validation():
     for step in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite"):
             flow_to_cmc(latitude_curve(1.0, 64), cfg, step=step)
+
+
+@pytest.mark.parametrize("max_iters", [0, -5])
+def test_flow_rejects_max_iters_below_one(max_iters):
+    with pytest.raises(DomainError, match="max_iters must be at least 1"):
+        flow_to_cmc(latitude_curve(1.0, 64), SphereConfig(c=1.0), max_iters=max_iters)
 
 
 def test_flow_equator_fixed_for_c_zero():
