@@ -231,21 +231,23 @@ def reflect_point(p: CirclePoint) -> CirclePoint:
     return CirclePoint.from_angle(-p.angle)
 
 
-def _chord(v: CirclePoint, w: CirclePoint) -> tuple[RadExpr, RadExpr, RadExpr]:
-    """(w - v) componentwise and |w - v|, exact; needs a rational squared length."""
+def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+    """(w - v) componentwise and |w - v|, exact; needs a rational squared length.
+
+    Each value is a Fraction when it is rational, so rational points give
+    rational components."""
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
-    dx = RadExpr.of(wx) - RadExpr.of(vx)
-    dy = RadExpr.of(wy) - RadExpr.of(vy)
-    sq = dx * dx + dy * dy
-    if not sq.is_rational():
+    dx, dy = _simplify(wx - vx), _simplify(wy - vy)
+    sq = _simplify(dx * dx + dy * dy)
+    if isinstance(sq, RadExpr):
         raise InexactPosition("chord direction is not a representable radical")
-    return dx, dy, RadExpr.sqrt(sq.rational_value())
+    return dx, dy, _simplify(RadExpr.sqrt(sq))
 
 
 def chord_length_exact(v: CirclePoint, w: CirclePoint) -> RadExpr:
     """|w - v| as an exact radical, for exactly parametrized endpoints."""
-    return _chord(v, w)[2]
+    return RadExpr.of(_chord(v, w)[2])
 
 
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
@@ -265,9 +267,9 @@ def tangent_components_exact(
 ) -> tuple[RadExpr, RadExpr]:
     """(w - v)/|w - v| componentwise, exact; needs a rational squared length."""
     dx, dy, length = _chord(v, w)
-    if length.is_zero():
+    if not length:
         raise ValueError("tangent direction of coincident points")
-    inv = length.inverse()
+    inv = RadExpr.of(length).inverse()
     return dx * inv, dy * inv
 
 

@@ -101,6 +101,9 @@ class RadExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
     def is_rational(self) -> bool:
         return all(d == 1 for d in self._terms)
 

@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 from .chords import enumerate_chord_sets
 from .circle import (
     CirclePoint,
+    _chord,
     angle_order,
     diameter_side,
     point_div,
-    tangent_components_exact,
     tangent_point,
 )
 from .errors import InexactPosition, IsolatedVertex
@@ -285,11 +285,12 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     Enumerates non-crossing chord structures in deterministic order, cutting
     every subtree of the enumeration in which some vertex has left the
     balance cone (_balance_cone), and solves each remaining structure with
-    the rays' multiplicities fixed by solver.peel_solve, on chord directions
-    computed once per problem.  The first structure with a positive-integer
-    solution is certified by an independent re-solve (build_system, solve,
-    positive_integer_solutions) and by the exact admissibility check, and
-    its network is returned; None when the bounded search is exhausted.
+    the rays' multiplicities fixed by solver.peel_solve, on chords
+    (w - v, |w - v|) computed once per problem.  The first structure with a
+    positive-integer solution is certified by an independent re-solve
+    (build_system, solve, positive_integer_solutions) and by the exact
+    admissibility check, and its network is returned; None when the bounded
+    search is exhausted.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
@@ -299,19 +300,19 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     bx, by = exterior_balance(zip(positions, mults))
     if not (bx.is_zero() and by.is_zero()):
         return None
-    tangents: dict[tuple[int, int], tuple] = {}
+    cache: dict[tuple[int, int], tuple] = {}
 
-    def tangent(i: int, j: int) -> tuple:
-        t = tangents.get((i, j))
-        if t is None:
-            t = tangents[i, j] = tangent_components_exact(positions[i], positions[j])
-        return t
+    def chord(i: int, j: int) -> tuple:
+        c = cache.get((i, j))
+        if c is None:
+            c = cache[i, j] = _chord(positions[i], positions[j])
+        return c
 
     structures = enumerate_chord_sets(
         len(positions), allow_adjacent=True, vertex_ok=_balance_cone(positions)
     )
     for cs in structures:
-        edge_mults = peel_solve(positions, mults, cs.chords, tangent, bound)
+        edge_mults = peel_solve(positions, mults, cs.chords, chord, bound)
         if edge_mults is None:
             continue
         certificate = positive_integer_solutions(

@@ -5,11 +5,18 @@ interior edge multiplicities; each vertex contributes an x-row and a y-row
 
     m_v * v + sum_w m_vw * (w - v)/|w - v| = 0.
 
-Entries live in the radical scalar field, so kernels and particular solutions
-come out exact.  Integer solutions are searched on the rational part of the
-solution space: splitting every coordinate by radical term leaves a rational
-lattice, usually of much lower dimension than the kernel, and only its points
-within the bound are enumerated.
+The chord columns hold (w - v), not the unit direction: the unknown of a
+chord column is y = m_vw/|w - v|, and StationaritySystem.scale records the
+factor x = scale * y that maps it back (one for the m_v columns, |w - v| for
+the chords).  Scaling a column by a nonzero factor moves no pivot, so solve
+runs one elimination on the scaled matrix and maps its particular solution
+and kernel back exactly.  Rational positions give a rational matrix, and the
+elimination runs on Fractions; radical positions keep RadExpr entries.
+
+Integer solutions are searched on the rational part of the solution space:
+splitting every coordinate by radical term leaves a rational lattice, usually
+of much lower dimension than the kernel, and only its points within the bound
+are enumerated.
 The three-vertex case additionally gets the closed forms in half-angle
 cosines/sines that drive the rationality analysis.
 """
@@ -28,9 +35,9 @@ from .circle import (
     INFINITY,
     TanHalf,
     _InfinityType,
+    _chord,
     angle_order,
     tan_half_add,
-    tangent_components_exact,
 )
 from .errors import DomainError, InexactPosition
 from .exact import RadExpr
@@ -43,8 +50,10 @@ SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dime
 class StationaritySystem:
     positions: tuple[CirclePoint, ...]
     edges: ChordSet
-    matrix: tuple[tuple[RadExpr, ...], ...]
-    rhs: tuple[RadExpr, ...]
+    matrix: tuple[tuple[ExactScalar, ...], ...]
+    rhs: tuple[ExactScalar, ...]
+    # x = scale * y per column: 1 for an m_v column, |w - v| for a chord
+    scale: tuple[ExactScalar, ...]
     fixed_exterior: tuple[int, ...] | None
 
     @property
@@ -75,7 +84,8 @@ def build_system(
     Positions are put in angle order (and chord indices remapped) so the
     cyclic order matches vertex order; chords that cross after the remap raise
     CrossingEdges.  With fixed_exterior the m_v columns move to the
-    right-hand side and only edge multiplicities remain unknown.
+    right-hand side and only edge multiplicities remain unknown.  A chord's
+    column holds (w - v) from circle._chord, and its length goes to scale.
     """
     n = len(positions)
     if edges.n != n:
@@ -97,31 +107,33 @@ def build_system(
     if fixed is not None and len(fixed) != n:
         raise ValueError("fixed_exterior length must equal the vertex count")
     ncols = e if fixed is not None else n + e
-    zero = RadExpr.of(0)
+    zero = Fraction(0)
     matrix = [[zero] * ncols for _ in range(2 * n)]
     rhs = [zero] * (2 * n)
+    scale = [Fraction(1)] * ncols
 
     for k in range(n):
         px, py = pos[k].exact_xy()
         if fixed is None:
-            matrix[2 * k][k] = RadExpr.of(px)
-            matrix[2 * k + 1][k] = RadExpr.of(py)
+            matrix[2 * k][k] = px
+            matrix[2 * k + 1][k] = py
         else:
-            rhs[2 * k] = rhs[2 * k] - fixed[k] * RadExpr.of(px)
-            rhs[2 * k + 1] = rhs[2 * k + 1] - fixed[k] * RadExpr.of(py)
+            rhs[2 * k] = -fixed[k] * px
+            rhs[2 * k + 1] = -fixed[k] * py
     for col, (i, j) in enumerate(pairs):
         c = col if fixed is not None else n + col
-        tx, ty = tangent_components_exact(pos[i], pos[j])
-        matrix[2 * i][c] = tx
-        matrix[2 * i + 1][c] = ty
-        matrix[2 * j][c] = -tx
-        matrix[2 * j + 1][c] = -ty
+        dx, dy, scale[c] = _chord(pos[i], pos[j])
+        matrix[2 * i][c] = dx
+        matrix[2 * i + 1][c] = dy
+        matrix[2 * j][c] = -dx
+        matrix[2 * j + 1][c] = -dy
 
     return StationaritySystem(
         positions=pos,
         edges=chord_set,
         matrix=tuple(tuple(row) for row in matrix),
         rhs=tuple(rhs),
+        scale=tuple(scale),
         fixed_exterior=fixed,
     )
 
@@ -145,15 +157,27 @@ def normalize_vector(vec: Sequence) -> tuple:
 
 
 def solve(system: StationaritySystem) -> SolveResult:
+    """Rank, kernel basis and a particular solution in the multiplicities x.
+
+    One elimination on the scaled matrix gives them in y; x = scale * y.  A
+    kernel vector is one in its free column f in y, so it is divided by
+    scale[f] to be one there in x, and then normalized: the same vector the
+    unit-direction system would give, so rational kernels come out as
+    coprime integers.
+    """
     m, pivots, b = rref(system.matrix, system.rhs)
-    ncols = system.n_unknowns
-    particular = particular_from_rref(m, pivots, b, ncols)
-    kernel = [normalize_vector(v) for v in kernel_from_rref(m, pivots, ncols)]
+    ncols, scale = system.n_unknowns, system.scale
+    y = particular_from_rref(m, pivots, b, ncols)
+    particular = None if y is None else tuple(RadExpr.of(s * v) for s, v in zip(scale, y))
     free = tuple(c for c in range(ncols) if c not in pivots)
+    kernel = []
+    for f, vec in zip(free, kernel_from_rref(m, pivots, ncols)):
+        unit = 1 / scale[f]
+        kernel.append(normalize_vector([s * v * unit for s, v in zip(scale, vec)]))
     return SolveResult(
         rank=len(pivots),
         kernel_basis=tuple(kernel),
-        particular=tuple(particular) if particular is not None else None,
+        particular=particular,
         free_columns=free,
         n_unknowns=ncols,
     )
@@ -197,7 +221,6 @@ def positive_integer_solutions(
     t0 = particular_from_rref(m, pivots, reduced, len(basis))
     if t0 is None:
         return []
-    t0 = [x.rational_value() for x in t0]
     lattice = kernel_from_rref(m, pivots, len(basis))
     if bound ** len(lattice) > SEARCH_BOX_CAP:
         raise ValueError("search box too large for exhaustive enumeration")
@@ -210,7 +233,6 @@ def positive_integer_solutions(
     origin = [p.get(1, 0) + rational_part(t0, i) for i, p in enumerate(part)]
     steps = []
     for w in lattice:
-        w = [x.rational_value() for x in w]
         steps.append([rational_part(w, i) for i in range(len(part))])
     den = lcm(*(q.denominator for row in (origin, *steps) for q in row))
     origin = [int(q * den) for q in origin]
@@ -233,24 +255,21 @@ def positive_integer_solutions(
 
 # --- fixed-exterior structures by peeling ---------------------------------
 
-def _integer_quotient(num: RadExpr, den: RadExpr, bound: int) -> int | None:
-    """num/den when it is an integer in [1, bound], else None; den nonzero.
-
-    A rational quotient q has num = q*den termwise, so one term of den gives
-    the only candidate and one product confirms it; no inverse is formed.
-    """
-    d, q = next(iter(den.terms().items()))
-    x = num.terms().get(d, Fraction(0)) / q
-    if x.denominator != 1 or not 1 <= x <= bound or num != den * x:
-        return None
-    return int(x)
+def _multiplicity(y: ExactScalar, length: ExactScalar, bound: int) -> int | None:
+    """x = y * length when it is an integer in [1, bound], else None."""
+    x = y * length
+    if isinstance(x, RadExpr):
+        if not x.is_rational():
+            return None
+        x = x.rational_value()
+    return int(x) if x.denominator == 1 and 1 <= x <= bound else None
 
 
 def peel_solve(
     positions: Sequence[CirclePoint],
     exterior_mults: Sequence[int],
     chords: Sequence[tuple[int, int]],
-    tangent: Callable[[int, int], tuple[RadExpr, RadExpr]],
+    chord: Callable[[int, int], tuple[ExactScalar, ExactScalar, ExactScalar]],
     bound: int,
 ) -> tuple[int, ...] | None:
     """The edge multiplicities of one fixed-exterior structure, by peeling.
@@ -258,10 +277,14 @@ def peel_solve(
     Solves m_v * v + sum_w m_vw * (w - v)/|w - v| = 0 at every vertex for
     the chords' multiplicities, in chord order, and returns them when they
     are integers in [1, bound]; None otherwise.  positions are the exact
-    vertices, and tangent(i, j) gives the exact (w - v)/|w - v| from vertex
-    i to vertex j (i < j).  Every chord is looked up before any is
-    solved, so a lookup that raises InexactPosition does so on the same
-    structures as build_system.
+    vertices, and chord(i, j) gives (dx, dy, length), the exact w - v from
+    vertex i to vertex j (i < j) and its length, as circle._chord does.
+    Every chord is looked up before any is solved, so a lookup that raises
+    InexactPosition does so on the same structures as build_system.
+
+    The unknowns are y = m_vw/|w - v| on the chords w - v, so rational
+    positions keep every residual and every solve rational; only the test
+    m_vw = y * |w - v| in [1, bound] meets the length's radical.
 
     Non-crossing chords on a circle form an outerplanar graph, and every
     subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
@@ -269,19 +292,19 @@ def peel_solve(
     equation fixes them: Cramer's rule for two (two chords from v to
     distinct circle points are never parallel), a parallel check and then
     the value for one, a zero residual for none.  Each value is tested at once
-    and moved into its other endpoint's residual.  Every value is forced, so
-    the system has nullity 0 and this is its only solution.
+    and y * (v - w) is moved into its other endpoint's residual.  Every value
+    is forced, so the system has nullity 0 and this is its only solution.
     """
-    dirs = [tangent(i, j) for i, j in chords]
-    residual: list[list[RadExpr] | None] = [None] * len(positions)
+    dirs = [chord(i, j) for i, j in chords]
+    residual: list[list[ExactScalar] | None] = [None] * len(positions)
 
-    def rest(v: int) -> list[RadExpr]:
+    def rest(v: int) -> list[ExactScalar]:
         # m_v * v plus the solved chords at v; built on first use, since
         # most structures are refuted after a vertex or two
         r = residual[v]
         if r is None:
             (x, y), m = positions[v].exact_xy(), exterior_mults[v]
-            r = residual[v] = [RadExpr.of(m * x), RadExpr.of(m * y)]
+            r = residual[v] = [m * x, m * y]
         return r
 
     open_chords: list[list[int]] = [[] for _ in positions]
@@ -291,9 +314,9 @@ def peel_solve(
     values: list[int] = [0] * len(chords)
     unsolved = set(range(len(positions)))
 
-    def direction(k: int, v: int) -> tuple[RadExpr, RadExpr]:
-        tx, ty = dirs[k]
-        return (tx, ty) if chords[k][0] == v else (-tx, -ty)
+    def direction(k: int, v: int) -> tuple[ExactScalar, ExactScalar]:
+        dx, dy, _ = dirs[k]
+        return (dx, dy) if chords[k][0] == v else (-dx, -dy)
 
     while unsolved:
         v = min(unsolved, key=lambda u: len(open_chords[u]))
@@ -303,36 +326,39 @@ def peel_solve(
         if len(ks) > 2:
             raise ValueError("chords do not form an outerplanar graph")
         if not ks:
-            if not (rx.is_zero() and ry.is_zero()):
+            if rx or ry:
                 return None
             continue
         if len(ks) == 1:
-            ax, ay = direction(ks[0], v)
-            # x * a = -r needs r parallel to a; a is a unit vector, so x = -r.a
-            if not (ax * ry - ay * rx).is_zero():
+            (ax, ay), length = direction(ks[0], v), dirs[ks[0]][2]
+            # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
+            if ax * ry - ay * rx:
                 return None
-            x = -(rx * ax + ry * ay)
-            if not (x.is_integer() and 1 <= x.rational_value() <= bound):
+            y = -(rx * ax + ry * ay) / (length * length)
+            x = _multiplicity(y, length, bound)
+            if x is None:
                 return None
-            solved = [int(x.rational_value())]
+            solved = [(y, x)]
         else:
             (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
             det = ax * by - ay * bx
-            x = _integer_quotient(ry * bx - rx * by, det, bound)
-            if x is None:
+            ya = (ry * bx - rx * by) / det
+            xa = _multiplicity(ya, dirs[ks[0]][2], bound)
+            if xa is None:
                 return None
-            y = _integer_quotient(ay * rx - ax * ry, det, bound)
-            if y is None:
+            yb = (ay * rx - ax * ry) / det
+            xb = _multiplicity(yb, dirs[ks[1]][2], bound)
+            if xb is None:
                 return None
-            solved = [x, y]
-        for k, value in zip(list(ks), solved):
-            values[k] = value
+            solved = [(ya, xa), (yb, xb)]
+        for k, (y, x) in zip(list(ks), solved):
+            values[k] = x
             i, j = chords[k]
             w = j if i == v else i
             wx, wy = direction(k, w)
             r = rest(w)
-            r[0] = r[0] + value * wx
-            r[1] = r[1] + value * wy
+            r[0] = r[0] + y * wx
+            r[1] = r[1] + y * wy
             open_chords[w].remove(k)
         ks.clear()
     return tuple(values)
@@ -442,6 +468,11 @@ def n3_imaginary_kernel(alpha12: CirclePoint, alpha23: CirclePoint) -> tuple:
 
 
 def system_residual(system: StationaritySystem, vec: Sequence) -> list[RadExpr]:
-    """matrix @ vec - rhs, exactly; all zero iff vec solves the system."""
-    prod = matvec(system.matrix, [RadExpr.of(x) for x in vec])
+    """The residual of the unit-direction system at the multiplicities vec,
+    exactly; all zero iff vec solves the system.
+
+    That is matrix @ (vec / scale) - rhs: each chord column holds w - v, so
+    m_vw/|w - v| times it is m_vw times the unit direction.
+    """
+    prod = matvec(system.matrix, [RadExpr.of(x) / s for x, s in zip(vec, system.scale)])
     return [p - r for p, r in zip(prod, system.rhs)]

@@ -248,14 +248,14 @@ def flow_to_cmc(
 
     Each point moves along the outward in-surface normal (T cross p), then
     the points are redistributed at uniform arc spacing.  The normal speed
-    has two parts: step * (mean_kappa - c) climbs the round mode toward the
-    constant-curvature target, and a curve-shortening term on the deviation
-    kappa - mean_kappa keeps the non-round modes from growing (a pointwise
-    ascent alone blows up: the target is a saddle, and stray wiggles raise
-    length faster than area).  The shortening coefficient is capped at a
-    quarter of the squared point spacing, the explicit-scheme stability
-    limit; step only paces the round mode and defaults to a tenth of the
-    spacing.  The fixed point is kappa = c pointwise.  Stops once
+    has two parts: step * (mean_kappa - c), capped at one point spacing,
+    climbs the round mode toward the constant-curvature target, and a
+    curve-shortening term on the deviation kappa - mean_kappa keeps the
+    non-round modes from growing (a pointwise ascent alone blows up: the
+    target is a saddle, and stray wiggles raise length faster than area).
+    The shortening coefficient is capped at a quarter of the squared point
+    spacing, the explicit-scheme stability limit; step only paces the round
+    mode and defaults to a tenth of the spacing.  The fixed point is kappa = c pointwise.  Stops once
     max |kappa_i - c| falls below CURVATURE_STOP (1e-4, which pins the limit
     length to a few 1e-4); raises NonConvergence (with the best iterate
     attached) if max_iters passes first.
@@ -271,7 +271,10 @@ def flow_to_cmc(
     best_pts = pts
     best_dev = math.inf
     for iteration in range(max_iters):
-        kappa, turning, u, w, length = _curvatures(pts)
+        # a curve shrunk below float resolution divides by zero-length arcs;
+        # that shows as a non-finite deviation and raises NonConvergence
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa, turning, u, w, length = _curvatures(pts)
         deviation = float(np.max(np.abs(kappa - cfg.c)))
         if not math.isfinite(deviation):
             raise NonConvergence(
@@ -298,7 +301,9 @@ def flow_to_cmc(
         drive = 0.1 * spacing if step is None else step
         smooth = 0.25 * spacing**2
         mean_kappa = float(np.mean(kappa))
-        speed = drive * (mean_kappa - cfg.c) - smooth * (kappa - mean_kappa)
+        # the round mode moves at most one point spacing per iteration
+        climb = min(max(drive * (mean_kappa - cfg.c), -spacing), spacing)
+        speed = climb - smooth * (kappa - mean_kappa)
         pts = pts + speed[:, None] * normal
         pts /= np.linalg.norm(pts, axis=1)[:, None]
         pts = _resample_uniform(pts)

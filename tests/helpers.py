@@ -3,8 +3,16 @@
 from fractions import Fraction
 
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint, diameter_side, point_div, reflect_point
+from geonet.circle import (
+    INFINITY,
+    CirclePoint,
+    diameter_side,
+    point_div,
+    reflect_point,
+    tangent_components_exact,
+)
 from geonet.exact import RadExpr
+from geonet.linalg import kernel_from_rref, particular_from_rref, rref
 from geonet.network import (
     _point_key,
     InteriorEdge,
@@ -14,7 +22,13 @@ from geonet.network import (
     is_admissible,
     make_network,
 )
-from geonet.solver import build_system, positive_integer_solutions, solve
+from geonet.solver import (
+    SolveResult,
+    build_system,
+    normalize_vector,
+    positive_integer_solutions,
+    solve,
+)
 
 
 def pt(t) -> CirclePoint:
@@ -172,6 +186,44 @@ def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
 
     rec(0, [RadExpr.of(x) for x in result.particular])
     return sorted(out)
+
+
+def normalized_solve(positions, edges, fixed_exterior=None) -> SolveResult:
+    """solve(build_system(...)) on the unit-direction system.
+
+    Independent oracle for the column-scaled assembly: every chord column
+    holds the unit direction (w - v)/|w - v| as RadExprs, the unknowns are the
+    multiplicities themselves, and rank, particular solution and normalized
+    kernel are read off that matrix directly.  Only the angle order and the
+    remapped chords are taken from build_system.
+    """
+    system = build_system(positions, edges, fixed_exterior)
+    pos, n = system.positions, len(system.positions)
+    fixed = system.fixed_exterior
+    offset = 0 if fixed is not None else n
+    ncols = offset + len(system.edges.chords)
+    matrix = [[RadExpr.of(0)] * ncols for _ in range(2 * n)]
+    rhs = [RadExpr.of(0)] * (2 * n)
+    for k, p in enumerate(pos):
+        px, py = (RadExpr.of(x) for x in p.exact_xy())
+        if fixed is None:
+            matrix[2 * k][k], matrix[2 * k + 1][k] = px, py
+        else:
+            rhs[2 * k], rhs[2 * k + 1] = -fixed[k] * px, -fixed[k] * py
+    for col, (i, j) in enumerate(system.edges.chords):
+        tx, ty = tangent_components_exact(pos[i], pos[j])
+        c = offset + col
+        matrix[2 * i][c], matrix[2 * i + 1][c] = tx, ty
+        matrix[2 * j][c], matrix[2 * j + 1][c] = -tx, -ty
+    m, pivots, b = rref(matrix, rhs)
+    particular = particular_from_rref(m, pivots, b, ncols)
+    return SolveResult(
+        rank=len(pivots),
+        kernel_basis=tuple(normalize_vector(v) for v in kernel_from_rref(m, pivots, ncols)),
+        particular=None if particular is None else tuple(RadExpr.of(x) for x in particular),
+        free_columns=tuple(c for c in range(ncols) if c not in pivots),
+        n_unknowns=ncols,
+    )
 
 
 def _prime_divisors(d: int) -> set[int]:

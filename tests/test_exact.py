@@ -187,3 +187,12 @@ def test_ring_operations_keep_term_order():
     assert list((x + rad([(3, -5), (7, 1)])).terms().items()) == [(1, 2), (7, 1)]
     assert list((x * RadExpr.sqrt(6)).terms().items()) == [(6, 2), (2, 15)]
     assert list((x * x).terms().items()) == [(1, 79), (3, 20)]
+
+
+def test_truth_value_is_nonzero():
+    root2 = RadExpr.sqrt(2)
+    values = [RadExpr(), RadExpr.of(0), RadExpr.of(Fraction(-1, 3)), root2, root2 - root2,
+              (1 + root2) - root2 - 1, root2 * root2 - 2, 1 + root2]
+    assert [bool(x) for x in values] == [not x.is_zero() for x in values]
+    assert [bool(x) for x in values] == [False, False, True, True, False, False, False, True]
+

@@ -400,6 +400,22 @@ def test_cli_sweep_rejects_bad_max_iters(capsys):
     assert "max_iters must be at least 1, got -5" in captured.err
 
 
+def test_cli_sweep_flow_at_unresolvable_c_fails_cleanly():
+    # the target circle at c = 1e300 is far below float resolution: the flow
+    # must give up with its typed error, not with numpy warnings on stderr
+    src = str(Path(geonet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["sweep", "--c", "1e300", "--samples", "5", "--flow", "--points", "32",
+            "--max-iters", "2000"]
+    result = subprocess.run(
+        [sys.executable, "-m", "geonet.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "RuntimeWarning" not in result.stderr
+    assert result.stderr.startswith("error: flow ")
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_emit_prints_only_strict_json(value, capsys):
     with pytest.raises(ValueError):

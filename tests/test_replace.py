@@ -5,7 +5,7 @@ import pytest
 
 from geonet import replace
 from geonet.chords import ChordSet, enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint, tan_half_add, tangent_components_exact
+from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add
 from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
 from geonet.exact import RadExpr
 from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
@@ -344,8 +344,8 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
     side = diameter_sides(problem.positions)
     n = len(problem.positions)
 
-    def tangent(i, j):
-        return tangent_components_exact(problem.positions[i], problem.positions[j])
+    def chord(i, j):
+        return _chord(problem.positions[i], problem.positions[j])
 
     solved = []
     for cs in enumerate_chord_sets(n, allow_adjacent=True):
@@ -355,7 +355,7 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
         # fixed-exterior systems of non-crossing chords have nullity 0
         assert result.nullity == 0
         expected = positive_integer_solutions(result, bound)
-        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, tangent, bound)
+        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, chord, bound)
         assert expected == ([] if peeled is None else [peeled])
         if peeled is not None:
             solved.append((cs.chords, peeled))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from geonet.chords import ChordSet
-from geonet.circle import INFINITY, CirclePoint, tan_half_add, tangent_components_exact
+from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add
 from geonet.errors import (
     CrossingEdges,
     DomainError,
@@ -12,10 +12,11 @@ from geonet.errors import (
 )
 from geonet import solver
 from geonet.exact import RadExpr
-from geonet.linalg import particular_from_rref, rref
+from geonet.linalg import kernel_from_rref, matvec, particular_from_rref, rref
 from geonet.rng import seeded_rng
 from geonet.solver import (
     SolveResult,
+    StationaritySystem,
     build_system,
     half_cos_sin,
     n3_closed_forms,
@@ -31,6 +32,7 @@ from helpers import (
     TAN_GRID,
     box_walk_solutions,
     fan_chords,
+    normalized_solve,
     pt,
     random_domain_pair,
     sorted_by_angle,
@@ -112,6 +114,30 @@ def test_particular_checks_every_zero_row():
     assert particular_from_rref(m, pivots, b, 2) is None
     m, pivots, b = rref([[1, 1], [2, 2]], [1, 2])
     assert particular_from_rref(m, pivots, b, 2) == [RadExpr.of(1), RadExpr.of(0)]
+
+
+def test_rref_on_ints_returns_fractions():
+    m, pivots, b = rref([[2, 4, 1], [1, 3, 0], [3, 7, 1]], [2, 1, 3])
+    assert pivots == [0, 1]
+    entries = [x for row in m for x in row] + b
+    entries += particular_from_rref(m, pivots, b, 3) + kernel_from_rref(m, pivots, 3)[0]
+    assert all(type(x) is Fraction for x in entries)
+    assert m == [[1, 0, Fraction(3, 2)], [0, 1, Fraction(-1, 2)], [0, 0, 0]]
+    assert b == [1, 0, 0]
+
+
+def test_rref_on_mixed_rows():
+    # Fraction and RadExpr entries side by side reduce like an all-RadExpr copy
+    root2 = RadExpr.sqrt(2)
+    rows = [[Fraction(1), root2, Fraction(0)], [Fraction(1, 2), Fraction(3), root2 + 1]]
+    rhs = [root2, Fraction(1)]
+    m, pivots, b = rref(rows, rhs)
+    want = rref([[RadExpr.of(x) for x in row] for row in rows], [RadExpr.of(y) for y in rhs])
+    assert (m, pivots, b) == want
+    x = particular_from_rref(m, pivots, b, 3)
+    assert [p - y for p, y in zip(matvec(rows, x), rhs)] == [0, 0]
+    k = kernel_from_rref(m, pivots, 3)[0]
+    assert matvec(rows, k) == [0, 0]
 
 
 def test_rref_without_rows():
@@ -354,10 +380,16 @@ def test_closed_form_signs():
 
 
 def peel(points, mults, chords, bound):
-    def tangent(i, j):
-        return tangent_components_exact(points[i], points[j])
+    def chord(i, j):
+        return _chord(points[i], points[j])
 
-    return peel_solve(points, mults, chords, tangent, bound)
+    return peel_solve(points, mults, chords, chord, bound)
+
+
+def rotated(tans, turn=RadExpr.sqrt(2) - 1):
+    """The points at the given tan-halves turned by a quarter of pi: tan-halves
+    a + b*sqrt2, radical coordinates, and every squared chord rational."""
+    return [CirclePoint.from_tan_half(tan_half_add(t, turn)) for t in tans]
 
 
 def test_peel_solves_fixed_exterior_structures():
@@ -380,10 +412,139 @@ def test_peel_checks_every_single_chord_vertex():
     assert peel(points, (25, 17, 1), chords, 50) is None
 
 
-def test_integer_quotient_needs_a_rational_quotient():
-    den = 1 + RadExpr.sqrt(2)
-    # (2 + sqrt2)/(1 + sqrt2) = sqrt2, though the rational terms divide to 2
-    assert solver._integer_quotient(2 + RadExpr.sqrt(2), den, 10) is None
-    assert solver._integer_quotient(3 * den, den, 10) == 3
-    assert solver._integer_quotient(3 * den, den, 2) is None
-    assert solver._integer_quotient(-3 * den, den, 10) is None
+def test_peel_on_radical_positions():
+    # chords w - v with radical components, so every residual is a RadExpr
+    golden = rotated([Fraction(0), Fraction(4, 3), Fraction(-24, 7)])
+    triangle = ((0, 1), (0, 2), (1, 2))
+    looked_up = []
+
+    def chord(i, j):
+        looked_up.append(_chord(golden[i], golden[j]))
+        return looked_up[-1]
+
+    assert peel_solve(golden, (100, 56, 100), triangle, chord, 100) == (35, 75, 35)
+    assert all(isinstance(x, RadExpr) and not x.is_rational() for c in looked_up for x in c[:2])
+    assert peel(golden, (100, 56, 100), triangle, 74) is None
+    line = rotated([Fraction(0), INFINITY])
+    assert peel(line, (3, 3), ((0, 1),), 5) == (3,)
+    assert peel(line, (3, 4), ((0, 1),), 5) is None
+    # the turned axis square with unit rays needs sqrt2/2 on each side of
+    # length sqrt2: y = 1/2 is rational, and x = y*sqrt2 is refused
+    square = rotated([Fraction(0), Fraction(1), INFINITY, Fraction(-1)])
+    sides = ((0, 1), (0, 3), (1, 2), (2, 3))
+    result = solve(build_system(square, ChordSet(4, sides), (1, 1, 1, 1)))
+    assert result.particular == (RadExpr.sqrt(2) * HALF,) * 4
+    assert peel(square, (1, 1, 1, 1), sides, 50) is None
+
+
+def test_multiplicity_needs_an_integer_product():
+    root2 = RadExpr.sqrt(2)
+    assert solver._multiplicity(Fraction(3, 2), Fraction(2), 10) == 3
+    assert solver._multiplicity(root2 * HALF, root2, 10) == 1
+    # 2 + 2*sqrt2: the rational term alone would pass
+    assert solver._multiplicity(1 + root2, Fraction(2), 10) is None
+    assert solver._multiplicity(Fraction(1), root2, 10) is None
+    assert solver._multiplicity(Fraction(1, 3), Fraction(1), 10) is None
+    assert solver._multiplicity(Fraction(3), Fraction(1), 2) is None
+    assert solver._multiplicity(Fraction(-3), Fraction(1), 10) is None
+
+
+# --- the column-scaled system against the unit-direction oracle -------------
+
+def scaled_oracle_cases():
+    """(name, positions, chords, fixed exterior): free-exterior grid triangles,
+    fan quads and pentagons; fan rectangles, free and fixed; and the same
+    shapes turned to tan-halves a + b*sqrt2."""
+    rng = seeded_rng(salt=12)
+    golden = [Fraction(0), Fraction(4, 3), Fraction(-24, 7)]
+    cases = [("golden", golden, None)]
+    fan_rect = ChordSet(4, fan_chords(4))
+    for k in range(8):
+        cases.append((f"triangle-{k}", [Fraction(0)] + rng.sample(TAN_GRID, 2), None))
+    for n in (4, 5):
+        for k in range(4):
+            cases.append((f"fan-{n}-{k}", [Fraction(0)] + rng.sample(TAN_GRID, n - 1), None))
+    for t in RECTANGLE_TANS[:4]:
+        tans = [t, 1 / t, -t, -1 / t]
+        result = solve(build_system([pt(x) for x in sorted_by_angle(tans)], fan_rect))
+        exteriors = {x[:4] for x in positive_integer_solutions(result, 20)}
+        odd = tuple(rng.randint(1, 9) for _ in range(4))
+        for ext in [None, *sorted(exteriors)[:2], odd]:
+            cases.append((f"rectangle-{t}-{ext}", tans, ext))
+    for name, tans, fixed in cases:
+        tans = sorted_by_angle(tans)
+        chords = ChordSet(len(tans), fan_chords(len(tans)))
+        yield name, [pt(x) for x in tans], chords, fixed
+        if name.startswith(("golden", "triangle-0", "fan-4-0", "fan-5-0", "rectangle")):
+            yield f"turned-{name}", rotated(tans), chords, fixed
+
+
+SCALED_CASES = list(scaled_oracle_cases())
+
+
+@pytest.mark.parametrize(
+    "positions, chords, fixed", [pytest.param(*c[1:], id=c[0]) for c in SCALED_CASES]
+)
+def test_scaled_solve_matches_unit_directions(positions, chords, fixed):
+    system = build_system(positions, chords, fixed)
+    result = solve(system)
+    want = normalized_solve(positions, chords, fixed)
+    assert result == want
+    # coprime integers stay ints and radicals RadExprs
+    assert [type(x) for v in result.kernel_basis for x in v] == [
+        type(x) for v in want.kernel_basis for x in v
+    ]
+    vectors = list(result.kernel_basis)
+    if result.particular is not None:
+        vectors.append(result.particular)
+    for vec in vectors:
+        assert all(r.is_zero() for r in system_residual(system, vec))
+
+
+def test_scaled_cases_cover_every_kind():
+    kinds = {"rational kernel": 0, "irrational kernel": 0, "irrational scale": 0,
+             "particular": 0, "no particular": 0, "radical entries": 0}
+    for _, positions, chords, fixed in SCALED_CASES:
+        system = build_system(positions, chords, fixed)
+        result = solve(system)
+        for vec in result.kernel_basis:
+            kind = "rational" if all(type(x) is int for x in vec) else "irrational"
+            kinds[f"{kind} kernel"] += 1
+        kinds["irrational scale"] += any(isinstance(s, RadExpr) for s in system.scale)
+        kinds["particular" if result.particular else "no particular"] += fixed is not None
+        kinds["radical entries"] += any(isinstance(x, RadExpr) for row in system.matrix for x in row)
+    assert all(kinds.values()), kinds
+
+
+def test_rational_kernel_with_irrational_column_scale():
+    # the kernel x = (2, 3) of 3*x0 = 2*x1 in y-columns of scale sqrt2: the
+    # y-kernel (2/3, 1) times the scale is (2, 3)*sqrt2/3, and only divided
+    # by the free column's scale does it become rational and take the
+    # coprime-integer branch.  build_system gives no such pairing for
+    # rational positions (a rational kernel is zero on every chord of
+    # irrational length), so solve, which reads only matrix, rhs and scale,
+    # gets the system by hand
+    root2 = RadExpr.sqrt(2)
+    system = StationaritySystem(
+        positions=(),
+        edges=None,
+        matrix=((Fraction(3), Fraction(-2)),),
+        rhs=(Fraction(0),),
+        scale=(root2, root2),
+        fixed_exterior=None,
+    )
+    result = solve(system)
+    assert result.kernel_basis == ((2, 3),)
+    assert all(type(x) is int for x in result.kernel_basis[0])
+    assert all(r.is_zero() for r in system_residual(system, (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "positions, chords, fixed",
+    [pytest.param(*c[1:], id=c[0]) for c in SCALED_CASES if not c[0].startswith("turned")],
+)
+def test_build_system_on_rational_tan_halves_is_rational(positions, chords, fixed):
+    system = build_system(positions, chords, fixed)
+    assert all(type(x) is Fraction for row in system.matrix for x in row)
+    assert all(type(x) is Fraction for x in system.rhs)
+

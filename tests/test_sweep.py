@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,6 +261,25 @@ def test_flow_nonconvergence_keeps_best():
         flow_to_cmc(latitude_curve(math.pi / 2, 64), SphereConfig(c=1.0), max_iters=5)
     assert isinstance(info.value.best, PolyCurve)
     assert len(info.value.best) == 64
+
+
+def test_flow_round_step_is_capped_at_the_spacing():
+    # from the equator at c = 100 the drive asks for ten spacings in one
+    # step; the step is one spacing, so the curve moves atan(spacing) north
+    n = 64
+    with pytest.raises(NonConvergence) as info:
+        flow_to_cmc(latitude_curve(math.pi / 2, n), SphereConfig(c=100.0), max_iters=2)
+    spacing = curve_length(latitude_curve(math.pi / 2, n)) / n
+    polar = np.arccos(info.value.best.points[:, 2])
+    assert polar == pytest.approx(math.pi / 2 - math.atan(spacing), abs=1e-12)
+
+
+def test_flow_at_unresolvable_c_raises_without_warnings():
+    # the target circle at c = 1e300 is far below float resolution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            flow_to_cmc(latitude_curve(math.pi / 2, 32), SphereConfig(c=1e300), max_iters=2000)
 
 
 def test_flow_stop_threshold_is_strict():
