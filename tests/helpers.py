@@ -1,6 +1,8 @@
 """Shared builders and independent oracles for the test suite."""
 
+import random
 from fractions import Fraction
+from functools import partial
 
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
@@ -394,3 +396,38 @@ RECTANGLE_TANS = tuple(
 TAN_GRID = sorted(
     {Fraction(s * p, q) for s in (1, -1) for p in range(1, 11) for q in range(1, 11)}
 )
+
+
+def fan_network(tans, exterior=None) -> Network:
+    """Fan-triangulated inscribed polygon on rational tan-halves, unit edge
+    multiplicities; exterior lists the multiplicities in angle order (all 1
+    when omitted)."""
+    tans = sorted_by_angle(tans)
+    exterior = exterior or [1] * len(tans)
+    return make_network(
+        [Vertex(pt(t), m) for t, m in zip(tans, exterior)],
+        [InteriorEdge(i, j, 1) for i, j in fan_chords(len(tans))],
+    )
+
+
+def _fan_networks() -> dict:
+    # rectangles with rational kernels of nullity 2 (exterior 6, 5, 6, 5 is
+    # balanced by a fixed-exterior solution on the first two only), then a
+    # triangle, two quads and two pentagons on the grid, whose kernels are
+    # radical; a fixed seed, so the golden records never move with GEONET_SEED
+    rng = random.Random(11)
+    builders = {}
+    for t in RECTANGLE_TANS[:4]:
+        builders[f"rectangle-{t.numerator}-{t.denominator}"] = partial(
+            fan_network, (t, 1 / t, -t, -1 / t), (6, 5, 6, 5)
+        )
+    builders["fan-3"] = partial(fan_network, (Fraction(0), *rng.sample(TAN_GRID, 2)))
+    for n, k in ((4, 0), (4, 1), (5, 0), (5, 1)):
+        tans = (Fraction(0), *rng.sample(TAN_GRID, n - 1))
+        exterior = tuple(rng.randint(1, 9) for _ in range(n))
+        builders[f"fan-{n}-{k}"] = partial(fan_network, tans, exterior)
+    return builders
+
+
+# name -> builder, for the CLI golden records
+FAN_NETWORKS = _fan_networks()

@@ -19,7 +19,13 @@ from unittest import mock
 
 from geonet.cli import dispatch
 from geonet.io import write_network
-from helpers import golden_triangle, line_network, rectangle_network, square_network
+from helpers import (
+    FAN_NETWORKS,
+    golden_triangle,
+    line_network,
+    rectangle_network,
+    square_network,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -28,6 +34,7 @@ NETWORKS = {
     "golden": golden_triangle,
     "rectangle": rectangle_network,
     "square": square_network,
+    **FAN_NETWORKS,
 }
 RAY_NETWORKS = ("line", "golden", "rectangle")
 
