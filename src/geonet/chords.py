@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .errors import CrossingEdges
@@ -218,10 +217,6 @@ def is_maximal(cs: ChordSet) -> bool:
 
 def maximal_chord_sets(n: int) -> list[ChordSet]:
     return [cs for cs in enumerate_chord_sets(n, allow_adjacent=True) if is_maximal(cs)]
-
-
-def catalan(k: int) -> int:
-    return comb(2 * k, k) // (k + 1)
 
 
 def _arc_sides(chord: tuple[int, int], n: int) -> tuple[list[int], list[int]]:

@@ -210,25 +210,11 @@ def angle_order(points: Sequence[CirclePoint]) -> list[int]:
     return order
 
 
-def point_mul(p: CirclePoint, q: CirclePoint) -> CirclePoint:
-    """The point at the angle sum (rotation of p by q)."""
-    if p.tan_half is not None and q.tan_half is not None:
-        return CirclePoint.from_tan_half(tan_half_add(p.tan_half, q.tan_half))
-    return CirclePoint.from_angle(p.angle + q.angle)
-
-
 def point_div(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     """The point at the angle difference (rotation of p by -q)."""
     if p.tan_half is not None and q.tan_half is not None:
         return CirclePoint.from_tan_half(tan_half_sub(p.tan_half, q.tan_half))
     return CirclePoint.from_angle(p.angle - q.angle)
-
-
-def reflect_point(p: CirclePoint) -> CirclePoint:
-    """Mirror image across the x-axis."""
-    if p.tan_half is not None:
-        return CirclePoint.from_tan_half(tan_half_neg(p.tan_half))
-    return CirclePoint.from_angle(-p.angle)
 
 
 def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:

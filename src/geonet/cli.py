@@ -182,11 +182,6 @@ def _cmd_sweep(args) -> int:
         "argmax_phi": estimate.argmax_phi,
         "closed_form": sw.minmax_closed_form(cfg),
     }
-    if args.emit_csv:
-        with open(args.emit_csv, "w", encoding="utf-8") as fh:
-            fh.write("t,phi,c_length\n")
-            for t, region in sweepout.samples:
-                fh.write(f"{t},{region.polar_angle},{sw.c_length(region, cfg)}\n")
     if args.flow:
         curve = sw.latitude_curve(math.pi / 2.0, args.points)
         final = sw.flow_to_cmc(curve, cfg, max_iters=args.max_iters)
@@ -196,6 +191,12 @@ def _cmd_sweep(args) -> int:
             "final_c_length": sw.enclosed_c_length(final, cfg),
             "max_curvature_deviation": kappa_dev,
         }
+    # written only once the flow has succeeded: no file on a failed run
+    if args.emit_csv:
+        with open(args.emit_csv, "w", encoding="utf-8") as fh:
+            fh.write("t,phi,c_length\n")
+            for t, region in sweepout.samples:
+                fh.write(f"{t},{region.polar_angle},{sw.c_length(region, cfg)}\n")
     _emit(out)
     return 0
 

@@ -35,9 +35,11 @@ def render_svg(net: Network, style: RenderStyle = RenderStyle()) -> str:
     half = style.size / 2.0
     radius = half / (RAY_REACH + 0.1)
     # widths stay proportional to multiplicity; the heaviest stroke is pinned
-    # to size/40 so large integer solutions do not swamp the drawing
+    # to size/40 so large integer solutions do not swamp the drawing; an
+    # empty network draws the bare circle
     heaviest = max(
-        [v.exterior_mult for v in net.vertices] + [e.mult for e in net.edges]
+        [v.exterior_mult for v in net.vertices] + [e.mult for e in net.edges],
+        default=1,
     )
     base_width = style.stroke_scale * style.size / (40.0 * heaviest)
 

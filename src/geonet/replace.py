@@ -83,13 +83,6 @@ class AngleExpr:
             tuple((name, c * q) for name, c in self.terms), self.pi_coeff * q
         )
 
-    def evaluate(self, assignment: dict[str, float]) -> float:
-        import math
-
-        return sum(float(q) * assignment[name] for name, q in self.terms) + float(
-            self.pi_coeff
-        ) * math.pi
-
     def __str__(self) -> str:
         def coeff(q: Fraction, sym: str) -> str:
             if q == 1:

@@ -11,7 +11,9 @@ factor x = scale * y that maps it back (one for the m_v columns, |w - v| for
 the chords).  Scaling a column by a nonzero factor moves no pivot, so solve
 runs one elimination on the scaled matrix and maps its particular solution
 and kernel back exactly.  Rational positions give a rational matrix, and the
-elimination runs on Fractions; radical positions keep RadExpr entries.
+elimination runs on Fractions; radical positions keep RadExpr entries.  Each
+kernel vector is reported divided by its lead, and as coprime integers when
+that leaves it rational.
 
 Integer solutions are searched on the rational part of the solution space:
 splitting every coordinate by radical term leaves a rational lattice, usually
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Sequence
 
 from .chords import ChordSet
@@ -139,46 +141,40 @@ def build_system(
 
 
 def normalize_vector(vec: Sequence) -> tuple:
-    """Scale to coprime integers with positive leading entry when rational,
-    otherwise to leading entry one."""
+    """vec over its leading nonzero entry, then times the lcm of the
+    denominators if every entry is rational: coprime ints with positive lead
+    for a multiple of a rational vector, RadExprs with lead one otherwise,
+    and int zeros for a zero vector."""
     exprs = [RadExpr.of(x) for x in vec]
-    lead = next((x for x in exprs if not x.is_zero()), None)
-    if lead is None:
-        return tuple(0 for _ in exprs)
-    if all(x.is_rational() for x in exprs):
-        qs = [x.rational_value() for x in exprs]
-        mult = lcm(*(q.denominator for q in qs)) if qs else 1
-        ints = [int(q * mult) for q in qs]
-        g = gcd(*ints)
-        sign = 1 if next(v for v in ints if v) > 0 else -1
-        return tuple(v // (g * sign) for v in ints)
-    inv = lead.inverse()
-    return tuple(x * inv for x in exprs)
+    inv = next((x for x in exprs if x), RadExpr.of(1)).inverse()
+    exprs = [x * inv for x in exprs]
+    if not all(x.is_rational() for x in exprs):
+        return tuple(exprs)
+    qs = [x.rational_value() for x in exprs]
+    mult = lcm(*(q.denominator for q in qs))
+    return tuple(int(q * mult) for q in qs)
 
 
 def solve(system: StationaritySystem) -> SolveResult:
     """Rank, kernel basis and a particular solution in the multiplicities x.
 
-    One elimination on the scaled matrix gives them in y; x = scale * y.  A
-    kernel vector is one in its free column f in y, so it is divided by
-    scale[f] to be one there in x, and then normalized: the same vector the
-    unit-direction system would give, so rational kernels come out as
-    coprime integers.
+    One elimination on the scaled matrix gives them in y, and x = scale * y.
+    Each kernel vector scale * y is normalized as it is: all its multiples
+    normalize alike, so a rational kernel comes out as the coprime integers
+    of the unit-direction system.
     """
     m, pivots, b = rref(system.matrix, system.rhs)
     ncols, scale = system.n_unknowns, system.scale
     y = particular_from_rref(m, pivots, b, ncols)
     particular = None if y is None else tuple(RadExpr.of(s * v) for s, v in zip(scale, y))
-    free = tuple(c for c in range(ncols) if c not in pivots)
-    kernel = []
-    for f, vec in zip(free, kernel_from_rref(m, pivots, ncols)):
-        unit = 1 / scale[f]
-        kernel.append(normalize_vector([s * v * unit for s, v in zip(scale, vec)]))
     return SolveResult(
         rank=len(pivots),
-        kernel_basis=tuple(kernel),
+        kernel_basis=tuple(
+            normalize_vector([s * v for s, v in zip(scale, k)])
+            for k in kernel_from_rref(m, pivots, ncols)
+        ),
         particular=particular,
-        free_columns=free,
+        free_columns=tuple(c for c in range(ncols) if c not in pivots),
         n_unknowns=ncols,
     )
 

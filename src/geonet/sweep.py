@@ -181,12 +181,6 @@ def _curvatures(pts: np.ndarray):
     return delta / (0.5 * (arc_in + arc_out)), delta, u, w, float(np.sum(arc_out))
 
 
-def turning_angles(curve: PolyCurve) -> np.ndarray:
-    """Signed exterior angles; positive where the curve bends toward the
-    region on its left (the north side for a counterclockwise latitude)."""
-    return _curvatures(curve.points)[1]
-
-
 def discrete_geodesic_curvature(curve: PolyCurve, i: int) -> float:
     """Turning angle over mean adjacent arc; +cot(phi) on a CCW latitude."""
     return float(_curvatures(curve.points)[0][i])

@@ -1,5 +1,8 @@
-"""Shared builders and independent oracles for the test suite."""
+"""Shared builders, independent oracles and the small utilities that only
+the test suite uses."""
 
+import math
+import os
 import random
 from fractions import Fraction
 from functools import partial
@@ -10,7 +13,8 @@ from geonet.circle import (
     CirclePoint,
     diameter_side,
     point_div,
-    reflect_point,
+    tan_half_add,
+    tan_half_neg,
     tangent_components_exact,
 )
 from geonet.exact import RadExpr
@@ -31,6 +35,49 @@ from geonet.solver import (
     positive_integer_solutions,
     solve,
 )
+from geonet.sweep import _curvatures
+
+DEFAULT_SEED = 20260814
+
+
+def seeded_rng(salt: int = 0) -> random.Random:
+    """The randomized tests' generator: GEONET_SEED in the environment
+    overrides the default seed, so a failing seed can be pinned from the
+    shell."""
+    seed = int(os.environ.get("GEONET_SEED", DEFAULT_SEED))
+    return random.Random(seed + salt)
+
+
+def point_mul(p: CirclePoint, q: CirclePoint) -> CirclePoint:
+    """The point at the angle sum (rotation of p by q)."""
+    if p.tan_half is not None and q.tan_half is not None:
+        return CirclePoint.from_tan_half(tan_half_add(p.tan_half, q.tan_half))
+    return CirclePoint.from_angle(p.angle + q.angle)
+
+
+def reflect_point(p: CirclePoint) -> CirclePoint:
+    """Mirror image across the x-axis."""
+    if p.tan_half is not None:
+        return CirclePoint.from_tan_half(tan_half_neg(p.tan_half))
+    return CirclePoint.from_angle(-p.angle)
+
+
+def catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def evaluate_angle(e, assignment: dict[str, float]) -> float:
+    """The float value of a replace.AngleExpr at the given variable values."""
+    return sum(float(q) * assignment[name] for name, q in e.terms) + float(
+        e.pi_coeff
+    ) * math.pi
+
+
+def turning_angles(curve):
+    """Signed exterior angles of a sweep.PolyCurve; positive where the curve
+    bends toward the region on its left (the north side for a
+    counterclockwise latitude)."""
+    return _curvatures(curve.points)[1]
 
 
 def pt(t) -> CirclePoint:

@@ -27,7 +27,6 @@ from geonet.network import (
     make_network,
 )
 from geonet.replace import certify_no_good_n3, good_network_audit
-from geonet.rng import seeded_rng
 from geonet.solver import (
     build_system,
     half_cos_sin,
@@ -52,6 +51,7 @@ from helpers import (
     line_network,
     pt,
     random_domain_pair,
+    seeded_rng,
 )
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from geonet.chords import (
     ChordSet,
     audit_counting_argument,
-    catalan,
     chords_cross,
     closed_form_bounds,
     enumerate_chord_sets,
@@ -18,7 +17,7 @@ from geonet.chords import (
     maximal_chord_sets,
     nonadjacent_max_recursive,
 )
-from helpers import naive_chord_sets, naive_is_maximal, segments_cross_float
+from helpers import catalan, naive_chord_sets, naive_is_maximal, segments_cross_float
 
 # non-crossing chord sets on n points allowing adjacent chords, n = 3..8
 # (OEIS A054726 shifted: includes the empty set and single chords)

@@ -15,8 +15,6 @@ from geonet.circle import (
     exact_xy_of_tan,
     normalize_angle,
     point_div,
-    point_mul,
-    reflect_point,
     tan_half_add,
     tan_half_neg,
     tan_half_sub,
@@ -25,6 +23,7 @@ from geonet.circle import (
 )
 from geonet.errors import ExactDataMissing, InexactPosition
 from geonet.exact import RadExpr
+from helpers import point_mul, reflect_point
 
 tan_halves = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 

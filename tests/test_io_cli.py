@@ -416,6 +416,18 @@ def test_cli_sweep_flow_at_unresolvable_c_fails_cleanly():
     assert result.stderr.startswith("error: flow ")
 
 
+def test_cli_sweep_failed_flow_writes_no_csv(tmp_path, capsys):
+    # machine output only on success: the csv too
+    csv_path = tmp_path / "out.csv"
+    argv = ["sweep", "--c", "1", "--samples", "5", "--emit-csv", str(csv_path),
+            "--flow", "--points", "32", "--max-iters", "1"]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "did not reach the curvature target" in captured.err
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_emit_prints_only_strict_json(value, capsys):
     with pytest.raises(ValueError):
@@ -441,6 +453,16 @@ def test_cli_render_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert dispatch(["render", "--network", path]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_render_empty_network(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"version": "geonet/1", "vertices": [], "edges": []}), encoding="utf-8")
+    assert dispatch(["render", "--network", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.count("<circle") == 1
+    assert "<line" not in captured.out
+    assert captured.err == ""
 
 
 def off_line_network(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from geonet.circle import INFINITY, TAU, CirclePoint, point_mul, reflect_point
+from geonet.circle import INFINITY, TAU, CirclePoint
 from geonet.errors import (
     DuplicateEdge,
     DuplicateVertexAngle,
@@ -24,14 +24,16 @@ from geonet.network import (
     make_network,
     stationarity_residual,
 )
-from geonet.rng import seeded_rng
 from helpers import (
     boundary_trace,
     golden_triangle,
     line_network,
+    point_mul,
     pt,
     rebuilt_canonical_key,
     rectangle_network,
+    reflect_point,
+    seeded_rng,
     square_network,
 )
 
@@ -189,8 +191,6 @@ def test_canonical_key_invariant_under_rotation():
 
 def test_canonical_key_invariant_under_reflection():
     base = golden_triangle()
-    from geonet.circle import reflect_point
-
     mirrored = make_network(
         [Vertex(reflect_point(v.position), v.exterior_mult) for v in base.vertices],
         [InteriorEdge(e.i, e.j, e.mult) for e in base.edges],

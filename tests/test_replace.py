@@ -19,18 +19,19 @@ from geonet.replace import (
     replacement_feasible,
     replacement_problem,
 )
-from geonet.rng import seeded_rng
 from geonet.solver import build_system, peel_solve, positive_integer_solutions, solve
 from helpers import (
     RECTANGLE_TANS,
     axis_point_angles,
     diameter_sides,
+    evaluate_angle,
     fan_chords,
     golden_triangle,
     in_balance_cone,
     line_network,
     pt,
     rectangle_network,
+    seeded_rng,
     sorted_by_angle,
     square_network,
     unpruned_replacement_feasible,
@@ -46,7 +47,7 @@ def test_angle_expr_algebra():
     assert str(e) == "(1/2)·a12 - a23 + (1/2)·π"
     import math
 
-    value = e.evaluate({"a12": 1.0, "a23": 0.25})
+    value = evaluate_angle(e, {"a12": 1.0, "a23": 0.25})
     assert value == pytest.approx(0.5 - 0.25 + math.pi / 2)
 
 

@@ -13,7 +13,6 @@ from geonet.errors import (
 from geonet import solver
 from geonet.exact import RadExpr
 from geonet.linalg import kernel_from_rref, matvec, particular_from_rref, rref
-from geonet.rng import seeded_rng
 from geonet.solver import (
     SolveResult,
     StationaritySystem,
@@ -35,6 +34,7 @@ from helpers import (
     normalized_solve,
     pt,
     random_domain_pair,
+    seeded_rng,
     sorted_by_angle,
 )
 
@@ -192,6 +192,19 @@ def test_normalize_vector():
     normalized = normalize_vector((root, root * 3))
     assert normalized[0] == RadExpr.of(1)
     assert normalized[1] == RadExpr.of(3)
+    # a multiple of a rational vector is rational once divided by its lead
+    assert normalized == (1, 3)
+    assert all(type(x) is int for x in normalized)
+    normalized = normalize_vector((Fraction(0), Fraction(-3, 4), Fraction(1, 6), 2))
+    assert normalized == (0, 9, -2, -24)
+    assert all(type(x) is int for x in normalized)
+    normalized = normalize_vector((Fraction(0), RadExpr.of(0), 0))
+    assert normalized == (0, 0, 0)
+    assert all(type(x) is int for x in normalized)
+    # (2 + sqrt2, 1): the lead stays a RadExpr one, and the rest follows it
+    normalized = normalize_vector((Fraction(0), root + 2, Fraction(1)))
+    assert all(type(x) is RadExpr for x in normalized)
+    assert normalized == (0, 1, (2 - root) / 2)
 
 
 def test_search_box_cap():
@@ -518,9 +531,9 @@ def test_scaled_cases_cover_every_kind():
 
 def test_rational_kernel_with_irrational_column_scale():
     # the kernel x = (2, 3) of 3*x0 = 2*x1 in y-columns of scale sqrt2: the
-    # y-kernel (2/3, 1) times the scale is (2, 3)*sqrt2/3, and only divided
-    # by the free column's scale does it become rational and take the
-    # coprime-integer branch.  build_system gives no such pairing for
+    # y-kernel (2/3, 1) times the scale is (2, 3)*sqrt2/3, irrational in every
+    # entry, and only divided by its lead does it become rational and come
+    # out as coprime integers.  build_system gives no such pairing for
     # rational positions (a rational kernel is zero on every chord of
     # irrational length), so solve, which reads only matrix, rhs and scale,
     # gets the system by hand

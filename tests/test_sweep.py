@@ -22,8 +22,8 @@ from geonet.sweep import (
     latitude_sweepout,
     minmax_closed_form,
     minmax_estimate,
-    turning_angles,
 )
+from helpers import turning_angles
 
 
 def test_config_validation():
