@@ -96,6 +96,15 @@ def line_network(m: int = 1, m_edge: int | None = None) -> Network:
     )
 
 
+def float_line_network() -> Network:
+    """The unit line with float positions only (no tan-half): stationary to
+    rounding, so admissible in float mode but refused by every exact path."""
+    return make_network(
+        [Vertex(CirclePoint.from_angle(0.0), 1), Vertex(CirclePoint.from_angle(math.pi), 1)],
+        [InteriorEdge(0, 1, 1)],
+    )
+
+
 def square_network() -> Network:
     """Unit multiplicities on the axis-diagonal square; not stationary."""
     return make_network(

@@ -21,6 +21,7 @@ from geonet.cli import dispatch
 from geonet.io import write_network
 from helpers import (
     FAN_NETWORKS,
+    float_line_network,
     golden_triangle,
     line_network,
     rectangle_network,
@@ -35,8 +36,9 @@ NETWORKS = {
     "rectangle": rectangle_network,
     "square": square_network,
     **FAN_NETWORKS,
+    "float-line": float_line_network,
 }
-RAY_NETWORKS = ("line", "golden", "rectangle")
+RAY_NETWORKS = ("line", "golden", "rectangle", "float-line")
 
 
 def golden_commands() -> list[list[str]]:
@@ -55,6 +57,10 @@ def golden_commands() -> list[list[str]]:
         for mode in ("auto", "exact", "float"):
             commands.append(["validate", "--network", f"{{{name}}}", "--mode", mode])
     commands.append(["enumerate", "--n", "5", "--max-only"])
+    for n in (0, 1, 2, 3, 8, 13):
+        commands.append(["enumerate", "--n", str(n), "--max-only"])
+        if 1 <= n <= 8:
+            commands.append(["enumerate", "--n", str(n), "--allow-adjacent", "--max-only"])
     commands.append(["certify-n3"])
     # each usage error (exit 2) runs just before a valid command, so a parser
     # that keeps state from a failed parse shows up in the next record
