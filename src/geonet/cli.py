@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .chords import ChordSet, enumerate_chord_sets
+from .chords import ChordSet, closed_form_bounds, enumerate_chord_sets
 from .errors import GeonetError
 from .io import (
     network_to_dict,
@@ -21,7 +21,7 @@ from .io import (
     scalar_to_json,
     tan_half_to_json,
 )
-from .network import Network, is_admissible
+from .network import is_admissible
 from .render import RenderStyle, render_svg
 from .replace import (
     AuditVerdict,
@@ -53,8 +53,6 @@ def _verdict_to_dict(verdict: AuditVerdict) -> dict:
     witness = verdict.witness
     if isinstance(witness, ReplacementProblem):
         witness_json = {"replacement_problem": _problem_to_dict(witness)}
-    elif isinstance(witness, Network):
-        witness_json = {"network": network_to_dict(witness)}
     elif witness is None:
         witness_json = None
     else:
@@ -92,14 +90,9 @@ def _cmd_validate(args) -> int:
 def _cmd_enumerate(args) -> int:
     sets = enumerate_chord_sets(args.n, allow_adjacent=args.allow_adjacent)
     if args.max_only:
-        # streamed: only the sets of the largest size so far are held
-        top, largest = -1, []
-        for cs in sets:
-            if len(cs.chords) > top:
-                top, largest = len(cs.chords), []
-            if len(cs.chords) == top:
-                largest.append(cs)
-        sets = largest
+        bounds = closed_form_bounds(args.n)
+        top = bounds.edge_max if args.allow_adjacent else bounds.nonadjacent_max
+        sets = (cs for cs in sets if len(cs.chords) == top)
     for cs in sets:
         _emit({"n": cs.n, "chords": [list(c) for c in cs.chords]})
     return 0
@@ -282,7 +275,7 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GeonetError, ValueError, OSError) as exc:
+    except (GeonetError, ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

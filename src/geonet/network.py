@@ -90,9 +90,6 @@ class Network:
                 out.append((e.i, e.mult))
         return out
 
-    def interior_degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in (e.i, e.j))
-
     @property
     def is_exact(self) -> bool:
         return all(v.position.is_exact for v in self.vertices)

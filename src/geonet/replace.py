@@ -331,8 +331,12 @@ def good_network_audit(
     """Iterated-replacement search, breadth-first over vertices.
 
     Refutes as soon as some vertex of some reachable network admits no
-    replacement within the multiplicity bound; reports good-to-depth-k when
-    every chain survives k levels.  Verdicts are bound-qualified.
+    replacement within the multiplicity bound, with that vertex's
+    ReplacementProblem as the witness; reports good-to-depth-k when every
+    chain survives k levels.  Verdicts are bound-qualified.  Every network
+    searched is admissible (the input is checked, and replacement_feasible
+    returns only exactly admissible networks), so no vertex is isolated: a
+    vertex without chords would need m_v * v = 0.
     """
     if not 0 <= depth <= MAX_AUDIT_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_AUDIT_DEPTH}")
@@ -343,24 +347,16 @@ def good_network_audit(
 
     memo: dict[tuple, AuditVerdict] = {}
 
-    def explore(current: Network, remaining: int, level: int) -> AuditVerdict:
+    def explore(current: Network, remaining: int) -> AuditVerdict:
         if remaining == 0:
             return AuditVerdict("good-to-depth-0", 0, bound=bound)
         key = (canonical_key(current), remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        verdict = None
+        level = depth + 1 - remaining
+        verdict = AuditVerdict(f"good-to-depth-{remaining}", remaining, bound=bound)
         for i in range(current.n_vertices):
-            if current.interior_degree(i) == 0:
-                verdict = AuditVerdict(
-                    f"refuted-at-depth-{level}",
-                    level,
-                    witness=current,
-                    detail=f"vertex {i} is isolated",
-                    bound=bound,
-                )
-                break
             problem = replacement_problem(current, i)
             replacement = replacement_feasible(problem, bound)
             if replacement is None:
@@ -373,14 +369,11 @@ def good_network_audit(
                     bound=bound,
                 )
                 break
-            sub = explore(replacement, remaining - 1, level + 1)
+            sub = explore(replacement, remaining - 1)
             if sub.refuted:
                 verdict = sub
                 break
-        if verdict is None:
-            # all vertices replaceable and every chain survived `remaining` levels
-            verdict = AuditVerdict(f"good-to-depth-{remaining}", remaining, bound=bound)
         memo[key] = verdict
         return verdict
 
-    return explore(net, depth, 1)
+    return explore(net, depth)

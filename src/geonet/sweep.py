@@ -234,7 +234,7 @@ def _resample_uniform(pts: np.ndarray) -> np.ndarray:
 def flow_to_cmc(
     curve: PolyCurve,
     cfg: SphereConfig,
-    step: float | None = None,
+    *,
     max_iters: int = 100_000,
     trace: list | None = None,
 ) -> PolyCurve:
@@ -242,17 +242,18 @@ def flow_to_cmc(
 
     Each point moves along the outward in-surface normal (T cross p), then
     the points are redistributed at uniform arc spacing.  The normal speed
-    has two parts: step * (mean_kappa - c), capped at one point spacing,
-    climbs the round mode toward the constant-curvature target, and a
-    curve-shortening term on the deviation kappa - mean_kappa keeps the
-    non-round modes from growing (a pointwise ascent alone blows up: the
-    target is a saddle, and stray wiggles raise length faster than area).
-    The shortening coefficient is capped at a quarter of the squared point
-    spacing, the explicit-scheme stability limit; step only paces the round
-    mode and defaults to a tenth of the spacing.  The fixed point is kappa = c pointwise.  Stops once
-    max |kappa_i - c| falls below CURVATURE_STOP (1e-4, which pins the limit
-    length to a few 1e-4); raises NonConvergence (with the best iterate
-    attached) if max_iters passes first.
+    has two parts: a tenth of the point spacing times (mean_kappa - c),
+    capped at one point spacing, climbs the round mode toward the
+    constant-curvature target, and a curve-shortening term on the deviation
+    kappa - mean_kappa keeps the non-round modes from growing (a pointwise
+    ascent alone blows up: the target is a saddle, and stray wiggles raise
+    length faster than area).  The shortening coefficient is a quarter of
+    the squared point spacing, the explicit-scheme stability limit.  The
+    fixed point is kappa = c pointwise.  Stops once max |kappa_i - c| falls
+    below CURVATURE_STOP (1e-4, which pins the limit length to a few 1e-4);
+    raises NonConvergence (with the best iterate attached) if max_iters
+    passes first.  With trace, one record per iteration is appended to it:
+    the iteration, the max deviation and the curve's L^c.
     """
     if len(curve) < 32:
         raise DomainError("flow needs at least 32 points")
@@ -260,8 +261,6 @@ def flow_to_cmc(
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     pts = curve.points.copy()
     n = len(pts)
-    if step is not None and not (math.isfinite(step) and step > 0):
-        raise DomainError("step must be positive and finite")
     best_pts = pts
     best_dev = math.inf
     for iteration in range(max_iters):
@@ -292,11 +291,10 @@ def flow_to_cmc(
         tangent /= np.linalg.norm(tangent, axis=1)[:, None]
         normal = np.cross(tangent, pts)  # outward: away from the north region
         spacing = length / n
-        drive = 0.1 * spacing if step is None else step
         smooth = 0.25 * spacing**2
         mean_kappa = float(np.mean(kappa))
         # the round mode moves at most one point spacing per iteration
-        climb = min(max(drive * (mean_kappa - cfg.c), -spacing), spacing)
+        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -spacing), spacing)
         speed = climb - smooth * (kappa - mean_kappa)
         pts = pts + speed[:, None] * normal
         pts /= np.linalg.norm(pts, axis=1)[:, None]

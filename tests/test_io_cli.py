@@ -122,7 +122,9 @@ def test_malformed_records_rejected():
         network_from_dict(bad)
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, "abc", "1.5", True, None])
+@pytest.mark.parametrize(
+    "angle", [math.nan, math.inf, -math.inf, 10**400, "abc", "1.5", True, None]
+)
 def test_bad_angle_rejected(angle):
     bad = network_to_dict(line_network())
     bad["vertices"][1]["angle"] = angle
@@ -270,6 +272,15 @@ def test_import_without_numpy():
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_sweep_names_load_on_access():
+    from geonet import sweep
+
+    assert geonet.flow_to_cmc is sweep.flow_to_cmc
+    assert {"flow_to_cmc", "RadExpr"} <= set(dir(geonet))
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        geonet.nonexistent
 
 
 def test_cli_solve_fixed_exterior(tmp_path, capsys):
@@ -463,6 +474,15 @@ def test_cli_render_empty_network(tmp_path, capsys):
     assert captured.out.count("<circle") == 1
     assert "<line" not in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", [["validate", "--mode", "float"], ["render"]])
+def test_cli_multiplicity_beyond_float_range_fails_cleanly(command, tmp_path, capsys):
+    path = write_fixture(line_network(10**400), tmp_path)
+    assert dispatch([*command, "--network", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int too large to convert to float\n"
 
 
 def off_line_network(tmp_path):

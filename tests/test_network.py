@@ -26,6 +26,7 @@ from geonet.network import (
 )
 from helpers import (
     boundary_trace,
+    float_line_network,
     golden_triangle,
     line_network,
     point_mul,
@@ -146,6 +147,27 @@ def test_float_network_falls_back():
     assert is_stationary(net)  # float mode within tolerance
     with pytest.raises(ExactDataMissing):
         stationarity_residual(net, 0, mode="exact")
+
+
+def test_stationarity_residual_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        stationarity_residual(line_network(), 0, mode="fuzzy")
+
+
+def test_float_network_invariants_and_key():
+    net = float_line_network()
+    rep = invariant_report(net)
+    assert not rep.exact
+    assert rep.exterior_balance == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert rep.mass_gap == pytest.approx(0.0, abs=1e-15)
+    assert rep.exterior_parity == "even"
+    # float positions are keyed by their rounded gaps: turning keeps the key
+    turned = make_network(
+        [Vertex(CirclePoint.from_angle(v.position.angle + 1.0), 1) for v in net.vertices],
+        net.edges,
+    )
+    assert canonical_key(turned) == canonical_key(net)
+    assert canonical_key(net) != canonical_key(line_network())
 
 
 def test_invariant_report_exact_zero():

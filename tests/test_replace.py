@@ -51,6 +51,15 @@ def test_angle_expr_algebra():
     assert value == pytest.approx(0.5 - 0.25 + math.pi / 2)
 
 
+def test_angle_expr_str_coefficients():
+    a = AngleExpr.variable("a")
+    assert str(AngleExpr()) == "0"
+    assert str(a) == "a"
+    assert str(AngleExpr.pi_multiple(1)) == "π"
+    assert str(a.scale(2) - AngleExpr.pi_multiple(3)) == "2·a - 3·π"
+    assert str(AngleExpr.pi_multiple(-2)) == "-2·π"
+
+
 def test_angle_expr_cancellation():
     a = AngleExpr.variable("x")
     assert (a - a).is_constant
@@ -133,6 +142,20 @@ def test_replacement_problem_orders_close_rays_exactly():
 def test_boolean_ray_multiplicity_rejected():
     with pytest.raises(ValueError):
         ReplacementProblem((pt(0), pt(INFINITY)), (True, True))
+
+
+def test_replacement_problem_needs_one_multiplicity_per_ray():
+    with pytest.raises(ValueError, match="at least one ray"):
+        ReplacementProblem((), ())
+    with pytest.raises(ValueError, match="one multiplicity per ray"):
+        ReplacementProblem((pt(0), pt(INFINITY)), (1,))
+
+
+def test_replacement_feasible_rejects_bound_below_one():
+    problem = replacement_problem(line_network(), 0)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            replacement_feasible(problem, bound)
 
 
 def test_unbalanced_problem_has_no_replacement():

@@ -207,6 +207,18 @@ def test_normalize_vector():
     assert normalized == (0, 1, (2 - root) / 2)
 
 
+def test_solver_input_checks():
+    line = [pt(0), pt(INFINITY)]
+    with pytest.raises(ValueError, match="different number of points"):
+        build_system(line, ChordSet(3, ()))
+    with pytest.raises(ValueError, match="fixed_exterior length"):
+        build_system(line, ChordSet(2, ((0, 1),)), (1,))
+    result = solve(build_system(line, ChordSet(2, ((0, 1),))))
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            positive_integer_solutions(result, bound)
+
+
 def test_search_box_cap():
     system = build_system(
         [pt(0), pt(INFINITY)], ChordSet(2, ((0, 1),))

@@ -181,11 +181,12 @@ def test_flow_validation():
     cfg = SphereConfig(c=1.0)
     with pytest.raises(DomainError):
         flow_to_cmc(latitude_curve(1.0, 16), cfg)
-    with pytest.raises(DomainError):
-        flow_to_cmc(latitude_curve(1.0, 64), cfg, step=0.0)
-    for step in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="finite"):
-            flow_to_cmc(latitude_curve(1.0, 64), cfg, step=step)
+
+
+def test_flow_takes_max_iters_and_trace_by_keyword():
+    # a positional third argument is refused, not bound to max_iters
+    with pytest.raises(TypeError):
+        flow_to_cmc(latitude_curve(1.0, 64), SphereConfig(c=1.0), 0.05, 1)
 
 
 @pytest.mark.parametrize("max_iters", [0, -5])
