@@ -139,10 +139,7 @@ def test_crossing_pairs_detects_diagonals():
 
 
 def test_float_network_falls_back():
-    net = make_network(
-        [Vertex(CirclePoint.from_angle(0.0), 1), Vertex(CirclePoint.from_angle(math.pi), 1)],
-        [InteriorEdge(0, 1, 1)],
-    )
+    net = float_line_network()
     assert not net.is_exact
     assert is_stationary(net)  # float mode within tolerance
     with pytest.raises(ExactDataMissing):
