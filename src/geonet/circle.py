@@ -217,15 +217,22 @@ def point_div(p: CirclePoint, q: CirclePoint) -> CirclePoint:
     return CirclePoint.from_angle(p.angle - q.angle)
 
 
-def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
-    """(w - v) componentwise and |w - v|, exact; needs a rational squared length.
+def chord_square(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+    """(w - v) componentwise and |w - v|^2, exact.
 
     Each value is a Fraction when it is rational, so rational points give
     rational components."""
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
     dx, dy = _simplify(wx - vx), _simplify(wy - vy)
-    sq = _simplify(dx * dx + dy * dy)
+    return dx, dy, _simplify(dx * dx + dy * dy)
+
+
+def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
+    """(w - v) componentwise and |w - v|, exact; needs a rational squared length.
+
+    Each value is a Fraction when it is rational, as in chord_square."""
+    dx, dy, sq = chord_square(v, w)
     if isinstance(sq, RadExpr):
         raise InexactPosition("chord direction is not a representable radical")
     return dx, dy, _simplify(RadExpr.sqrt(sq))

@@ -11,6 +11,7 @@ is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -20,6 +21,7 @@ from .circle import (
     CirclePoint,
     _chord,
     angle_order,
+    chord_square,
     diameter_side,
     point_div,
     tangent_point,
@@ -247,7 +249,9 @@ def _balance_cone(positions: Sequence[CirclePoint]) -> Callable[[int, int], bool
     sum m_vw*cross(v, w)/|w - v| = 0, so with every m_vw > 0 the signs of
     cross(v, w) are mixed or all zero; all zero puts every neighbour at -v,
     hence degree 1 (degree 0 would leave m_v*v = 0).  The signs are
-    circle.diameter_side, decided exactly once per pair.
+    circle.diameter_side, decided exactly once per pair.  The enumeration
+    passes only the neighbours it may choose, so a pair it excludes (see
+    _irrational_chords) counts on neither side.
     """
     n = len(positions)
     left, right, antipode = [0] * n, [0] * n, [0] * n
@@ -272,14 +276,44 @@ def _balance_cone(positions: Sequence[CirclePoint]) -> Callable[[int, int], bool
     return ok
 
 
+def _is_rational_square(q: Fraction) -> bool:
+    """q >= 0 is the square of a rational; q is in lowest terms."""
+    num, den = q.numerator, q.denominator
+    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
+
+
+def _irrational_chords(positions: Sequence[CirclePoint]) -> list[tuple[int, int]]:
+    """The ray pairs (i, j), i < j, whose chord length is irrational, when
+    every ray has rational coordinates; none otherwise.
+
+    Such a pair carries no chord in any solution.  With the rays'
+    multiplicities fixed, the peel's unknowns y = m/|w - v| are forced
+    (solver.peel_solve), so rational rays give rational y, and a chord of
+    positive integer multiplicity m has the rational length m/y.  Radical
+    rays widen the field the lengths must lie in, and nothing is cut.
+    """
+    if not all(isinstance(c, Fraction) for p in positions for c in p.exact_xy()):
+        return []
+    n = len(positions)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not _is_rational_square(chord_square(positions[i], positions[j])[2])
+    ]
+
+
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
-    Enumerates non-crossing chord structures in deterministic order, cutting
-    every subtree of the enumeration in which some vertex has left the
-    balance cone (_balance_cone), and solves each remaining structure with
-    the rays' multiplicities fixed by solver.peel_solve, on chords
-    (w - v, |w - v|) computed once per problem.  The first structure with a
+    Enumerates non-crossing chord structures in deterministic order, leaving
+    out the ray pairs of irrational chord length when the rays are rational
+    (_irrational_chords) and cutting every subtree of the enumeration in
+    which some vertex has left the balance cone (_balance_cone).  It solves
+    each remaining structure with the rays' multiplicities fixed by
+    solver.peel_solve, on chords (w - v, |w - v|) computed once per problem.
+    Both cuts drop only structures without a solution, so the order of the
+    rest is that of the uncut search.  The first structure with a
     positive-integer solution is certified by an independent re-solve
     (build_system, solve, positive_integer_solutions) and by the exact
     admissibility check, and its network is returned; None when the bounded
@@ -302,7 +336,10 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         return c
 
     structures = enumerate_chord_sets(
-        len(positions), allow_adjacent=True, vertex_ok=_balance_cone(positions)
+        len(positions),
+        allow_adjacent=True,
+        vertex_ok=_balance_cone(positions),
+        excluded=_irrational_chords(positions),
     )
     for cs in structures:
         edge_mults = peel_solve(positions, mults, cs.chords, chord, bound)

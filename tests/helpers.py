@@ -403,6 +403,18 @@ def in_balance_cone(side, chords) -> bool:
     return all(s == {0} or {1, -1} <= s for s in signs)
 
 
+def irrational_chord_pairs(positions) -> set[tuple[int, int]]:
+    """Oracle for replace._irrational_chords on rational rays: the pairs whose
+    squared chord length 2 - 2 v.w is not a rational square."""
+    pairs = set()
+    for i, v in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            (vx, vy), (wx, wy) = v.exact_xy(), positions[j].exact_xy()
+            if not RadExpr.sqrt(2 - 2 * (vx * wx + vy * wy)).is_rational():
+                pairs.add((i, j))
+    return pairs
+
+
 def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
     """First admissible network of a replacement problem, with no pruning.
 

@@ -206,6 +206,15 @@ def test_tangent_point_rational_when_chord_squared_is_square():
     assert p.tan_half == Fraction(3)
 
 
+def test_tangent_point_falls_back_on_irrational_squared_chord():
+    # from pi/4 (tan-half sqrt2 - 1) to 0 the squared chord length 2 - sqrt2
+    # is irrational, so the direction is taken from the float angles
+    v = CirclePoint.from_tan_half(RadExpr.sqrt(2) - 1)
+    p = tangent_point(v, CirclePoint.from_tan_half(Fraction(0)))
+    assert p.tan_half is None
+    assert p.angle == pytest.approx(13 * math.pi / 8)
+
+
 def test_tangent_point_coincident_rejected():
     p = CirclePoint.from_tan_half(Fraction(1, 2))
     with pytest.raises(ValueError):

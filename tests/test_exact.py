@@ -50,6 +50,14 @@ def test_sqrt_of_rational():
     assert float(y) == pytest.approx(math.sqrt(0.75))
 
 
+def test_sqrt_of_rad_expr():
+    assert RadExpr.sqrt(RadExpr.of(Fraction(9, 4))) == RadExpr.of(Fraction(3, 2))
+    assert RadExpr.sqrt(RadExpr.of(12)) == 2 * RadExpr.sqrt(3)
+    assert RadExpr.sqrt(RadExpr.of(0)).is_zero()
+    with pytest.raises(ValueError, match="irrational"):
+        RadExpr.sqrt(RadExpr.sqrt(2))
+
+
 def test_sqrt_rejects_negative():
     with pytest.raises(ValueError):
         RadExpr.sqrt(-2)

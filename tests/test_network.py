@@ -167,6 +167,22 @@ def test_float_network_invariants_and_key():
     assert canonical_key(net) != canonical_key(line_network())
 
 
+def test_invariant_report_falls_back_on_irrational_chord_length():
+    # exact vertices at 0 and pi/4: the chord length sqrt(2 - sqrt2) has no
+    # exact form, so the whole report is taken in floats
+    net = make_network(
+        [Vertex(pt(0), 1), Vertex(CirclePoint.from_tan_half(RadExpr.sqrt(2) - 1), 3)],
+        [InteriorEdge(0, 1, 2)],
+    )
+    assert net.is_exact
+    rep = invariant_report(net)
+    assert not rep.exact
+    half = math.sqrt(2) / 2
+    assert rep.exterior_balance == pytest.approx((1 + 3 * half, 3 * half))
+    assert rep.mass_gap == pytest.approx(4 - 2 * math.sqrt(2 - math.sqrt(2)))
+    assert rep.exterior_parity == "even"
+
+
 def test_invariant_report_exact_zero():
     rep = invariant_report(golden_triangle())
     assert rep.exact

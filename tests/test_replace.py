@@ -28,6 +28,7 @@ from helpers import (
     fan_chords,
     golden_triangle,
     in_balance_cone,
+    irrational_chord_pairs,
     line_network,
     pt,
     rectangle_network,
@@ -262,21 +263,23 @@ SQRT2 = RadExpr.sqrt(2)
 DIAGONALS = (SQRT2 - 1, SQRT2 + 1, -SQRT2 - 1, 1 - SQRT2)
 
 
-# (name, problem, bound, structures solved by the pruned search, total)
+# (name, problem, bound, structures in the balance cone, structures peeled
+# by the search after the length cut, total)
 ORACLE_CASES = [
-    ("six", six_rays(1), 50, 45, 2880),
-    ("six-mirrored", six_rays(-1), 50, 45, 2880),
-    ("golden-plus-pair", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(1, 2), 7)])]), 50, 11, 352),
-    ("golden-plus-pair-2", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(4, 5), 20)])]), 50, 11, 352),
-    ("two-pairs", ray_problem(antipodal([(Fraction(1, 2), 3), (Fraction(2, 5), 8)])), 50, 3, 48),
-    ("two-pairs-2", ray_problem(antipodal([(Fraction(1, 6), 1), (Fraction(2, 3), 9)])), 50, 3, 48),
-    ("rotated-golden", rotated_golden(Fraction(0)), 75, 1, 8),
-    ("rotated-golden-2", rotated_golden(Fraction(2, 5)), 75, 1, 8),
-    ("rotated-golden-3", rotated_golden(Fraction(-1, 3)), 75, 1, 8),
-    ("line", replacement_problem(line_network(2), 0), 5, 1, 2),
-    ("radical-two-pairs", ray_problem(zip(DIAGONALS, (1, 2, 1, 2))), 50, 3, 48),
+    ("six", six_rays(1), 50, 45, 0, 2880),
+    ("six-mirrored", six_rays(-1), 50, 45, 0, 2880),
+    ("golden-plus-pair", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(1, 2), 7)])]), 50, 11, 0, 352),
+    ("golden-plus-pair-2", ray_problem([*GOLDEN_RAYS, *antipodal([(Fraction(4, 5), 20)])]), 50, 11, 0, 352),
+    ("two-pairs", ray_problem(antipodal([(Fraction(1, 2), 3), (Fraction(2, 5), 8)])), 50, 3, 0, 48),
+    ("two-pairs-2", ray_problem(antipodal([(Fraction(1, 6), 1), (Fraction(2, 3), 9)])), 50, 3, 0, 48),
+    ("rotated-golden", rotated_golden(Fraction(0)), 75, 1, 1, 8),
+    ("rotated-golden-2", rotated_golden(Fraction(2, 5)), 75, 1, 1, 8),
+    ("rotated-golden-3", rotated_golden(Fraction(-1, 3)), 75, 1, 1, 8),
+    ("line", replacement_problem(line_network(2), 0), 5, 1, 1, 2),
+    # radical rays: no length cut
+    ("radical-two-pairs", ray_problem(zip(DIAGONALS, (1, 2, 1, 2))), 50, 3, 3, 48),
 ] + [
-    (f"vertex-{k}", problem, 50, None, None)
+    (f"vertex-{k}", problem, 50, None, None, None)
     for k, problem in enumerate(vertex_problems())
 ]
 FEASIBLE = {"rotated-golden", "rotated-golden-2", "rotated-golden-3", "line"}
@@ -294,19 +297,43 @@ def count_solved(problem: ReplacementProblem, bound: int, monkeypatch) -> int:
     return len(calls)
 
 
+def cone_only(problem: ReplacementProblem) -> list[ChordSet]:
+    """The balance-cone enumeration without the length cut."""
+    positions = problem.positions
+    return list(
+        enumerate_chord_sets(
+            len(positions), allow_adjacent=True, vertex_ok=replace._balance_cone(positions)
+        )
+    )
+
+
+def length_cut(problem: ReplacementProblem) -> list[ChordSet]:
+    """The enumeration replacement_feasible peels: cone and length cut."""
+    positions = problem.positions
+    return list(
+        enumerate_chord_sets(
+            len(positions),
+            allow_adjacent=True,
+            vertex_ok=replace._balance_cone(positions),
+            excluded=replace._irrational_chords(positions),
+        )
+    )
+
+
 @pytest.mark.parametrize(
-    "name, problem, bound, solved, total",
+    "name, problem, bound, cone, peeled, total",
     ORACLE_CASES,
     ids=[case[0] for case in ORACLE_CASES],
 )
-def test_pruned_search_matches_unpruned(name, problem, bound, solved, total, monkeypatch):
+def test_pruned_search_matches_unpruned(name, problem, bound, cone, peeled, total, monkeypatch):
     found = replacement_feasible(problem, bound)
     assert found == unpruned_replacement_feasible(problem, bound)
     assert (found is not None) == (name in FEASIBLE)
-    if solved is not None:
+    if cone is not None:
         n = len(problem.positions)
         assert sum(1 for _ in enumerate_chord_sets(n, allow_adjacent=True)) == total
-        assert count_solved(problem, bound, monkeypatch) == solved
+        assert len(cone_only(problem)) == cone
+        assert count_solved(problem, bound, monkeypatch) == peeled
 
 
 def test_pruned_search_fails_like_unpruned_on_inexact_chords():
@@ -430,3 +457,109 @@ def test_cone_cut_matches_uncut_enumeration_on_eight_rays():
     in_cone = [cs for cs in uncut if in_balance_cone(side, cs.chords)]
     assert list(cut) == in_cone
     assert len(in_cone) == 903
+    # the length cut leaves the four diameters, which pairwise cross
+    irrational = irrational_chord_pairs(positions)
+    assert len(irrational) == 28 - 4
+    assert length_cut(EIGHT_RAYS) == [
+        cs for cs in in_cone if not irrational.intersection(cs.chords)
+    ] == []
+
+
+# --- the length cut: pairs of irrational chord length carry no chord --------
+
+WIDE_TANS = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(2, 5), Fraction(1, 6), Fraction(4, 5))
+# five and six antipodal pairs with ray multiplicities 1, 2, ...; twelve rays
+# is the enumeration cap
+WIDE_ANTIPODAL = {
+    n: ray_problem(antipodal(zip(WIDE_TANS[: n // 2], range(1, n)))) for n in (10, 12)
+}
+# 1 + t^2 is a rational square for each tan-half, so every chord is rational
+PYTHAGOREAN_EIGHT = ray_problem(
+    antipodal(zip((Fraction(3, 4), Fraction(5, 12), Fraction(8, 15), Fraction(7, 24)), (1, 2, 3, 4)))
+)
+# 1 + t^2 is 25/16 times a square for the pair at 3/4 and 5/4 times a square
+# for the other two: chords within each class are rational, chords across not
+MIXED_SIX = ray_problem(antipodal(zip((Fraction(3, 4), Fraction(1, 2), Fraction(-1, 2)), (1, 2, 3))))
+
+
+def is_rational(problem: ReplacementProblem) -> bool:
+    return all(isinstance(c, Fraction) for p in problem.positions for c in p.exact_xy())
+
+
+# (name, problem, bound, in-cone structures that the length cut drops) for
+# every problem with rational rays; a vertex problem has one in-cone structure
+RATIONAL_CASES = [
+    (name, problem, bound, 1 if cone is None else cone - peeled)
+    for name, problem, bound, cone, peeled, _ in ORACLE_CASES
+    if is_rational(problem)
+] + [("eight", EIGHT_RAYS, 50, 903), ("mixed-six", MIXED_SIX, 50, 45)]
+
+
+@pytest.mark.parametrize(
+    "name, problem, bound, dropped", RATIONAL_CASES, ids=[case[0] for case in RATIONAL_CASES]
+)
+def test_length_cut_drops_only_structures_without_solution(name, problem, bound, dropped):
+    kept = set(length_cut(problem))
+    cut = [cs for cs in cone_only(problem) if cs not in kept]
+    assert len(cut) == dropped
+    for cs in cut:
+        result = solve(build_system(problem.positions, cs, problem.exterior_mults))
+        assert positive_integer_solutions(result, bound) == []
+        if result.particular is not None:
+            # at any bound: the one solution has an entry that is not a
+            # positive integer
+            assert result.nullity == 0
+            assert not all(
+                RadExpr.of(x).is_integer() and RadExpr.of(x).sign() > 0
+                for x in result.particular
+            )
+
+
+@pytest.mark.parametrize("problem", [MIXED_SIX, six_rays(1)], ids=["mixed-six", "six"])
+def test_length_cut_matches_uncut_enumeration(problem):
+    positions = problem.positions
+    side = diameter_sides(positions)
+    irrational = irrational_chord_pairs(positions)
+    assert irrational == set(replace._irrational_chords(positions))
+    uncut = enumerate_chord_sets(len(positions), allow_adjacent=True)
+    expected = [
+        cs
+        for cs in uncut
+        if in_balance_cone(side, cs.chords) and not irrational.intersection(cs.chords)
+    ]
+    assert length_cut(problem) == expected
+
+
+def test_length_cut_keeps_every_pythagorean_chord():
+    assert replace._irrational_chords(PYTHAGOREAN_EIGHT.positions) == []
+    assert irrational_chord_pairs(PYTHAGOREAN_EIGHT.positions) == set()
+    cone = cone_only(PYTHAGOREAN_EIGHT)
+    assert len(cone) == 903
+    assert length_cut(PYTHAGOREAN_EIGHT) == cone
+    assert replacement_feasible(PYTHAGOREAN_EIGHT, 50) is None
+
+
+@pytest.mark.parametrize("n", sorted(WIDE_ANTIPODAL))
+def test_wide_antipodal_problems_peel_nothing(n, monkeypatch):
+    problem = WIDE_ANTIPODAL[n]
+    assert len(problem.positions) == n
+    assert replace._irrational_chords(problem.positions)
+    assert count_solved(problem, 50, monkeypatch) == 0
+    assert replacement_feasible(problem, 50) is None
+
+
+def test_length_cut_needs_rational_rays():
+    # the diagonals' coordinates are +-sqrt(2)/2; their side chords have the
+    # irrational length sqrt(2), which lies in the rays' field, so nothing is cut
+    assert replace._irrational_chords([CirclePoint.from_tan_half(t) for t in DIAGONALS]) == []
+
+
+def test_excluded_pairs_checked():
+    ok = replace._balance_cone(EIGHT_RAYS.positions)
+    with pytest.raises(ValueError, match="not a candidate chord"):
+        enumerate_chord_sets(8, allow_adjacent=True, vertex_ok=ok, excluded=[(3, 1)])
+    # adjacent pairs are no candidates unless allowed
+    with pytest.raises(ValueError, match="not a candidate chord"):
+        enumerate_chord_sets(4, vertex_ok=lambda v, nbrs: True, excluded=[(0, 1)])
+    with pytest.raises(ValueError, match="need a vertex predicate"):
+        enumerate_chord_sets(4, excluded=[(0, 2)])

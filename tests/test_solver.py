@@ -424,6 +424,9 @@ def test_peel_solves_fixed_exterior_structures():
     assert peel(golden, (100, 56, 100), triangle, 74) is None
     assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 5) == (3,)
     assert peel([pt(0), pt(INFINITY)], (3, 4), ((0, 1),), 5) is None
+    # the first vertex's one chord needs 3, which is above the bound
+    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 2) is None
+    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 3) == (3,)
 
 
 def test_peel_checks_every_single_chord_vertex():
