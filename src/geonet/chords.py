@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterator
 
 from .errors import CrossingEdges
 
@@ -115,7 +115,6 @@ def enumerate_chord_sets(
     allow_adjacent: bool = False,
     *,
     vertex_ok: Callable[[int, int], bool] | None = None,
-    excluded: Collection[tuple[int, int]] = (),
 ) -> Iterator[ChordSet]:
     """All non-crossing chord sets, in lexicographic order of sorted pair lists.
 
@@ -123,9 +122,7 @@ def enumerate_chord_sets(
     every vertex v, in the same order; neighbours is the bitmask of v's
     neighbours (bit w for vertex w).  Once the recursion has passed v's last
     candidate pair, v's neighbours are final, so a v that fails cuts the
-    whole subtree.  excluded names candidate pairs (i, j), i < j, that no
-    set contains; it needs vertex_ok, which then never sees them among the
-    neighbours.
+    whole subtree.
     """
     if n < 1:
         raise ValueError("need at least one point")
@@ -133,14 +130,7 @@ def enumerate_chord_sets(
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
     table = _crossing_table(n, allow_adjacent)
     if vertex_ok is not None:
-        blocked = 0
-        for p in excluded:
-            if p not in table.index:
-                raise ValueError(f"excluded pair {p} is not a candidate chord")
-            blocked |= 1 << table.index[p]
-        return _enumerate_cut(n, table, vertex_ok, blocked)
-    if excluded:
-        raise ValueError("excluded pairs need a vertex predicate")
+        return _enumerate_cut(n, table, vertex_ok)
     pairs, masks = table.pairs, table.masks
     trusted = ChordSet._trusted
 
@@ -157,11 +147,10 @@ def enumerate_chord_sets(
 
 
 def _enumerate_cut(
-    n: int, table: _CrossingTable, vertex_ok: Callable[[int, int], bool], excluded: int
+    n: int, table: _CrossingTable, vertex_ok: Callable[[int, int], bool]
 ) -> Iterator[ChordSet]:
     """enumerate_chord_sets with a vertex predicate, applied as early as the
-    lexicographic recursion allows; excluded is the bitmask of the candidate
-    pairs never chosen."""
+    lexicographic recursion allows."""
     pairs, masks = table.pairs, table.masks
     trusted = ChordSet._trusted
     last = [-1] * n  # index of each vertex's last candidate pair
@@ -196,7 +185,7 @@ def _enumerate_cut(
             nbrs[j] ^= 1 << i
 
     if passes(settled[0]):
-        yield from extend([], excluded, 0)
+        yield from extend([], 0, 0)
 
 
 def max_nonadjacent_chords(n: int) -> int:

@@ -249,9 +249,10 @@ def _balance_cone(positions: Sequence[CirclePoint]) -> Callable[[int, int], bool
     sum m_vw*cross(v, w)/|w - v| = 0, so with every m_vw > 0 the signs of
     cross(v, w) are mixed or all zero; all zero puts every neighbour at -v,
     hence degree 1 (degree 0 would leave m_v*v = 0).  The signs are
-    circle.diameter_side, decided exactly once per pair.  The enumeration
-    passes only the neighbours it may choose, so a pair it excludes (see
-    _irrational_chords) counts on neither side.
+    circle.diameter_side, decided exactly once per pair.  It follows that a
+    structure in the cone is connected and spans every ray: two components
+    would lie in disjoint arcs, one of them shorter than a half turn, and
+    the end vertex of that arc would have all its neighbours on one side.
     """
     n = len(positions)
     left, right, antipode = [0] * n, [0] * n, [0] * n
@@ -282,37 +283,39 @@ def _is_rational_square(q: Fraction) -> bool:
     return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
 
-def _irrational_chords(positions: Sequence[CirclePoint]) -> list[tuple[int, int]]:
-    """The ray pairs (i, j), i < j, whose chord length is irrational, when
-    every ray has rational coordinates; none otherwise.
+def _one_length_class(positions: Sequence[CirclePoint]) -> bool:
+    """False when every ray has rational coordinates and some chord length
+    between two rays is irrational; True otherwise.
 
-    Such a pair carries no chord in any solution.  With the rays'
-    multiplicities fixed, the peel's unknowns y = m/|w - v| are forced
-    (solver.peel_solve), so rational rays give rational y, and a chord of
-    positive integer multiplicity m has the rational length m/y.  Radical
-    rays widen the field the lengths must lie in, and nothing is cut.
+    A ray pair of irrational chord length carries no chord in any solution:
+    with the rays' multiplicities fixed, the peel's unknowns y = m/|w - v|
+    are forced (solver.peel_solve), so rational rays give rational y, and a
+    chord of positive integer multiplicity m has the rational length m/y.
+    A structure in the balance cone is connected and spans every ray
+    (_balance_cone), so it has such a pair unless every pair is rational.
+    Between rays at tan-halves s and t, |w - v|^2 = 4(s - t)^2/((1 + s^2)
+    (1 + t^2)), or 4/(1 + t^2) from the point at pi, so a rational length
+    is an equivalence (1 + s^2 agree up to a rational square factor), and
+    the chords from ray 0 decide every pair.  Radical rays widen the field
+    the lengths must lie in, and nothing is decided.
     """
     if not all(isinstance(c, Fraction) for p in positions for c in p.exact_xy()):
-        return []
-    n = len(positions)
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not _is_rational_square(chord_square(positions[i], positions[j])[2])
-    ]
+        return True
+    first = positions[0]
+    return all(_is_rational_square(chord_square(first, p)[2]) for p in positions[1:])
 
 
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
-    Enumerates non-crossing chord structures in deterministic order, leaving
-    out the ray pairs of irrational chord length when the rays are rational
-    (_irrational_chords) and cutting every subtree of the enumeration in
-    which some vertex has left the balance cone (_balance_cone).  It solves
+    Returns None at once when the rays do not balance, or when they are
+    rational and some chord length between them is irrational
+    (_one_length_class).  Otherwise enumerates non-crossing chord structures
+    in deterministic order, cutting every subtree of the enumeration in
+    which some vertex has left the balance cone (_balance_cone), and solves
     each remaining structure with the rays' multiplicities fixed by
     solver.peel_solve, on chords (w - v, |w - v|) computed once per problem.
-    Both cuts drop only structures without a solution, so the order of the
+    Both tests drop only structures without a solution, so the order of the
     rest is that of the uncut search.  The first structure with a
     positive-integer solution is certified by an independent re-solve
     (build_system, solve, positive_integer_solutions) and by the exact
@@ -325,7 +328,7 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         raise InexactPosition("feasibility search needs exact ray directions")
     positions, mults = problem.positions, problem.exterior_mults
     bx, by = exterior_balance(zip(positions, mults))
-    if not (bx.is_zero() and by.is_zero()):
+    if not (bx.is_zero() and by.is_zero()) or not _one_length_class(positions):
         return None
     cache: dict[tuple[int, int], tuple] = {}
 
@@ -339,7 +342,6 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         len(positions),
         allow_adjacent=True,
         vertex_ok=_balance_cone(positions),
-        excluded=_irrational_chords(positions),
     )
     for cs in structures:
         edge_mults = peel_solve(positions, mults, cs.chords, chord, bound)

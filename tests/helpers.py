@@ -404,8 +404,9 @@ def in_balance_cone(side, chords) -> bool:
 
 
 def irrational_chord_pairs(positions) -> set[tuple[int, int]]:
-    """Oracle for replace._irrational_chords on rational rays: the pairs whose
-    squared chord length 2 - 2 v.w is not a rational square."""
+    """The pairs whose squared chord length 2 - 2 v.w is not a rational
+    square; on rational rays, replace._one_length_class holds exactly when
+    there are none."""
     pairs = set()
     for i, v in enumerate(positions):
         for j in range(i + 1, len(positions)):

@@ -140,6 +140,9 @@ def test_float_of_zero_is_float():
 
 def test_repr_readable():
     assert repr(RadExpr.of(Fraction(1, 2)) + RadExpr.sqrt(3)) == "1/2 + sqrt(3)"
+    assert repr(RadExpr()) == "0"
+    assert repr(RadExpr.sqrt(12)) == "2*sqrt(3)"
+    assert repr(1 + Fraction(-3, 2) * RadExpr.sqrt(5)) == "1 + -3/2*sqrt(5)"
 
 
 @given(a=rationals, b=rationals, d=small_squarefree, e=small_squarefree)

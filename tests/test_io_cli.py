@@ -10,7 +10,7 @@ import pytest
 
 import geonet
 from geonet.circle import INFINITY, tangent_point
-from geonet.cli import _emit, dispatch
+from geonet.cli import _emit, dispatch, main
 from geonet.errors import ParseError, VersionError
 from geonet.exact import RadExpr
 from geonet.io import (
@@ -177,6 +177,9 @@ def test_scalar_encoding():
     assert scalar_to_json(RadExpr.of(Fraction(1, 2))) == [1, 2]
     radical = RadExpr.of(1) + RadExpr.sqrt(2)
     assert scalar_to_json(radical) == {"radical_terms": [[1, 1, 1], [2, 1, 1]]}
+    # anything else is written as a float
+    assert scalar_to_json(0.25) == 0.25
+    assert type(scalar_to_json(0.25)) is float
 
 
 # --- command-line behavior -------------------------------------------------
@@ -224,6 +227,19 @@ def test_cli_missing_file_is_failure(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [(["certify-n3"], 0), (["validate", "--network", "nope.json"], 1), (["frobnicate"], 2)],
+)
+def test_cli_main_exits_with_dispatch_code(args, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["geonet", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == code
+    assert (capsys.readouterr().out != "") == (code == 0)
 
 
 def test_cli_usage_errors(capsys):

@@ -307,19 +307,6 @@ def cone_only(problem: ReplacementProblem) -> list[ChordSet]:
     )
 
 
-def length_cut(problem: ReplacementProblem) -> list[ChordSet]:
-    """The enumeration replacement_feasible peels: cone and length cut."""
-    positions = problem.positions
-    return list(
-        enumerate_chord_sets(
-            len(positions),
-            allow_adjacent=True,
-            vertex_ok=replace._balance_cone(positions),
-            excluded=replace._irrational_chords(positions),
-        )
-    )
-
-
 @pytest.mark.parametrize(
     "name, problem, bound, cone, peeled, total",
     ORACLE_CASES,
@@ -457,12 +444,10 @@ def test_cone_cut_matches_uncut_enumeration_on_eight_rays():
     in_cone = [cs for cs in uncut if in_balance_cone(side, cs.chords)]
     assert list(cut) == in_cone
     assert len(in_cone) == 903
-    # the length cut leaves the four diameters, which pairwise cross
+    # only the four diameters have rational length, and they pairwise cross
     irrational = irrational_chord_pairs(positions)
     assert len(irrational) == 28 - 4
-    assert length_cut(EIGHT_RAYS) == [
-        cs for cs in in_cone if not irrational.intersection(cs.chords)
-    ] == []
+    assert [cs for cs in in_cone if not irrational.intersection(cs.chords)] == []
 
 
 # --- the length cut: pairs of irrational chord length carry no chord --------
@@ -473,13 +458,20 @@ WIDE_TANS = (Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), Fraction(2, 5), Fra
 WIDE_ANTIPODAL = {
     n: ray_problem(antipodal(zip(WIDE_TANS[: n // 2], range(1, n)))) for n in (10, 12)
 }
-# 1 + t^2 is a rational square for each tan-half, so every chord is rational
-PYTHAGOREAN_EIGHT = ray_problem(
-    antipodal(zip((Fraction(3, 4), Fraction(5, 12), Fraction(8, 15), Fraction(7, 24)), (1, 2, 3, 4)))
+PYTHAGOREAN_TANS = (
+    Fraction(3, 4), Fraction(5, 12), Fraction(8, 15), Fraction(7, 24),
+    Fraction(20, 21), Fraction(12, 35), Fraction(9, 40),
 )
+# 1 + t^2 is a rational square for each tan-half, so every chord is rational
+PYTHAGOREAN_EIGHT = ray_problem(antipodal(zip(PYTHAGOREAN_TANS[:4], (1, 2, 3, 4))))
 # 1 + t^2 is 25/16 times a square for the pair at 3/4 and 5/4 times a square
 # for the other two: chords within each class are rational, chords across not
 MIXED_SIX = ray_problem(antipodal(zip((Fraction(3, 4), Fraction(1, 2), Fraction(-1, 2)), (1, 2, 3))))
+# fourteen balanced rays, past the enumeration cap: seven pairs in seven
+# length classes (1 + t^2 is 5/4, 13/9, 17/16, 29/25, 37/36, 41/25 and 10/9,
+# no two a square apart), and seven Pythagorean pairs in one class
+SEVEN_PAIRS = ray_problem(antipodal(zip((*WIDE_TANS, Fraction(1, 3)), range(1, 8))))
+PYTHAGOREAN_FOURTEEN = ray_problem(antipodal(zip(PYTHAGOREAN_TANS, range(1, 8))))
 
 
 def is_rational(problem: ReplacementProblem) -> bool:
@@ -499,8 +491,8 @@ RATIONAL_CASES = [
     "name, problem, bound, dropped", RATIONAL_CASES, ids=[case[0] for case in RATIONAL_CASES]
 )
 def test_length_cut_drops_only_structures_without_solution(name, problem, bound, dropped):
-    kept = set(length_cut(problem))
-    cut = [cs for cs in cone_only(problem) if cs not in kept]
+    # the length test rules out every in-cone structure or none
+    cut = [] if replace._one_length_class(problem.positions) else cone_only(problem)
     assert len(cut) == dropped
     for cs in cut:
         result = solve(build_system(problem.positions, cs, problem.exterior_mults))
@@ -517,25 +509,63 @@ def test_length_cut_drops_only_structures_without_solution(name, problem, bound,
 
 @pytest.mark.parametrize("problem", [MIXED_SIX, six_rays(1)], ids=["mixed-six", "six"])
 def test_length_cut_matches_uncut_enumeration(problem):
+    # every in-cone structure has a chord of irrational length
     positions = problem.positions
     side = diameter_sides(positions)
     irrational = irrational_chord_pairs(positions)
-    assert irrational == set(replace._irrational_chords(positions))
+    assert irrational
     uncut = enumerate_chord_sets(len(positions), allow_adjacent=True)
-    expected = [
+    assert [
         cs
         for cs in uncut
         if in_balance_cone(side, cs.chords) and not irrational.intersection(cs.chords)
-    ]
-    assert length_cut(problem) == expected
+    ] == []
 
 
-def test_length_cut_keeps_every_pythagorean_chord():
-    assert replace._irrational_chords(PYTHAGOREAN_EIGHT.positions) == []
+CLASS_CASES = [(name, problem) for name, problem, *_ in RATIONAL_CASES] + [
+    ("pythagorean-eight", PYTHAGOREAN_EIGHT),
+    *((f"wide-{n}", problem) for n, problem in WIDE_ANTIPODAL.items()),
+    ("seven-pairs", SEVEN_PAIRS),
+    ("pythagorean-fourteen", PYTHAGOREAN_FOURTEEN),
+]
+
+
+@pytest.mark.parametrize("problem", [c[1] for c in CLASS_CASES], ids=[c[0] for c in CLASS_CASES])
+def test_one_length_class_matches_every_pair(problem):
+    assert is_rational(problem)
+    assert replace._one_length_class(problem.positions) == (
+        not irrational_chord_pairs(problem.positions)
+    )
+
+
+def spans_connected(n: int, chords) -> bool:
+    """The chords connect all n rays."""
+    reached, grew = {0}, True
+    while grew:
+        grew = False
+        for i, j in chords:
+            if (i in reached) != (j in reached):
+                reached |= {i, j}
+                grew = True
+    return len(reached) == n
+
+
+def test_cone_structures_are_connected_and_span_every_ray():
+    # the lemma behind the length test's early return (_balance_cone)
+    structures = 0
+    for problem in [case[1] for case in ORACLE_CASES] + [EIGHT_RAYS, PYTHAGOREAN_EIGHT, MIXED_SIX]:
+        n = len(problem.positions)
+        for cs in cone_only(problem):
+            assert spans_connected(n, cs.chords), cs
+            structures += 1
+    assert structures == 1983
+
+
+def test_length_cut_keeps_every_pythagorean_chord(monkeypatch):
+    assert replace._one_length_class(PYTHAGOREAN_EIGHT.positions)
     assert irrational_chord_pairs(PYTHAGOREAN_EIGHT.positions) == set()
-    cone = cone_only(PYTHAGOREAN_EIGHT)
-    assert len(cone) == 903
-    assert length_cut(PYTHAGOREAN_EIGHT) == cone
+    assert len(cone_only(PYTHAGOREAN_EIGHT)) == 903
+    assert count_solved(PYTHAGOREAN_EIGHT, 50, monkeypatch) == 903
     assert replacement_feasible(PYTHAGOREAN_EIGHT, 50) is None
 
 
@@ -543,23 +573,21 @@ def test_length_cut_keeps_every_pythagorean_chord():
 def test_wide_antipodal_problems_peel_nothing(n, monkeypatch):
     problem = WIDE_ANTIPODAL[n]
     assert len(problem.positions) == n
-    assert replace._irrational_chords(problem.positions)
+    assert not replace._one_length_class(problem.positions)
     assert count_solved(problem, 50, monkeypatch) == 0
     assert replacement_feasible(problem, 50) is None
+
+
+def test_length_classes_decide_past_the_enumeration_cap():
+    # two or more classes: None before any enumeration; one class: the
+    # enumeration is needed and refuses fourteen rays
+    assert len(SEVEN_PAIRS.positions) == len(PYTHAGOREAN_FOURTEEN.positions) == 14
+    assert replacement_feasible(SEVEN_PAIRS, 50) is None
+    with pytest.raises(ValueError, match="capped at n <= 12"):
+        replacement_feasible(PYTHAGOREAN_FOURTEEN, 50)
 
 
 def test_length_cut_needs_rational_rays():
     # the diagonals' coordinates are +-sqrt(2)/2; their side chords have the
     # irrational length sqrt(2), which lies in the rays' field, so nothing is cut
-    assert replace._irrational_chords([CirclePoint.from_tan_half(t) for t in DIAGONALS]) == []
-
-
-def test_excluded_pairs_checked():
-    ok = replace._balance_cone(EIGHT_RAYS.positions)
-    with pytest.raises(ValueError, match="not a candidate chord"):
-        enumerate_chord_sets(8, allow_adjacent=True, vertex_ok=ok, excluded=[(3, 1)])
-    # adjacent pairs are no candidates unless allowed
-    with pytest.raises(ValueError, match="not a candidate chord"):
-        enumerate_chord_sets(4, vertex_ok=lambda v, nbrs: True, excluded=[(0, 1)])
-    with pytest.raises(ValueError, match="need a vertex predicate"):
-        enumerate_chord_sets(4, excluded=[(0, 2)])
+    assert replace._one_length_class([CirclePoint.from_tan_half(t) for t in DIAGONALS])
