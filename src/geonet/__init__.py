@@ -8,7 +8,6 @@ from .chords import (
     closed_form_bounds,
     enumerate_chord_sets,
     max_nonadjacent_chords,
-    maximal_chord_sets,
 )
 from .errors import GeonetError
 from .exact import RadExpr
@@ -54,7 +53,6 @@ _SWEEP_EXPORTS = frozenset({
     "SphereConfig",
     "Sweepout",
     "c_length",
-    "discrete_geodesic_curvature",
     "flow_to_cmc",
     "latitude_curve",
     "latitude_sweepout",

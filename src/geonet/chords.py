@@ -93,7 +93,6 @@ class _CrossingTable:
 
     pairs: tuple[tuple[int, int], ...]
     masks: tuple[int, ...]
-    index: dict[tuple[int, int], int]
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +106,7 @@ def _crossing_table(n: int, allow_adjacent: bool) -> _CrossingTable:
     masks = tuple(
         sum(1 << k for k, q in enumerate(pairs) if chords_cross(p, q)) for p in pairs
     )
-    return _CrossingTable(pairs, masks, {p: k for k, p in enumerate(pairs)})
+    return _CrossingTable(pairs, masks)
 
 
 def enumerate_chord_sets(
@@ -202,21 +201,6 @@ def nonadjacent_max_recursive(n: int) -> int:
         1 + nonadjacent_max_recursive(k + 2) + nonadjacent_max_recursive(n - 2 - k + 2)
         for k in range(1, n - 2)
     )
-
-
-def is_maximal(cs: ChordSet) -> bool:
-    """No further chord (adjacent ones included) can be added without a crossing:
-    every candidate pair is chosen or crosses a chosen chord."""
-    table = _crossing_table(cs.n, True)
-    covered = 0
-    for p in cs.chords:
-        k = table.index[p]
-        covered |= table.masks[k] | 1 << k
-    return covered == (1 << len(table.pairs)) - 1
-
-
-def maximal_chord_sets(n: int) -> list[ChordSet]:
-    return [cs for cs in enumerate_chord_sets(n, allow_adjacent=True) if is_maximal(cs)]
 
 
 def _arc_sides(chord: tuple[int, int], n: int) -> tuple[list[int], list[int]]:

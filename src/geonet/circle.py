@@ -238,11 +238,6 @@ def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, Ex
     return dx, dy, _simplify(RadExpr.sqrt(sq))
 
 
-def chord_length_exact(v: CirclePoint, w: CirclePoint) -> RadExpr:
-    """|w - v| as an exact radical, for exactly parametrized endpoints."""
-    return RadExpr.of(_chord(v, w)[2])
-
-
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
     """Side of w relative to the diameter through v, decided exactly.
 

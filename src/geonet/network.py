@@ -21,9 +21,9 @@ from .circle import (
     INFINITY,
     TAU,
     CirclePoint,
+    _chord,
     angle_order,
     point_div,
-    chord_length_exact,
     tangent_components_exact,
 )
 from .errors import (
@@ -256,9 +256,7 @@ def invariant_report(net: Network) -> InvariantReport:
             balance = exterior_balance(rays)
             mass = RadExpr.of(total_ext)
             for e in net.edges:
-                ln = chord_length_exact(
-                    net.vertices[e.i].position, net.vertices[e.j].position
-                )
+                ln = _chord(net.vertices[e.i].position, net.vertices[e.j].position)[2]
                 mass = mass - e.mult * ln
             return InvariantReport(balance, mass, parity, True)
         except (ExactDataMissing, InexactPosition):

@@ -11,6 +11,7 @@ is not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -216,11 +217,6 @@ class ReplacementProblem:
     def is_exact(self) -> bool:
         return all(p.is_exact for p in self.positions)
 
-    def canonical_key(self) -> tuple:
-        """The canonical key of the rays as a network without chords."""
-        rays = zip(self.positions, self.exterior_mults)
-        return canonical_key(Network(tuple(Vertex(p, m) for p, m in rays), ()))
-
 
 def replacement_problem(net: Network, i: int) -> ReplacementProblem:
     """Boundary data seen from vertex i: its ray plus its chord tangents."""
@@ -314,7 +310,8 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     in deterministic order, cutting every subtree of the enumeration in
     which some vertex has left the balance cone (_balance_cone), and solves
     each remaining structure with the rays' multiplicities fixed by
-    solver.peel_solve, on chords (w - v, |w - v|) computed once per problem.
+    solver.peel_solve, on chord lookups (w - v, |w - v|) memoized per
+    problem.
     Both tests drop only structures without a solution, so the order of the
     rest is that of the uncut search.  The first structure with a
     positive-integer solution is certified by an independent re-solve
@@ -330,14 +327,7 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     bx, by = exterior_balance(zip(positions, mults))
     if not (bx.is_zero() and by.is_zero()) or not _one_length_class(positions):
         return None
-    cache: dict[tuple[int, int], tuple] = {}
-
-    def chord(i: int, j: int) -> tuple:
-        c = cache.get((i, j))
-        if c is None:
-            c = cache[i, j] = _chord(positions[i], positions[j])
-        return c
-
+    chord = functools.cache(lambda i, j: _chord(positions[i], positions[j]))
     structures = enumerate_chord_sets(
         len(positions),
         allow_adjacent=True,

@@ -56,7 +56,7 @@ class StationaritySystem:
     rhs: tuple[ExactScalar, ...]
     # x = scale * y per column: 1 for an m_v column, |w - v| for a chord
     scale: tuple[ExactScalar, ...]
-    fixed_exterior: tuple[int, ...] | None
+    fixed_exterior: tuple[int, ...] | None  # in angle order, as positions
 
     @property
     def n_unknowns(self) -> int:
@@ -85,9 +85,10 @@ def build_system(
 
     Positions are put in angle order (and chord indices remapped) so the
     cyclic order matches vertex order; chords that cross after the remap raise
-    CrossingEdges.  With fixed_exterior the m_v columns move to the
-    right-hand side and only edge multiplicities remain unknown.  A chord's
-    column holds (w - v) from circle._chord, and its length goes to scale.
+    CrossingEdges.  With fixed_exterior, which is permuted in angle order with
+    the positions, the m_v columns move to the right-hand side and only edge
+    multiplicities remain unknown.  A chord's column holds (w - v) from
+    circle._chord, and its length goes to scale.
     """
     n = len(positions)
     if edges.n != n:
@@ -105,9 +106,11 @@ def build_system(
     pairs = chord_set.chords
 
     e = len(pairs)
-    fixed = tuple(fixed_exterior) if fixed_exterior is not None else None
-    if fixed is not None and len(fixed) != n:
-        raise ValueError("fixed_exterior length must equal the vertex count")
+    fixed = None
+    if fixed_exterior is not None:
+        if len(fixed_exterior) != n:
+            raise ValueError("fixed_exterior length must equal the vertex count")
+        fixed = tuple(fixed_exterior[k] for k in order)
     ncols = e if fixed is not None else n + e
     zero = Fraction(0)
     matrix = [[zero] * ncols for _ in range(2 * n)]

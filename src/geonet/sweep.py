@@ -181,13 +181,9 @@ def _curvatures(pts: np.ndarray):
     return delta / (0.5 * (arc_in + arc_out)), delta, u, w, float(np.sum(arc_out))
 
 
-def discrete_geodesic_curvature(curve: PolyCurve, i: int) -> float:
-    """Turning angle over mean adjacent arc; +cot(phi) on a CCW latitude."""
-    return float(_curvatures(curve.points)[0][i])
-
-
 def curvature_profile(curve: PolyCurve) -> np.ndarray:
-    """Discrete geodesic curvature at every vertex."""
+    """Discrete geodesic curvature at every vertex: turning angle over mean
+    adjacent arc, +cot(phi) on a CCW latitude."""
     return _curvatures(curve.points)[0]
 
 

@@ -368,11 +368,14 @@ def naive_chord_sets(n: int, allow_adjacent: bool = False):
     return extend([], 0)
 
 
-def naive_is_maximal(cs: ChordSet) -> bool:
-    """Oracle for chords.is_maximal: no unchosen pair avoids every chosen chord."""
+def naive_is_maximal(cs: ChordSet, allow_adjacent: bool = True) -> bool:
+    """No unchosen pair avoids every chosen chord; adjacent pairs count only
+    with allow_adjacent."""
     have = set(cs.chords)
     for i in range(cs.n):
         for j in range(i + 1, cs.n):
+            if not allow_adjacent and (j - i == 1 or (i == 0 and j == cs.n - 1)):
+                continue
             if (i, j) not in have and all(not chords_cross((i, j), q) for q in cs.chords):
                 return False
     return True

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from geonet.circle import (
     INFINITY,
     CirclePoint,
+    _chord,
     angle_of_tan,
     angle_order,
-    chord_length_exact,
     diameter_side,
     exact_xy_of_tan,
     normalize_angle,
@@ -159,7 +159,7 @@ def test_chord_length_exact_matches_float(a, b):
         return
     p = CirclePoint.from_tan_half(a)
     q = CirclePoint.from_tan_half(b)
-    ln = chord_length_exact(p, q)
+    ln = _chord(p, q)[2]
     px, py = p.xy()
     qx, qy = q.xy()
     assert float(ln) == pytest.approx(math.hypot(qx - px, qy - py), abs=1e-9)
@@ -167,14 +167,14 @@ def test_chord_length_exact_matches_float(a, b):
 
 def test_chord_length_exact_edge_cases():
     p = CirclePoint.from_tan_half(Fraction(2, 3))
-    assert chord_length_exact(p, p).is_zero()
+    assert _chord(p, p)[2] == 0
     with pytest.raises(ValueError, match="coincident"):
         tangent_components_exact(p, p)
     # v.w = 1/6 + sqrt(6)/3, so |w - v|^2 = 2 - 2 v.w is irrational
     v = CirclePoint.from_tan_half(RadExpr.sqrt(2))
     w = CirclePoint.from_tan_half(RadExpr.sqrt(3))
     with pytest.raises(InexactPosition):
-        chord_length_exact(v, w)
+        _chord(v, w)
     with pytest.raises(InexactPosition, match="chord direction"):
         tangent_components_exact(v, w)
 

@@ -90,11 +90,52 @@ def test_golden_full_kernel():
     assert all(r.is_zero() for r in system_residual(system, result.kernel_basis[0]))
 
 
+def permuted_input(positions, chords, fixed, turn, mirror):
+    """The same network listed from another start vertex, and backwards with
+    mirror: input vertex k is positions[turn -/+ k]; the chords and the fixed
+    exterior follow, and the chords still do not cross in input order."""
+    n = len(positions)
+    perm = [(turn - k if mirror else turn + k) % n for k in range(n)]
+    where = {v: k for k, v in enumerate(perm)}
+    pairs = tuple(tuple(sorted((where[i], where[j]))) for i, j in chords.chords)
+    return (
+        [positions[v] for v in perm],
+        ChordSet(n, pairs),
+        None if fixed is None else [fixed[v] for v in perm],
+    )
+
+
 def test_golden_fixed_exterior():
     system = triangle_system(Fraction(4, 3), Fraction(4, 3), fixed=[100, 56, 100])
     result = solve(system)
     assert result.nullity == 0
     assert positive_integer_solutions(result, 100) == [(35, 75, 35)]
+    # listed as (4/3, 0, -24/7) with exteriors (56, 100, 100), the same answer
+    listed = permuted_input(system.positions, system.edges, (100, 56, 100), 1, True)
+    assert [p.tan_half for p in listed[0]] == [Fraction(4, 3), 0, Fraction(-24, 7)]
+    assert listed[2] == [56, 100, 100]
+    system = build_system(*listed)
+    assert system.fixed_exterior == (100, 56, 100)
+    assert positive_integer_solutions(solve(system), 100) == [(35, 75, 35)]
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("turn", [0, 1, 2])
+def test_permuted_input_builds_the_sorted_system(turn, mirror, fixed):
+    golden = [pt(0), pt(Fraction(4, 3)), pt(Fraction(-24, 7))]
+    rectangle = [pt(x) for x in sorted_by_angle([Fraction(1, 2), 2, -2, Fraction(-1, 2)])]
+    cases = [
+        (golden, ChordSet(3, ((0, 1), (0, 2), (1, 2))), (100, 56, 100)),
+        (rectangle, ChordSet(4, fan_chords(4)), (5, 5, 5, 5)),
+        (rotated([0, 1, INFINITY, -1]), ChordSet(4, fan_chords(4)), (1, 2, 3, 4)),
+    ]
+    for positions, chords, ext in cases:
+        ext = ext if fixed else None
+        want = build_system(positions, chords, ext)
+        got = build_system(*permuted_input(positions, chords, ext, turn, mirror))
+        for name in StationaritySystem.__dataclass_fields__:
+            assert getattr(got, name) == getattr(want, name), name
 
 
 def test_infeasible_fixed_exterior():
