@@ -76,6 +76,15 @@ def golden_commands() -> list[list[str]]:
     ]
     for usage, valid in usage_then_valid:
         commands.extend([usage, valid])
+    # the README example, c = 0, a fine sweepout, a short flow and a refused c
+    for argv in (
+        ["--c", "1.0", "--samples", "101"],
+        ["--c", "0", "--samples", "11"],
+        ["--c", "2", "--samples", "1001"],
+        ["--c", "1", "--samples", "40", "--flow", "--points", "32"],
+        ["--c", "-1"],
+    ):
+        commands.append(["sweep", *argv])
     return commands
 
 

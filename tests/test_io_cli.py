@@ -381,6 +381,27 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(lines) == 102
 
 
+SWEEP_CSV_11 = b"""t,phi,c_length
+0.0,0.0,0.0
+0.1,0.3141592653589793,1.634090061028992
+0.2,0.6283185307179586,2.493182046116587
+0.3,0.9424777960769379,2.4931820461165874
+0.4,1.2566370614359172,1.634090061028992
+0.5,1.5707963267948966,1.3951473992034527e-15
+0.6,1.8849555921538759,-2.2491320164219406
+0.7,2.199114857512855,-4.893145275845239
+0.8,2.5132741228718345,-7.673225338513931
+0.9,2.827433388230814,-10.317238597937232
+1.0,3.141592653589793,-12.56637061435917
+"""
+
+
+def test_cli_sweep_csv_bytes(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--c", "1", "--samples", "11", "--emit-csv", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == SWEEP_CSV_11
+
+
 def test_cli_sweep_flow(capsys):
     assert dispatch(["sweep", "--c", "1.0", "--flow", "--points", "64"]) == 0
     out = json.loads(capsys.readouterr().out)
