@@ -79,9 +79,11 @@ def c_length(region: CapRegion, cfg: SphereConfig) -> float:
 def latitude_sweepout(n: int) -> Sweepout:
     if n < 3:
         raise DomainError("a sweepout needs at least three samples")
+    # pi*(n - 1)/(n - 1) rounds above pi for some n (14, 27, 48, ...)
     return Sweepout(
         tuple(
-            (k / (n - 1), CapRegion(math.pi * k / (n - 1))) for k in range(n)
+            (k / (n - 1), CapRegion(math.pi * k / (n - 1) if k < n - 1 else math.pi))
+            for k in range(n)
         )
     )
 

@@ -83,6 +83,7 @@ def golden_commands() -> list[list[str]]:
         ["--c", "2", "--samples", "1001"],
         ["--c", "1", "--samples", "40", "--flow", "--points", "32"],
         ["--c", "-1"],
+        ["--c", "1", "--samples", "14"],  # pi*13/13 rounds above pi
     ):
         commands.append(["sweep", *argv])
     return commands

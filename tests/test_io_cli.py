@@ -402,6 +402,14 @@ def test_cli_sweep_csv_bytes(tmp_path, capsys):
     assert csv_path.read_bytes() == SWEEP_CSV_11
 
 
+def test_cli_sweep_samples_where_the_last_angle_rounded_above_pi(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert dispatch(["sweep", "--c", "1", "--samples", "14", "--emit-csv", str(csv_path)]) == 0
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 15
+    assert lines[-1] == f"1.0,{math.pi},-12.56637061435917"
+
+
 def test_cli_sweep_flow(capsys):
     assert dispatch(["sweep", "--c", "1.0", "--flow", "--points", "64"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -53,9 +53,17 @@ def test_sweepout_validation():
     sweep = latitude_sweepout(11)
     assert len(sweep.samples) == 11
     assert sweep.samples[0][1].polar_angle == 0.0
-    assert sweep.samples[-1][1].polar_angle == pytest.approx(math.pi)
+    assert sweep.samples[-1][1].polar_angle == math.pi
     with pytest.raises(DomainError):
         latitude_sweepout(2)
+
+
+def test_latitude_sweepout_ends_exactly_at_pi():
+    # pi*(n - 1)/(n - 1) rounds above pi first at n = 14, 27, 48, 53, 84
+    for n in range(3, 2001):
+        angles = [region.polar_angle for _, region in latitude_sweepout(n).samples]
+        assert angles[:-1] == [math.pi * k / (n - 1) for k in range(n - 1)], n
+        assert angles[-1] == math.pi, n
 
 
 def test_c_length_special_values():
