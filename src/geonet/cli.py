@@ -188,8 +188,8 @@ def _cmd_sweep(args) -> int:
     if args.emit_csv:
         with open(args.emit_csv, "w", encoding="utf-8") as fh:
             fh.write("t,phi,c_length\n")
-            for t, region in sweepout.samples:
-                fh.write(f"{t},{region.polar_angle},{sw.c_length(region, cfg)}\n")
+            for t, phi in zip(sweepout.params.tolist(), sweepout.polar_angles.tolist()):
+                fh.write(f"{t},{phi},{sw.c_length(sw.CapRegion(phi), cfg)}\n")
     _emit(out)
     return 0
 

@@ -52,40 +52,61 @@ class CapRegion:
             raise DomainError("cap polar angle must lie in [0, pi]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sweepout:
-    samples: tuple[tuple[float, CapRegion], ...]
+    """Sampled family of polar caps: at parameter params[k], the cap of
+    colatitude polar_angles[k].
+
+    Both fields are read-only float64 arrays of one length, at least two.  The
+    parameters strictly increase, and the caps run from the empty region
+    (angle 0) to the full sphere (angle pi).  Equality is identity.
+    """
+
+    params: np.ndarray
+    polar_angles: np.ndarray
 
     def __post_init__(self):
-        ts = [t for t, _ in self.samples]
-        if len(ts) < 2 or any(b <= a for a, b in zip(ts, ts[1:])):
+        params = np.array(self.params, dtype=float)
+        angles = np.array(self.polar_angles, dtype=float)
+        if params.ndim != 1 or angles.shape != params.shape:
+            raise DomainError("sweepout needs one polar angle per parameter")
+        if not (np.all(np.isfinite(params)) and np.all(np.isfinite(angles))):
+            raise DomainError("sweepout parameters and polar angles must be finite")
+        if len(params) < 2 or np.any(params[1:] <= params[:-1]):
             raise DomainError("sweepout parameters must strictly increase")
-        if self.samples[0][1].polar_angle != 0.0:
+        if np.any(angles < 0.0) or np.any(angles > math.pi):
+            raise DomainError("cap polar angle must lie in [0, pi]")
+        if angles[0] != 0.0:
             raise DomainError("sweepout must start with the empty region")
-        if abs(self.samples[-1][1].polar_angle - math.pi) > 1e-12:
+        if abs(angles[-1] - math.pi) > 1e-12:
             raise DomainError("sweepout must end with the full sphere")
+        params.flags.writeable = False
+        angles.flags.writeable = False
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "polar_angles", angles)
+
+
+def _cap_c_length(phi, cfg: SphereConfig, sin):
+    # 2 sin^2(phi/2) = 1 - cos(phi) without cancellation; each factor of it
+    # multiplies 2cR in turn, since sin(phi/2)^2 underflows near the max at large cR
+    r = cfg.radius
+    half = sin(0.5 * phi)
+    return 2.0 * math.pi * r * (sin(phi) - 2.0 * cfg.c * r * half * half)
 
 
 def c_length(region: CapRegion, cfg: SphereConfig) -> float:
     """Closed form: 2*pi*R*sin(phi) - c * 2*pi*R^2 * 2*sin(phi/2)^2."""
-    r = cfg.radius
-    phi = region.polar_angle
-    # 2 sin^2(phi/2) = 1 - cos(phi) without cancellation; each factor of it
-    # multiplies 2cR in turn, since sin(phi/2)^2 underflows near the max at large cR
-    half = math.sin(0.5 * phi)
-    return 2.0 * math.pi * r * (math.sin(phi) - 2.0 * cfg.c * r * half * half)
+    return _cap_c_length(region.polar_angle, cfg, math.sin)
 
 
 def latitude_sweepout(n: int) -> Sweepout:
+    """n caps at the parameters k/(n - 1), of colatitude pi*k/(n - 1)."""
     if n < 3:
         raise DomainError("a sweepout needs at least three samples")
-    # pi*(n - 1)/(n - 1) rounds above pi for some n (14, 27, 48, ...)
-    return Sweepout(
-        tuple(
-            (k / (n - 1), CapRegion(math.pi * k / (n - 1) if k < n - 1 else math.pi))
-            for k in range(n)
-        )
-    )
+    k = np.arange(n)
+    angles = math.pi * k / (n - 1)
+    angles[-1] = math.pi  # pi*(n - 1)/(n - 1) rounds above pi for some n (14, 27, 48, ...)
+    return Sweepout(k / (n - 1), angles)
 
 
 @dataclass(frozen=True)
@@ -114,11 +135,11 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 def minmax_estimate(sweep: Sweepout, cfg: SphereConfig) -> MinmaxEstimate:
     """Max of L^c over the sweepout, refined between neighboring samples."""
-    phis = [region.polar_angle for _, region in sweep.samples]
-    values = [c_length(region, cfg) for _, region in sweep.samples]
-    k = max(range(len(values)), key=values.__getitem__)
-    lo = phis[k - 1] if k > 0 else phis[0]
-    hi = phis[k + 1] if k + 1 < len(phis) else phis[-1]
+    phis = sweep.polar_angles
+    # c_length of every sample at once; argmax takes the first best sample
+    k = int(np.argmax(_cap_c_length(phis, cfg, np.sin)))
+    lo = float(phis[max(k - 1, 0)])
+    hi = float(phis[min(k + 1, len(phis) - 1)])
     best = _golden_section_max(lambda p: c_length(CapRegion(p), cfg), lo, hi)
     return MinmaxEstimate(value=c_length(CapRegion(best), cfg), argmax_phi=best)
 
@@ -160,39 +181,63 @@ def latitude_curve(phi: float, n: int = 256) -> PolyCurve:
     )
 
 
-def _segment_tangents(pts: np.ndarray):
-    """In and out geodesic tangents and arc lengths at every point."""
-    prev = np.roll(pts, 1, axis=0)
-    nxt = np.roll(pts, -1, axis=0)
-    dot_in = np.clip(np.sum(prev * pts, axis=1), -1.0, 1.0)
-    dot_out = np.clip(np.sum(nxt * pts, axis=1), -1.0, 1.0)
-    arc_in = np.arccos(dot_in)
-    arc_out = np.arccos(dot_out)
-    u = pts * dot_in[:, None] - prev  # tangent at p of the geodesic prev -> p
-    w = nxt - pts * dot_out[:, None]  # tangent at p of the geodesic p -> next
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    w /= np.linalg.norm(w, axis=1)[:, None]
-    return u, w, arc_in, arc_out
+# The curve kernel works on a C-contiguous (3, n) array, one row per
+# coordinate.  add.reduce over its rows sums x + y + z in the order that
+# np.sum(axis=1) uses on the (n, 3) points, and _cross multiplies and
+# subtracts as np.cross does, so every value equals the (n, 3) form's bit for
+# bit (tests/helpers.py keeps that form as the oracle).
+
+_CYCLE = [1, 2, 0, 1]  # rows 0..2 are (y, z, x), rows 1..3 are (z, x, y)
 
 
-def _curvatures(pts: np.ndarray):
+def _coordinates(curve: PolyCurve) -> np.ndarray:
+    return np.ascontiguousarray(curve.points.T)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.add.reduce(a * b, axis=0)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = a[_CYCLE], b[_CYCLE]
+    return a[:3] * b[1:] - a[1:] * b[:3]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
+def _arcs(p: np.ndarray):
+    """The points between copies of their neighbours (column k + 1 holds
+    point k), and the clipped dot products and arc lengths of the n + 1
+    consecutive column pairs: entry k belongs to the arc into point k, and
+    entry k + 1 to the arc out of it."""
+    ext = np.concatenate((p[:, -1:], p, p[:, :1]), axis=1)
+    # np.clip to [-1, 1], bit for bit, at a third of its call cost
+    dots = np.minimum(np.maximum(_dot(ext[:, 1:], ext[:, :-1]), -1.0), 1.0)
+    return ext, dots, np.arccos(dots)
+
+
+def _curvatures(p: np.ndarray):
     """Curvatures, turning angles, in and out tangents, and the length."""
-    u, w, arc_in, arc_out = _segment_tangents(pts)
-    cross = np.cross(u, w)
-    delta = np.arctan2(np.sum(cross * pts, axis=1), np.sum(u * w, axis=1))
-    return delta / (0.5 * (arc_in + arc_out)), delta, u, w, float(np.sum(arc_out))
+    ext, dots, arcs = _arcs(p)
+    u = p * dots[:-1] - ext[:, :-2]  # tangent at p of the geodesic prev -> p
+    w = ext[:, 2:] - p * dots[1:]  # tangent at p of the geodesic p -> next
+    u /= _norm(u)
+    w /= _norm(w)
+    delta = np.arctan2(_dot(_cross(u, w), p), _dot(u, w))
+    kappa = delta / (0.5 * (arcs[:-1] + arcs[1:]))
+    return kappa, delta, u, w, float(np.sum(arcs[1:]))
 
 
 def curvature_profile(curve: PolyCurve) -> np.ndarray:
     """Discrete geodesic curvature at every vertex: turning angle over mean
     adjacent arc, +cot(phi) on a CCW latitude."""
-    return _curvatures(curve.points)[0]
+    return _curvatures(_coordinates(curve))[0]
 
 
 def curve_length(curve: PolyCurve) -> float:
-    pts = curve.points
-    dots = np.clip(np.sum(pts * np.roll(pts, -1, axis=0), axis=1), -1.0, 1.0)
-    return float(np.sum(np.arccos(dots)))
+    return float(np.sum(_arcs(_coordinates(curve))[2][1:]))
 
 
 def _c_length(turning: np.ndarray, length: float, cfg: SphereConfig) -> float:
@@ -203,29 +248,33 @@ def _c_length(turning: np.ndarray, length: float, cfg: SphereConfig) -> float:
 
 def enclosed_c_length(curve: PolyCurve, cfg: SphereConfig) -> float:
     """L^c of the curve: its length less c times its enclosed area."""
-    _, turning, _, _, length = _curvatures(curve.points)
+    _, turning, _, _, length = _curvatures(_coordinates(curve))
     return _c_length(turning, length, cfg)
 
 
-def _resample_uniform(pts: np.ndarray) -> np.ndarray:
+def _resample_uniform(p: np.ndarray) -> np.ndarray:
     """Redistribute the same number of points at equal geodesic arc spacing."""
-    n = len(pts)
-    nxt = np.roll(pts, -1, axis=0)
-    arcs = np.arccos(np.clip(np.sum(pts * nxt, axis=1), -1.0, 1.0))
-    cum = np.concatenate([[0.0], np.cumsum(arcs)])
+    n = p.shape[1]
+    ext, _, arcs = _arcs(p)
+    cum = np.concatenate(([0.0], np.cumsum(arcs[1:])))
     targets = np.arange(n) * cum[-1] / n
-    seg = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, n - 1)
-    span = cum[seg + 1] - cum[seg]
-    frac = np.where(span < 1e-15, 0.0, (targets - cum[seg]) / np.where(span < 1e-15, 1.0, span))
-    a, b = pts[seg], nxt[seg]
-    omega = arcs[seg]
+    # the segment seg (in 0..n - 1) holding each target starts at point seg,
+    # which sits in column seg + 1 of ext, beside its out-arc arcs[seg + 1]
+    col = np.minimum(np.maximum(cum.searchsorted(targets, side="right"), 1), n)
+    start = cum[col - 1]
+    span = cum[col] - start
+    tiny = span < 1e-15
+    frac = np.where(tiny, 0.0, (targets - start) / np.where(tiny, 1.0, span))
+    omega = arcs[col]
     # slerp, vectorized; tiny arcs fall back to linear blend before renormalizing
     sin_om = np.sin(omega)
     safe = sin_om > 1e-12
-    wa = np.where(safe, np.sin((1.0 - frac) * omega) / np.where(safe, sin_om, 1.0), 1.0 - frac)
-    wb = np.where(safe, np.sin(frac * omega) / np.where(safe, sin_om, 1.0), frac)
-    out = wa[:, None] * a + wb[:, None] * b
-    out /= np.linalg.norm(out, axis=1)[:, None]
+    denom = np.where(safe, sin_om, 1.0)
+    rest = 1.0 - frac
+    wa = np.where(safe, np.sin(rest * omega) / denom, rest)
+    wb = np.where(safe, np.sin(frac * omega) / denom, frac)
+    out = wa * ext.take(col, axis=1) + wb * ext.take(col + 1, axis=1)
+    out /= _norm(out)
     return out
 
 
@@ -257,8 +306,9 @@ def flow_to_cmc(
         raise DomainError("flow needs at least 32 points")
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
-    pts = curve.points.copy()
-    n = len(pts)
+    pts = _coordinates(curve)
+    n = pts.shape[1]
+    # every iteration binds pts to a new array, so best_pts needs no copy
     best_pts = pts
     best_dev = math.inf
     for iteration in range(max_iters):
@@ -266,11 +316,11 @@ def flow_to_cmc(
         # that shows as a non-finite deviation and raises NonConvergence
         with np.errstate(divide="ignore", invalid="ignore"):
             kappa, turning, u, w, length = _curvatures(pts)
-        deviation = float(np.max(np.abs(kappa - cfg.c)))
+        deviation = float(np.abs(kappa - cfg.c).max())
         if not math.isfinite(deviation):
             raise NonConvergence(
                 f"flow became non-finite at iteration {iteration}",
-                best=PolyCurve(best_pts),
+                best=PolyCurve(best_pts.T.copy()),
             )
         if trace is not None:
             trace.append(
@@ -282,22 +332,22 @@ def flow_to_cmc(
             )
         if deviation < best_dev:
             best_dev = deviation
-            best_pts = pts.copy()
+            best_pts = pts
         if deviation < CURVATURE_STOP:
-            return PolyCurve(pts)
+            return PolyCurve(pts.T.copy())
         tangent = u + w
-        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
-        normal = np.cross(tangent, pts)  # outward: away from the north region
+        tangent /= _norm(tangent)
+        normal = _cross(tangent, pts)  # outward: away from the north region
         spacing = length / n
         smooth = 0.25 * spacing**2
-        mean_kappa = float(np.mean(kappa))
+        mean_kappa = float(kappa.mean())
         # the round mode moves at most one point spacing per iteration
         climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -spacing), spacing)
         speed = climb - smooth * (kappa - mean_kappa)
-        pts = pts + speed[:, None] * normal
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts = pts + speed * normal
+        pts /= _norm(pts)
         pts = _resample_uniform(pts)
     raise NonConvergence(
         f"flow did not reach the curvature target in {max_iters} iterations",
-        best=PolyCurve(best_pts),
+        best=PolyCurve(best_pts.T.copy()),
     )

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
@@ -17,6 +19,7 @@ from geonet.circle import (
     tan_half_neg,
     tangent_components_exact,
 )
+from geonet.errors import DomainError, NonConvergence
 from geonet.exact import RadExpr
 from geonet.linalg import kernel_from_rref, particular_from_rref, rref
 from geonet.network import (
@@ -35,7 +38,15 @@ from geonet.solver import (
     positive_integer_solutions,
     solve,
 )
-from geonet.sweep import _curvatures
+from geonet.sweep import (
+    CURVATURE_STOP,
+    CapRegion,
+    MinmaxEstimate,
+    PolyCurve,
+    _c_length,
+    _golden_section_max,
+    c_length,
+)
 
 DEFAULT_SEED = 20260814
 
@@ -77,7 +88,7 @@ def turning_angles(curve):
     """Signed exterior angles of a sweep.PolyCurve; positive where the curve
     bends toward the region on its left (the north side for a
     counterclockwise latitude)."""
-    return _curvatures(curve.points)[1]
+    return row_curvatures(curve.points)[1]
 
 
 def pt(t) -> CirclePoint:
@@ -503,3 +514,120 @@ def _fan_networks() -> dict:
 
 # name -> builder, for the CLI golden records
 FAN_NETWORKS = _fan_networks()
+
+
+# --- the sphere layer on (n, 3) point rows and per-sample loops -----------
+# geonet.sweep runs the same formulas on (3, n) coordinate arrays and the
+# whole sweepout at once; these are the forms it replaced, kept as oracles
+# that it must equal bit for bit.
+
+
+def loop_minmax_estimate(sweep, cfg) -> MinmaxEstimate:
+    """minmax_estimate with one c_length call per sample."""
+    phis = sweep.polar_angles.tolist()
+    values = [c_length(CapRegion(phi), cfg) for phi in phis]
+    k = max(range(len(values)), key=values.__getitem__)
+    lo = phis[k - 1] if k > 0 else phis[0]
+    hi = phis[k + 1] if k + 1 < len(phis) else phis[-1]
+    best = _golden_section_max(lambda p: c_length(CapRegion(p), cfg), lo, hi)
+    return MinmaxEstimate(value=c_length(CapRegion(best), cfg), argmax_phi=best)
+
+
+def _row_segment_tangents(pts):
+    """In and out geodesic tangents and arc lengths at every point."""
+    prev = np.roll(pts, 1, axis=0)
+    nxt = np.roll(pts, -1, axis=0)
+    dot_in = np.clip(np.sum(prev * pts, axis=1), -1.0, 1.0)
+    dot_out = np.clip(np.sum(nxt * pts, axis=1), -1.0, 1.0)
+    arc_in = np.arccos(dot_in)
+    arc_out = np.arccos(dot_out)
+    u = pts * dot_in[:, None] - prev  # tangent at p of the geodesic prev -> p
+    w = nxt - pts * dot_out[:, None]  # tangent at p of the geodesic p -> next
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    w /= np.linalg.norm(w, axis=1)[:, None]
+    return u, w, arc_in, arc_out
+
+
+def row_curvatures(pts):
+    """Curvatures, turning angles, in and out tangents, and the length of
+    the closed polygon with the (n, 3) rows pts."""
+    u, w, arc_in, arc_out = _row_segment_tangents(pts)
+    cross = np.cross(u, w)
+    delta = np.arctan2(np.sum(cross * pts, axis=1), np.sum(u * w, axis=1))
+    return delta / (0.5 * (arc_in + arc_out)), delta, u, w, float(np.sum(arc_out))
+
+
+def row_curve_length(curve) -> float:
+    pts = curve.points
+    dots = np.clip(np.sum(pts * np.roll(pts, -1, axis=0), axis=1), -1.0, 1.0)
+    return float(np.sum(np.arccos(dots)))
+
+
+def row_resample_uniform(pts):
+    """Redistribute the same number of points at equal geodesic arc spacing."""
+    n = len(pts)
+    nxt = np.roll(pts, -1, axis=0)
+    arcs = np.arccos(np.clip(np.sum(pts * nxt, axis=1), -1.0, 1.0))
+    cum = np.concatenate([[0.0], np.cumsum(arcs)])
+    targets = np.arange(n) * cum[-1] / n
+    seg = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, n - 1)
+    span = cum[seg + 1] - cum[seg]
+    frac = np.where(span < 1e-15, 0.0, (targets - cum[seg]) / np.where(span < 1e-15, 1.0, span))
+    a, b = pts[seg], nxt[seg]
+    omega = arcs[seg]
+    sin_om = np.sin(omega)
+    safe = sin_om > 1e-12
+    wa = np.where(safe, np.sin((1.0 - frac) * omega) / np.where(safe, sin_om, 1.0), 1.0 - frac)
+    wb = np.where(safe, np.sin(frac * omega) / np.where(safe, sin_om, 1.0), frac)
+    out = wa[:, None] * a + wb[:, None] * b
+    out /= np.linalg.norm(out, axis=1)[:, None]
+    return out
+
+
+def row_flow_to_cmc(curve, cfg, *, max_iters: int = 100_000, trace: list | None = None):
+    """flow_to_cmc on (n, 3) rows, copying the best iterate each time it improves."""
+    if len(curve) < 32:
+        raise DomainError("flow needs at least 32 points")
+    if max_iters < 1:
+        raise DomainError(f"max_iters must be at least 1, got {max_iters}")
+    pts = curve.points.copy()
+    n = len(pts)
+    best_pts = pts
+    best_dev = math.inf
+    for iteration in range(max_iters):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa, turning, u, w, length = row_curvatures(pts)
+        deviation = float(np.max(np.abs(kappa - cfg.c)))
+        if not math.isfinite(deviation):
+            raise NonConvergence(
+                f"flow became non-finite at iteration {iteration}",
+                best=PolyCurve(best_pts),
+            )
+        if trace is not None:
+            trace.append(
+                {
+                    "iteration": iteration,
+                    "max_deviation": deviation,
+                    "c_length": _c_length(turning, length, cfg),
+                }
+            )
+        if deviation < best_dev:
+            best_dev = deviation
+            best_pts = pts.copy()
+        if deviation < CURVATURE_STOP:
+            return PolyCurve(pts)
+        tangent = u + w
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        normal = np.cross(tangent, pts)
+        spacing = length / n
+        smooth = 0.25 * spacing**2
+        mean_kappa = float(np.mean(kappa))
+        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -spacing), spacing)
+        speed = climb - smooth * (kappa - mean_kappa)
+        pts = pts + speed[:, None] * normal
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        pts = row_resample_uniform(pts)
+    raise NonConvergence(
+        f"flow did not reach the curvature target in {max_iters} iterations",
+        best=PolyCurve(best_pts),
+    )

@@ -1,14 +1,17 @@
-"""The benchmark's answer gate, run once on the replace_search and solve_grid
-pool ops.
+"""The benchmark's answer gate, run once on the replace_search, solve_grid and
+sphere_flow ops.
 
 perfbench/workloads.py checks each op it times against the answer digests
-recorded in perfbench/expected.json.  Running that check here on every ray
-problem and CLI call of the replace_search pool, and on every solve_grid op
-but 24 of each 25 triangles, catches a changed answer before any benchmark
-run.  perfbench/ is only read: no bytecode is written there.
+recorded in perfbench/expected.json, or for sphere_flow against the closed
+forms.  Running that check here on every ray problem and CLI call of the
+replace_search pool, on every solve_grid op but 24 of each 25 triangles, and
+on one seeded sphere_flow cycle's min-max estimates and 256-point flows,
+catches a changed answer before any benchmark run.  perfbench/ is only read:
+no bytecode is written there.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -60,4 +63,16 @@ def test_solve_grid_pool_matches_expected_answers(tmp_path):
         if kind != "triangle" or i % 25 == 0  # every 25th of the 7875 triangles
     ]
     assert len(ops) == 152 + 315  # quads, pentagons, hexagons, rectangles; triangles
+    assert failed_ops(workloads, workload, ops) == {}
+
+
+def test_sphere_flow_cycle_matches_expected_answers(tmp_path):
+    workloads = load_workloads()
+    workload = workloads.SphereFlow(None, tmp_path)
+    ops = [
+        op
+        for op in workload.cycle(random.Random(1))
+        if op[0] == "minmax" or op[1][0] == 256  # the 512-point flows take twice as long
+    ]
+    assert sorted(kind for kind, _ in ops) == ["flow"] * 3 + ["minmax"] * 12
     assert failed_ops(workloads, workload, ops) == {}

@@ -22,7 +22,13 @@ from geonet.sweep import (
     minmax_closed_form,
     minmax_estimate,
 )
-from helpers import turning_angles
+from helpers import (
+    loop_minmax_estimate,
+    row_curvatures,
+    row_curve_length,
+    row_flow_to_cmc,
+    turning_angles,
+)
 
 
 def test_config_validation():
@@ -45,23 +51,61 @@ def test_config_rejects_non_finite(field, value):
 
 def test_sweepout_validation():
     with pytest.raises(DomainError):
-        Sweepout(((0.0, CapRegion(0.0)), (0.0, CapRegion(math.pi))))
+        Sweepout([0.0, 0.0], [0.0, math.pi])
     with pytest.raises(DomainError):
-        Sweepout(((0.0, CapRegion(0.1)), (1.0, CapRegion(math.pi))))
+        Sweepout([0.0, 1.0], [0.1, math.pi])
     with pytest.raises(DomainError):
-        Sweepout(((0.0, CapRegion(0.0)), (1.0, CapRegion(3.0))))
+        Sweepout([0.0, 1.0], [0.0, 3.0])
     sweep = latitude_sweepout(11)
-    assert len(sweep.samples) == 11
-    assert sweep.samples[0][1].polar_angle == 0.0
-    assert sweep.samples[-1][1].polar_angle == math.pi
+    assert len(sweep.params) == len(sweep.polar_angles) == 11
+    assert sweep.polar_angles[0] == 0.0
+    assert sweep.polar_angles[-1] == math.pi
     with pytest.raises(DomainError):
         latitude_sweepout(2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["params", "polar_angles"])
+def test_sweepout_rejects_non_finite(field, value):
+    # a NaN parameter passed the strictly-increasing test, since b <= a is
+    # False when either side is NaN
+    fields = {"params": [0.0, 0.5, 1.0], "polar_angles": [0.0, 1.0, math.pi]}
+    fields[field][1] = value
+    with pytest.raises(DomainError, match="finite"):
+        Sweepout(**fields)
+
+
+def test_sweepout_checks_shape_and_angle_range():
+    with pytest.raises(DomainError, match="one polar angle per parameter"):
+        Sweepout([0.0, 0.5, 1.0], [0.0, math.pi])
+    with pytest.raises(DomainError, match="one polar angle per parameter"):
+        Sweepout([[0.0, 1.0]], [[0.0, math.pi]])
+    with pytest.raises(DomainError, match="strictly increase"):
+        Sweepout([0.0], [math.pi])
+    with pytest.raises(DomainError, match=r"\[0, pi\]"):
+        Sweepout([0.0, 0.5, 1.0], [0.0, -0.1, math.pi])
+    with pytest.raises(DomainError, match=r"\[0, pi\]"):
+        Sweepout([0.0, 1.0], [0.0, math.nextafter(math.pi, 4.0)])
+
+
+def test_sweepout_holds_read_only_copies():
+    params, angles = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, math.pi])
+    sweep = Sweepout(params, angles)
+    params[1] = angles[1] = 0.25
+    assert sweep.params.tolist() == [0.0, 0.5, 1.0]
+    assert sweep.polar_angles.tolist() == [0.0, 1.0, math.pi]
+    for field in (sweep.params, sweep.polar_angles):
+        assert field.dtype == np.float64
+        with pytest.raises(ValueError):
+            field[0] = 0.5
 
 
 def test_latitude_sweepout_ends_exactly_at_pi():
     # pi*(n - 1)/(n - 1) rounds above pi first at n = 14, 27, 48, 53, 84
     for n in range(3, 2001):
-        angles = [region.polar_angle for _, region in latitude_sweepout(n).samples]
+        sweep = latitude_sweepout(n)
+        assert sweep.params.tolist() == [k / (n - 1) for k in range(n)], n
+        angles = sweep.polar_angles.tolist()
         assert angles[:-1] == [math.pi * k / (n - 1) for k in range(n - 1)], n
         assert angles[-1] == math.pi, n
 
@@ -93,6 +137,15 @@ def test_minmax_matches_closed_form(c):
     assert est.value == pytest.approx(minmax_closed_form(cfg), abs=1e-10)
     expected_phi = math.pi / 2 if c == 0 else math.atan2(1.0, c)
     assert est.argmax_phi == pytest.approx(expected_phi, abs=1e-6)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0, 1e3])
+def test_minmax_matches_loop_oracle(c):
+    # the whole-array argmax picks the sample that the per-sample loop picks
+    cfg = SphereConfig(c=c)
+    for n in [*range(3, 401), *range(1001, 1200)]:
+        sweep = latitude_sweepout(n)
+        assert minmax_estimate(sweep, cfg) == loop_minmax_estimate(sweep, cfg), n
 
 
 @pytest.mark.parametrize("c", [1e9, 1e20, 1e154, MAX_CR])
@@ -292,3 +345,71 @@ def test_flow_stop_threshold_is_strict():
     final = flow_to_cmc(latitude_curve(math.pi / 2, 256), SphereConfig(c=1.0))
     kappa = curvature_profile(final)
     assert float(np.max(np.abs(kappa - 1.0))) < CURVATURE_STOP
+
+
+# --- the (3, n) flow against the (n, 3) oracle, bit for bit --------------
+
+def _noisy_equator(n: int, seed: int) -> PolyCurve:
+    rng = np.random.default_rng(seed)
+    pts = latitude_curve(math.pi / 2, n).points
+    pts = pts + 0.01 * rng.standard_normal(pts.shape)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return PolyCurve(pts)
+
+
+def _flow_record(flow, curve, cfg, **kwargs):
+    """Final (or best) points as bytes, the trace, and the error message."""
+    trace: list = []
+    try:
+        final, error = flow(curve, cfg, trace=trace, **kwargs), None
+    except NonConvergence as exc:
+        final, error = exc.best, str(exc)
+    assert final.points.shape == curve.points.shape
+    return final.points.tobytes(), trace, error
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_flow_matches_row_oracle_from_the_equator(n, c):
+    curve, cfg = latitude_curve(math.pi / 2, n), SphereConfig(c=c)
+    got = _flow_record(flow_to_cmc, curve, cfg)
+    assert got[2] is None
+    assert got == _flow_record(row_flow_to_cmc, curve, cfg)
+
+
+def test_flow_matches_row_oracle_from_noisy_start():
+    curve, cfg = _noisy_equator(128, seed=7), SphereConfig(c=0.5)
+    assert _flow_record(flow_to_cmc, curve, cfg) == _flow_record(row_flow_to_cmc, curve, cfg)
+
+
+@pytest.mark.parametrize(
+    "c, max_iters, best_at",
+    [
+        (1.0, 5, 4),  # still descending: the last iterate is the best
+        (1e3, 300, 69),  # the deviation swings: the best lies far back
+        (1e300, 2000, 0),  # non-finite at iteration 77: the start is the best
+    ],
+)
+def test_flow_best_iterate_matches_row_oracle(c, max_iters, best_at):
+    n = 64 if c == 1.0 else 32
+    curve, cfg = latitude_curve(math.pi / 2, n), SphereConfig(c=c)
+    got = _flow_record(flow_to_cmc, curve, cfg, max_iters=max_iters)
+    assert got == _flow_record(row_flow_to_cmc, curve, cfg, max_iters=max_iters)
+    deviations = [entry["max_deviation"] for entry in got[1]]
+    assert deviations.index(min(deviations)) == best_at
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [latitude_curve(0.4, 64), latitude_curve(math.pi / 2, 256), latitude_curve(2.6, 33),
+     _noisy_equator(128, seed=3)],
+    ids=["cap", "equator", "odd-count", "noisy"],
+)
+def test_curve_measures_match_row_oracle(curve):
+    kappa, turning, _, _, length = row_curvatures(curve.points)
+    assert curvature_profile(curve).tobytes() == kappa.tobytes()
+    assert turning_angles(curve).tobytes() == turning.tobytes()
+    assert curve_length(curve) == row_curve_length(curve) == length
+    cfg = SphereConfig(c=0.8)
+    area = 2.0 * math.pi - float(np.sum(turning))
+    assert enclosed_c_length(curve, cfg) == length - 0.8 * area
