@@ -383,15 +383,14 @@ def test_flow_matches_row_oracle_from_noisy_start():
 
 
 @pytest.mark.parametrize(
-    "c, max_iters, best_at",
+    "n, c, max_iters, best_at",
     [
-        (1.0, 5, 4),  # still descending: the last iterate is the best
-        (1e3, 300, 69),  # the deviation swings: the best lies far back
-        (1e300, 2000, 0),  # non-finite at iteration 77: the start is the best
+        (64, 1.0, 5, 4),  # still descending: the last iterate is the best
+        (32, 1e3, 300, 69),  # the deviation swings: the best lies far back
+        (32, 1e300, 2000, 0),  # non-finite at iteration 77: the start is the best
     ],
 )
-def test_flow_best_iterate_matches_row_oracle(c, max_iters, best_at):
-    n = 64 if c == 1.0 else 32
+def test_flow_best_iterate_matches_row_oracle(n, c, max_iters, best_at):
     curve, cfg = latitude_curve(math.pi / 2, n), SphereConfig(c=c)
     got = _flow_record(flow_to_cmc, curve, cfg, max_iters=max_iters)
     assert got == _flow_record(row_flow_to_cmc, curve, cfg, max_iters=max_iters)
