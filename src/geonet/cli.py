@@ -15,12 +15,7 @@ import sys
 
 from .chords import ChordSet, closed_form_bounds, enumerate_chord_sets
 from .errors import GeonetError
-from .io import (
-    network_to_dict,
-    read_network,
-    scalar_to_json,
-    tan_half_to_json,
-)
+from .io import network_to_dict, point_to_json, read_network, scalar_to_json
 from .network import is_admissible
 from .render import RenderStyle, render_svg
 from .replace import (
@@ -41,10 +36,7 @@ def _emit(obj) -> None:
 
 def _problem_to_dict(problem: ReplacementProblem) -> dict:
     return {
-        "positions": [
-            {"angle": p.angle, "tan_half": tan_half_to_json(p.tan_half)}
-            for p in problem.positions
-        ],
+        "positions": [point_to_json(p) for p in problem.positions],
         "mults": list(problem.exterior_mults),
     }
 
@@ -165,7 +157,7 @@ def _cmd_sweep(args) -> int:
     # the only numpy user, imported here so the exact subcommands start without it
     from . import sweep as sw
 
-    cfg = sw.SphereConfig(radius=1.0, c=args.c)
+    cfg = sw.SphereConfig(c=args.c)
     sweepout = sw.latitude_sweepout(args.samples)
     estimate = sw.minmax_estimate(sweepout, cfg)
     out = {

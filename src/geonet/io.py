@@ -26,12 +26,16 @@ from .network import InteriorEdge, Network, Vertex, make_network
 FORMAT_VERSION = "geonet/1"
 
 
-def tan_half_to_json(t):
+def point_to_json(p: CirclePoint) -> dict:
+    """The {"angle", "tan_half"} record of a point, as _point_from_json reads it."""
+    t = p.tan_half
     if t is None or isinstance(t, RadExpr):
-        return None
-    if isinstance(t, _InfinityType):
-        return "inf"
-    return [t.numerator, t.denominator]
+        tan_half = None
+    elif isinstance(t, _InfinityType):
+        tan_half = "inf"
+    else:
+        tan_half = [t.numerator, t.denominator]
+    return {"angle": p.angle, "tan_half": tan_half}
 
 
 def scalar_to_json(x):
@@ -58,12 +62,7 @@ def network_to_dict(net: Network) -> dict:
     return {
         "version": FORMAT_VERSION,
         "vertices": [
-            {
-                "angle": v.position.angle,
-                "tan_half": tan_half_to_json(v.position.tan_half),
-                "m": v.exterior_mult,
-            }
-            for v in net.vertices
+            {**point_to_json(v.position), "m": v.exterior_mult} for v in net.vertices
         ],
         "edges": [{"i": e.i, "j": e.j, "m": e.mult} for e in net.edges],
     }

@@ -1,12 +1,13 @@
 """Weighted-length min-max on the round sphere, with a convergent curve flow.
 
-The functional is L^c(region) = length(boundary) - c * area(region).  For the
-family of polar caps on a radius-R sphere everything is closed form, and the
-family's max over colatitude phi, at cot(phi) = cR, is the min-max value
-2*pi*R*(sqrt(1 + c^2 R^2) - c R).  The polygonal flow drives a closed curve to
-the constant-geodesic-curvature latitude by moving each point along the
-in-surface normal at speed kappa - c; starting below the pass this ascends
-L^c of the enclosed (north) region up to the min-max level.
+The functional is L^c(region) = length(boundary) - c * area(region) on the
+unit sphere; scaling it by R gives L^c(R region) = R * L^(cR)(region), so c
+alone covers every size.  For the family of polar caps everything is closed
+form, and the family's max over colatitude phi, at cot(phi) = c, is the
+min-max value 2*pi*(sqrt(1 + c^2) - c).  The polygonal flow drives a closed
+curve to the constant-geodesic-curvature latitude by moving each point along
+the in-surface normal at speed kappa - c; starting below the pass this
+ascends L^c of the enclosed (north) region up to the min-max level.
 """
 
 from __future__ import annotations
@@ -22,23 +23,20 @@ from .errors import DomainError, NonConvergence
 # so stop well under the 1e-3 accuracy the flow advertises
 CURVATURE_STOP = 1e-4
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-MAX_CR = 1e300  # the estimate holds to a few ulps to 1e307; 2cR overflows at ~9e307
+MAX_C = 1e300  # the estimate holds to a few ulps to 1e307; 2c overflows at ~9e307
 
 
 @dataclass(frozen=True)
 class SphereConfig:
-    radius: float = 1.0
     c: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and math.isfinite(self.c)):
-            raise DomainError("sphere radius and curvature must be finite")
-        if self.radius <= 0:
-            raise DomainError("sphere radius must be positive")
+        if not math.isfinite(self.c):
+            raise DomainError("prescribed curvature must be finite")
         if self.c < 0:
             raise DomainError("prescribed curvature must be nonnegative")
-        if self.c * self.radius > MAX_CR:
-            raise DomainError(f"c times the radius must be at most {MAX_CR:g}")
+        if self.c > MAX_C:
+            raise DomainError(f"prescribed curvature must be at most {MAX_C:g}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +86,13 @@ class Sweepout:
 
 def _cap_c_length(phi, cfg: SphereConfig, sin):
     # 2 sin^2(phi/2) = 1 - cos(phi) without cancellation; each factor of it
-    # multiplies 2cR in turn, since sin(phi/2)^2 underflows near the max at large cR
-    r = cfg.radius
+    # multiplies 2c in turn, since sin(phi/2)^2 underflows near the max at large c
     half = sin(0.5 * phi)
-    return 2.0 * math.pi * r * (sin(phi) - 2.0 * cfg.c * r * half * half)
+    return 2.0 * math.pi * (sin(phi) - 2.0 * cfg.c * half * half)
 
 
 def c_length(region: CapRegion, cfg: SphereConfig) -> float:
-    """Closed form: 2*pi*R*sin(phi) - c * 2*pi*R^2 * 2*sin(phi/2)^2."""
+    """Closed form: 2*pi*sin(phi) - c * 2*pi * 2*sin(phi/2)^2."""
     return _cap_c_length(region.polar_angle, cfg, math.sin)
 
 
@@ -134,20 +131,20 @@ def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
 
 
 def minmax_estimate(sweep: Sweepout, cfg: SphereConfig) -> MinmaxEstimate:
-    """Max of L^c over the sweepout, refined between neighboring samples."""
+    """Max of L^c over the sweepout, refined between the least and greatest
+    angle of the best sample and its neighbors (the angles need not increase)."""
     phis = sweep.polar_angles
     # c_length of every sample at once; argmax takes the first best sample
     k = int(np.argmax(_cap_c_length(phis, cfg, np.sin)))
-    lo = float(phis[max(k - 1, 0)])
-    hi = float(phis[min(k + 1, len(phis) - 1)])
+    near = phis[max(k - 1, 0) : k + 2].tolist()
+    lo, hi = min(near), max(near)
     best = _golden_section_max(lambda p: c_length(CapRegion(p), cfg), lo, hi)
     return MinmaxEstimate(value=c_length(CapRegion(best), cfg), argmax_phi=best)
 
 
 def minmax_closed_form(cfg: SphereConfig) -> float:
-    """2*pi*R*(sqrt(1 + (cR)^2) - cR), written without cancellation."""
-    cr = cfg.c * cfg.radius
-    return 2.0 * math.pi * cfg.radius / (math.hypot(1.0, cr) + cr)
+    """2*pi*(sqrt(1 + c^2) - c), written without cancellation."""
+    return 2.0 * math.pi / (math.hypot(1.0, cfg.c) + cfg.c)
 
 
 # --- polygonal curves ----------------------------------------------------
@@ -243,7 +240,7 @@ def curve_length(curve: PolyCurve) -> float:
 def _c_length(turning: np.ndarray, length: float, cfg: SphereConfig) -> float:
     # L^c with the enclosed area from Gauss-Bonnet: A = 2*pi - sum(turning)
     area = 2.0 * math.pi - float(np.sum(turning))
-    return cfg.radius * length - cfg.c * cfg.radius**2 * area
+    return length - cfg.c * area
 
 
 def enclosed_c_length(curve: PolyCurve, cfg: SphereConfig) -> float:

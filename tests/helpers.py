@@ -527,8 +527,8 @@ def loop_minmax_estimate(sweep, cfg) -> MinmaxEstimate:
     phis = sweep.polar_angles.tolist()
     values = [c_length(CapRegion(phi), cfg) for phi in phis]
     k = max(range(len(values)), key=values.__getitem__)
-    lo = phis[k - 1] if k > 0 else phis[0]
-    hi = phis[k + 1] if k + 1 < len(phis) else phis[-1]
+    near = phis[max(k - 1, 0) : k + 2]
+    lo, hi = min(near), max(near)
     best = _golden_section_max(lambda p: c_length(CapRegion(p), cfg), lo, hi)
     return MinmaxEstimate(value=c_length(CapRegion(best), cfg), argmax_phi=best)
 

@@ -7,7 +7,7 @@ import pytest
 from geonet.errors import DomainError, NonConvergence
 from geonet.sweep import (
     CURVATURE_STOP,
-    MAX_CR,
+    MAX_C,
     CapRegion,
     PolyCurve,
     SphereConfig,
@@ -33,8 +33,6 @@ from helpers import (
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        SphereConfig(radius=0.0)
-    with pytest.raises(DomainError):
         SphereConfig(c=-0.5)
     with pytest.raises(DomainError):
         CapRegion(-0.1)
@@ -42,11 +40,10 @@ def test_config_validation():
         CapRegion(math.pi + 0.1)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("field", ["radius", "c"])
-def test_config_rejects_non_finite(field, value):
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=lambda v: f"c-{v}")
+def test_config_rejects_non_finite(value):
     with pytest.raises(DomainError, match="finite"):
-        SphereConfig(**{field: value})
+        SphereConfig(c=value)
 
 
 def test_sweepout_validation():
@@ -121,12 +118,11 @@ def test_c_length_special_values():
 @pytest.mark.parametrize("c", [0.0, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("phi", [0.2, 0.7, 1.1, 1.9, 2.6])
 def test_c_length_derivative(c, phi):
-    # d/dphi of the cap functional is 2*pi*R*cos(phi) - 2*pi*c*R^2*sin(phi)
-    cfg = SphereConfig(radius=1.3, c=c)
+    # d/dphi of the cap functional is 2*pi*cos(phi) - 2*pi*c*sin(phi)
+    cfg = SphereConfig(c=c)
     h = 1e-6
     numeric = (c_length(CapRegion(phi + h), cfg) - c_length(CapRegion(phi - h), cfg)) / (2 * h)
-    r = cfg.radius
-    exact = 2 * math.pi * r * math.cos(phi) - 2 * math.pi * c * r * r * math.sin(phi)
+    exact = 2 * math.pi * math.cos(phi) - 2 * math.pi * c * math.sin(phi)
     assert numeric == pytest.approx(exact, abs=1e-5)
 
 
@@ -148,7 +144,7 @@ def test_minmax_matches_loop_oracle(c):
         assert minmax_estimate(sweep, cfg) == loop_minmax_estimate(sweep, cfg), n
 
 
-@pytest.mark.parametrize("c", [1e9, 1e20, 1e154, MAX_CR])
+@pytest.mark.parametrize("c", [1e9, 1e20, 1e154, MAX_C])
 def test_minmax_matches_closed_form_at_large_c(c):
     # the max sits at cot(phi) = c, where the value is about pi/c
     cfg = SphereConfig(c=c)
@@ -159,25 +155,30 @@ def test_minmax_matches_closed_form_at_large_c(c):
     assert est.argmax_phi == pytest.approx(math.atan2(1.0, c), rel=1e-6)
 
 
+def test_minmax_refines_around_the_best_sample_of_a_non_monotone_sweepout():
+    # the angles do not increase: the best sample (angle 0.6) lies outside
+    # [2.5, pi], the span of its neighbours' angles
+    cfg = SphereConfig(c=1.0)
+    sweep = Sweepout([0.0, 0.3, 0.6, 1.0], [0.0, 2.5, 0.6, math.pi])
+    best_sample = max(c_length(CapRegion(phi), cfg) for phi in sweep.polar_angles)
+    est = minmax_estimate(sweep, cfg)
+    assert est.value >= best_sample
+    assert est.value == pytest.approx(minmax_closed_form(cfg), abs=1e-10)
+    assert est.argmax_phi == pytest.approx(math.pi / 4, abs=1e-6)
+    assert est == loop_minmax_estimate(sweep, cfg)
+
+
 def test_c_length_of_a_small_cap():
     # 1 - cos(phi) cancels to zero at phi = 1e-9; 2 sin(phi/2)^2 does not
     cfg = SphereConfig(c=1e9)
     assert c_length(CapRegion(1e-9), cfg) == pytest.approx(math.pi * 1e-9, rel=1e-12)
 
 
-def test_config_rejects_unresolvable_c_times_radius():
-    SphereConfig(c=MAX_CR)
-    SphereConfig(radius=1e-10, c=1e308)
-    for radius, c in ((1.0, 1e301), (1e10, 1e291), (1.0, 1e308)):
+def test_config_rejects_unresolvable_c():
+    SphereConfig(c=MAX_C)
+    for c in (math.nextafter(MAX_C, math.inf), 1e308):
         with pytest.raises(DomainError, match="at most"):
-            SphereConfig(radius=radius, c=c)
-
-
-def test_minmax_radius_scaling():
-    cfg = SphereConfig(radius=2.0, c=0.0)
-    assert minmax_closed_form(cfg) == pytest.approx(4.0 * math.pi)
-    est = minmax_estimate(latitude_sweepout(64), cfg)
-    assert est.value == pytest.approx(4.0 * math.pi, abs=1e-9)
+            SphereConfig(c=c)
 
 
 def test_polycurve_validation():
