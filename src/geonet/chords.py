@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import CrossingEdges
 
@@ -20,6 +20,14 @@ def chords_cross(e1: tuple[int, int], e2: tuple[int, int]) -> bool:
     a, b = e1
     c, d = e2
     return (a < c < b < d) or (c < a < d < b)
+
+
+def crossing_index_pairs(chords: Sequence[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of the crossing chords, in lexicographic order."""
+    for a in range(len(chords)):
+        for b in range(a + 1, len(chords)):
+            if chords_cross(chords[a], chords[b]):
+                yield a, b
 
 
 def _adjacent(i: int, j: int, n: int) -> bool:
@@ -44,10 +52,8 @@ class ChordSet:
                 raise ValueError(f"duplicate chord ({i}, {j})")
             seen.add((i, j))
         cs = sorted(self.chords)
-        for a in range(len(cs)):
-            for b in range(a + 1, len(cs)):
-                if chords_cross(cs[a], cs[b]):
-                    raise CrossingEdges(f"chords {cs[a]} and {cs[b]} cross")
+        for a, b in crossing_index_pairs(cs):
+            raise CrossingEdges(f"chords {cs[a]} and {cs[b]} cross")
         object.__setattr__(self, "chords", tuple(cs))
 
     @classmethod

@@ -1,6 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-argument test."""
 
 from __future__ import annotations
+
+
+def is_int(x: object) -> bool:
+    """An int that is not a bool: True subclasses int but counts nothing."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_positive_int(x: object) -> bool:
+    """The rule for multiplicities and search bounds: an int (not a bool) >= 1."""
+    return is_int(x) and x >= 1
 
 
 class GeonetError(Exception):
@@ -11,8 +21,8 @@ class DuplicateVertexAngle(GeonetError):
     pass
 
 
-class ZeroMultiplicity(GeonetError):
-    pass
+class ZeroMultiplicity(GeonetError, ValueError):
+    """A multiplicity that is not a positive int; a ValueError like CrossingEdges."""
 
 
 class SelfLoopEdge(GeonetError):

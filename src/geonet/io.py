@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .circle import INFINITY, CirclePoint, _InfinityType, normalize_angle
-from .errors import ParseError, VersionError
+from .errors import ParseError, VersionError, is_int
 from .exact import RadExpr
 from .network import InteriorEdge, Network, Vertex, make_network
 
@@ -68,14 +68,9 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def _is_int(x) -> bool:
-    """A JSON integer; true and false are not, although bool subclasses int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _finite_float(x) -> float | None:
     """A JSON number as a finite float, or None (NaN, infinities, non-numbers)."""
-    if not _is_int(x) and not isinstance(x, float):
+    if not is_int(x) and not isinstance(x, float):
         return None
     try:
         x = float(x)
@@ -98,7 +93,7 @@ def _point_from_json(rec: dict, where: str) -> CirclePoint:
     elif (
         not isinstance(t, list)
         or len(t) != 2
-        or not all(_is_int(v) for v in t)
+        or not all(is_int(v) for v in t)
     ):
         raise ParseError(f"{where}: 'tan_half' must be [num, den], \"inf\" or null")
     elif t[1] == 0:
@@ -128,14 +123,14 @@ def network_from_dict(data: dict) -> Network:
     for k, rec in enumerate(data["vertices"]):
         if not isinstance(rec, dict) or "m" not in rec:
             raise ParseError(f"vertex {k}: expected an object with 'm'")
-        if not _is_int(rec["m"]):
+        if not is_int(rec["m"]):
             raise ParseError(f"vertex {k}: multiplicity must be an integer")
         vertices.append(Vertex(_point_from_json(rec, f"vertex {k}"), rec["m"]))
     edges = []
     for k, rec in enumerate(data["edges"]):
         if not isinstance(rec, dict) or not {"i", "j", "m"} <= rec.keys():
             raise ParseError(f"edge {k}: expected an object with 'i', 'j', 'm'")
-        if not all(_is_int(rec[f]) for f in ("i", "j", "m")):
+        if not all(is_int(rec[f]) for f in ("i", "j", "m")):
             raise ParseError(f"edge {k}: fields must be integers")
         edges.append(InteriorEdge(rec["i"], rec["j"], rec["m"]))
     return make_network(vertices, edges)

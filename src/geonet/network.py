@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .chords import chords_cross, closed_form_bounds
+from .chords import crossing_index_pairs
 from .circle import (
     INFINITY,
     TAU,
@@ -32,6 +32,7 @@ from .errors import (
     InexactPosition,
     ZeroMultiplicity,
     SelfLoopEdge,
+    is_positive_int,
 )
 from .exact import RadExpr
 
@@ -45,7 +46,7 @@ class Vertex:
 
     def __post_init__(self):
         m = self.exterior_mult
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        if not is_positive_int(m):
             raise ZeroMultiplicity(
                 f"exterior multiplicity must be a positive integer, got {m}"
             )
@@ -61,7 +62,7 @@ class InteriorEdge:
         if self.i == self.j:
             raise SelfLoopEdge(f"edge ({self.i}, {self.j}) is a self-loop")
         m = self.mult
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        if not is_positive_int(m):
             raise ZeroMultiplicity(
                 f"edge multiplicity must be a positive integer, got {m}"
             )
@@ -179,13 +180,7 @@ def is_stationary(net: Network, mode: str = "auto", tol: float = DEFAULT_TOL) ->
 
 def crossing_pairs(net: Network) -> list[tuple[int, int]]:
     """Indices of edge pairs whose open chords intersect (endpoints excluded)."""
-    out = []
-    for a in range(net.n_edges):
-        for b in range(a + 1, net.n_edges):
-            ea, eb = net.edges[a], net.edges[b]
-            if chords_cross((ea.i, ea.j), (eb.i, eb.j)):
-                out.append((a, b))
-    return out
+    return list(crossing_index_pairs([(e.i, e.j) for e in net.edges]))
 
 
 def is_admissible(
@@ -196,6 +191,8 @@ def is_admissible(
     tol must be finite and nonnegative."""
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance {tol} must be finite and nonnegative")
+    if not net.vertices:
+        raise ValueError("need at least one point")
     violations: list[str] = []
     max_resid = 0.0
     stationary = True
@@ -216,9 +213,6 @@ def is_admissible(
         violations.append(
             f"edges ({ea.i},{ea.j}) and ({eb.i},{eb.j}) cross"
         )
-    bound = closed_form_bounds(net.n_vertices).edge_max
-    if not crossings and net.n_edges > bound:
-        violations.append(f"edge count {net.n_edges} exceeds bound {bound}")
     return ValidationReport(stationary, max_resid, crossings, violations)
 
 

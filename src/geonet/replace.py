@@ -21,7 +21,6 @@ from .chords import enumerate_chord_sets
 from .circle import (
     CirclePoint,
     _chord,
-    angle_order,
     chord_square,
     diameter_side,
     point_div,
@@ -191,8 +190,8 @@ def certify_no_good_n3() -> AuditVerdict:
 class ReplacementProblem:
     """Prescribed boundary data: ray directions with their multiplicities.
 
-    Rays are stored sorted by angle with the first at angle 0 (the rotated
-    exterior direction of the replaced vertex).
+    Rays are stored in make_network's angle order with the first at angle 0
+    (the rotated exterior direction of the replaced vertex).
     """
 
     positions: tuple[CirclePoint, ...]
@@ -203,15 +202,10 @@ class ReplacementProblem:
             raise ValueError("one multiplicity per ray")
         if not self.positions:
             raise ValueError("need at least one ray")
-        if any(
-            isinstance(m, bool) or not isinstance(m, int) or m < 1
-            for m in self.exterior_mults
-        ):
-            raise ValueError("ray multiplicities must be positive integers")
-        order = angle_order(self.positions)
-        ms = tuple(self.exterior_mults[k] for k in order)
-        object.__setattr__(self, "positions", tuple(self.positions[k] for k in order))
-        object.__setattr__(self, "exterior_mults", ms)
+        rays = zip(self.positions, self.exterior_mults)
+        vertices = make_network([Vertex(p, m) for p, m in rays], ()).vertices
+        object.__setattr__(self, "positions", tuple(v.position for v in vertices))
+        object.__setattr__(self, "exterior_mults", tuple(v.exterior_mult for v in vertices))
 
     @property
     def is_exact(self) -> bool:
