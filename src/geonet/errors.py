@@ -9,7 +9,7 @@ def is_int(x: object) -> bool:
 
 
 def is_positive_int(x: object) -> bool:
-    """The rule for multiplicities and search bounds: an int (not a bool) >= 1."""
+    """The rule for vertex and edge multiplicities: an int (not a bool) >= 1."""
     return is_int(x) and x >= 1
 
 

@@ -123,6 +123,10 @@ def test_replacement_problem_isolated_vertex():
     )
     with pytest.raises(IsolatedVertex):
         replacement_problem(net, 1)
+    # an index off the network is not an isolated vertex
+    for i in (3, 5, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"vertex {i} out of range"):
+            replacement_problem(net, i)
 
 
 def test_line_problem_is_its_own_replacement():
@@ -156,6 +160,9 @@ def test_replacement_feasible_rejects_bound_below_one():
     problem = replacement_problem(line_network(), 0)
     for bound in (0, -1):
         with pytest.raises(ValueError, match="bound must be positive"):
+            replacement_feasible(problem, bound)
+    for bound in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="bound must be an int"):
             replacement_feasible(problem, bound)
 
 
@@ -197,6 +204,12 @@ def test_audit_rejects_bad_inputs():
         good_network_audit(line_network(1), depth=2, bound=0)
     with pytest.raises(ValueError):
         good_network_audit(square_network())  # not admissible
+    for depth in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="depth must be an int"):
+            good_network_audit(line_network(1), depth=depth)
+    for bound in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            good_network_audit(line_network(1), depth=1, bound=bound)
 
 
 def test_depth_zero_is_vacuous():

@@ -258,6 +258,9 @@ def test_solver_input_checks():
     for bound in (0, -1):
         with pytest.raises(ValueError, match="bound must be positive"):
             positive_integer_solutions(result, bound)
+    for bound in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            positive_integer_solutions(result, bound)
 
 
 def test_search_box_cap():
