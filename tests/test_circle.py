@@ -82,6 +82,9 @@ def test_point_round_trip():
 def test_point_consistency_guard():
     with pytest.raises(ValueError):
         CirclePoint(1.0, Fraction(4, 3))  # angle does not match the tan-half
+    for angle in (-0.5, math.tau, 7.0, math.nan):
+        with pytest.raises(ValueError, match="not normalized to"):
+            CirclePoint(angle)
 
 
 def test_float_only_point():

@@ -120,6 +120,29 @@ def test_malformed_records_rejected():
     bad["edges"][0] = {"i": 0, "j": 1}
     with pytest.raises(ParseError):
         network_from_dict(bad)
+    bad = json.loads(json.dumps(base))
+    del bad["vertices"][0]["angle"]
+    with pytest.raises(ParseError, match="vertex 0: missing 'angle'"):
+        network_from_dict(bad)
+    for tan_half in ("abc", [1], [1, 2, 3], [1.5, 2], [True, 1], {"p": 1}):
+        bad = json.loads(json.dumps(base))
+        bad["vertices"][1]["tan_half"] = tan_half
+        with pytest.raises(ParseError, match="vertex 1: 'tan_half' must be"):
+            network_from_dict(bad)
+    for top in ([], "geonet/1", None):
+        with pytest.raises(ParseError, match="top level must be an object"):
+            network_from_dict(top)
+    for vertex in (5, [0.0, 1], {"angle": 0.0}):
+        bad = json.loads(json.dumps(base))
+        bad["vertices"][0] = vertex
+        with pytest.raises(ParseError, match="vertex 0: expected an object with 'm'"):
+            network_from_dict(bad)
+    # a well-formed record naming a vertex the file lacks fails in make_network
+    bad = json.loads(json.dumps(base))
+    bad["edges"][0]["j"] = 7
+    with pytest.raises(ValueError, match=r"edge \(0, 7\) references a missing vertex") as info:
+        network_from_dict(bad)
+    assert not isinstance(info.value, ParseError)
 
 
 @pytest.mark.parametrize(
