@@ -287,8 +287,9 @@ def flow_to_cmc(
     Each point moves along the outward in-surface normal (T cross p), then
     the points are redistributed at uniform arc spacing.  The normal speed
     has two parts: a tenth of the point spacing times (mean_kappa - c),
-    capped at one point spacing, climbs the round mode toward the
-    constant-curvature target, and a curve-shortening term on the deviation
+    capped at one point spacing and at |mean_kappa - c|/(1 + mean_kappa^2),
+    climbs the round mode toward the constant-curvature target without
+    passing it, and a curve-shortening term on the deviation
     kappa - mean_kappa keeps the non-round modes from growing (a pointwise
     ascent alone blows up: the target is a saddle, and stray wiggles raise
     length faster than area).  The shortening coefficient is a quarter of
@@ -338,8 +339,10 @@ def flow_to_cmc(
         spacing = length / n
         smooth = 0.25 * spacing**2
         mean_kappa = float(kappa.mean())
-        # the round mode moves at most one point spacing per iteration
-        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -spacing), spacing)
+        # the round mode moves at most one point spacing per iteration, and
+        # never past the target: on a latitude dkappa/dphi = -(1 + kappa^2)
+        cap = min(spacing, abs(mean_kappa - cfg.c) / (1.0 + mean_kappa * mean_kappa))
+        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -cap), cap)
         speed = climb - smooth * (kappa - mean_kappa)
         pts = pts + speed * normal
         pts /= _norm(pts)

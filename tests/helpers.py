@@ -622,7 +622,8 @@ def row_flow_to_cmc(curve, cfg, *, max_iters: int = 100_000, trace: list | None 
         spacing = length / n
         smooth = 0.25 * spacing**2
         mean_kappa = float(np.mean(kappa))
-        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -spacing), spacing)
+        cap = min(spacing, abs(mean_kappa - cfg.c) / (1.0 + mean_kappa * mean_kappa))
+        climb = min(max(0.1 * spacing * (mean_kappa - cfg.c), -cap), cap)
         speed = climb - smooth * (kappa - mean_kappa)
         pts = pts + speed[:, None] * normal
         pts /= np.linalg.norm(pts, axis=1)[:, None]

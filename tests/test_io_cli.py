@@ -442,6 +442,18 @@ def test_cli_sweep_flow(capsys):
     assert flow["final_c_length"] == pytest.approx(out["closed_form"], abs=5e-3)
 
 
+def test_cli_sweep_flow_at_large_c(capsys):
+    # the climb is capped where the round mode would pass the target circle
+    argv = ["sweep", "--c", "1e3", "--samples", "5", "--flow", "--points", "32",
+            "--max-iters", "2000"]
+    assert dispatch(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    flow = out["flow_curve"]
+    assert len(flow["points"]) == 32
+    assert flow["max_curvature_deviation"] < 1e-4
+    assert flow["final_c_length"] == pytest.approx(out["closed_form"], rel=5e-3)
+
+
 def test_cli_sweep_rejects_bad_c(capsys):
     assert dispatch(["sweep", "--c", "-1.0"]) == 1
     captured = capsys.readouterr()

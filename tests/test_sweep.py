@@ -387,7 +387,8 @@ def test_flow_matches_row_oracle_from_noisy_start():
     "n, c, max_iters, best_at",
     [
         (64, 1.0, 5, 4),  # still descending: the last iterate is the best
-        (32, 1e3, 300, 69),  # the deviation swings: the best lies far back
+        (32, 1e3, 300, 38),  # the step stops at the target: converges at 38
+        (64, 1e4, 300, 131),  # the deviation swings: the best lies far back
         (32, 1e300, 2000, 0),  # non-finite at iteration 77: the start is the best
     ],
 )
