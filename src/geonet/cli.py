@@ -125,9 +125,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_replace(args) -> int:
     net = read_network(args.network)
-    if not 0 <= args.vertex < net.n_vertices:
-        print(f"vertex {args.vertex} out of range", file=sys.stderr)
-        return 1
     problem = replacement_problem(net, args.vertex)
     found = replacement_feasible(problem, args.bound)
     _emit(

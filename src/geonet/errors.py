@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer-argument test."""
+"""Exception types shared across the package, and its integer-argument rule."""
 
 from __future__ import annotations
 
@@ -6,6 +6,12 @@ from __future__ import annotations
 def is_int(x: object) -> bool:
     """An int that is not a bool: True subclasses int but counts nothing."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_int(name: str, value: object) -> None:
+    """The rule for integer arguments: ValueError unless value is_int."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def is_positive_int(x: object) -> bool:

@@ -32,6 +32,7 @@ from .errors import (
     InexactPosition,
     ZeroMultiplicity,
     SelfLoopEdge,
+    is_int,
     is_positive_int,
 )
 from .exact import RadExpr
@@ -82,14 +83,12 @@ class Network:
         return len(self.edges)
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
-        """(neighbor index, edge multiplicity) pairs for vertex i."""
-        out = []
-        for e in self.edges:
-            if e.i == i:
-                out.append((e.j, e.mult))
-            elif e.j == i:
-                out.append((e.i, e.mult))
-        return out
+        """(neighbor index, edge multiplicity) pairs for vertex i, in edge
+        order.  The package's one vertex-index check: ValueError unless i is
+        an int (not a bool) with 0 <= i < n."""
+        if not (is_int(i) and 0 <= i < len(self.vertices)):
+            raise ValueError(f"vertex {i} out of range")
+        return [(e.j if e.i == i else e.i, e.mult) for e in self.edges if i in (e.i, e.j)]
 
     @property
     def is_exact(self) -> bool:
@@ -127,9 +126,10 @@ def make_network(vertices: Sequence[Vertex], edges: Sequence[InteriorEdge]) -> N
 
 
 def _residual_exact(net: Network, i: int) -> tuple[RadExpr, RadExpr]:
+    nbrs = net.neighbors(i)  # checks i before vertices[i] is read
     v = net.vertices[i]
     rx, ry = exterior_balance([(v.position, v.exterior_mult)])
-    for j, mult in net.neighbors(i):
+    for j, mult in nbrs:
         tx, ty = tangent_components_exact(v.position, net.vertices[j].position)
         rx = rx + mult * tx
         ry = ry + mult * ty
@@ -137,11 +137,12 @@ def _residual_exact(net: Network, i: int) -> tuple[RadExpr, RadExpr]:
 
 
 def _residual_float(net: Network, i: int) -> tuple[float, float]:
+    nbrs = net.neighbors(i)  # checks i before vertices[i] is read
     v = net.vertices[i]
     px, py = v.position.xy()
     rx = v.exterior_mult * px
     ry = v.exterior_mult * py
-    for j, mult in net.neighbors(i):
+    for j, mult in nbrs:
         wx, wy = net.vertices[j].position.xy()
         d = math.hypot(wx - px, wy - py)
         rx += mult * (wx - px) / d

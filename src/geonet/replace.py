@@ -26,7 +26,7 @@ from .circle import (
     point_div,
     tangent_point,
 )
-from .errors import InexactPosition, IsolatedVertex, is_int
+from .errors import InexactPosition, IsolatedVertex, check_int
 from .network import (
     InteriorEdge,
     Network,
@@ -214,8 +214,6 @@ class ReplacementProblem:
 
 def replacement_problem(net: Network, i: int) -> ReplacementProblem:
     """Boundary data seen from vertex i: its ray plus its chord tangents."""
-    if not (is_int(i) and 0 <= i < net.n_vertices):
-        raise ValueError(f"vertex {i} out of range")
     nbrs = net.neighbors(i)
     if not nbrs:
         raise IsolatedVertex(f"vertex {i} has no interior edges to replace")
@@ -315,8 +313,7 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     admissibility check, and its network is returned; None when the bounded
     search is exhausted.
     """
-    if not is_int(bound):
-        raise ValueError(f"bound must be an int, got {bound!r}")
+    check_int("bound", bound)
     if bound < 1:
         raise ValueError("bound must be positive")
     if not problem.is_exact:
@@ -365,9 +362,8 @@ def good_network_audit(
     returns only exactly admissible networks), so no vertex is isolated: a
     vertex without chords would need m_v * v = 0.
     """
-    for name, value in (("depth", depth), ("bound", bound)):
-        if not is_int(value):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    check_int("depth", depth)
+    check_int("bound", bound)
     if not 0 <= depth <= MAX_AUDIT_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_AUDIT_DEPTH}")
     if not 1 <= bound <= MAX_AUDIT_BOUND:

@@ -41,7 +41,7 @@ from .circle import (
     angle_order,
     tan_half_add,
 )
-from .errors import DomainError, InexactPosition, is_int
+from .errors import DomainError, InexactPosition, check_int
 from .exact import RadExpr
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
@@ -197,8 +197,7 @@ def positive_integer_solutions(
     refused above SEARCH_BOX_CAP, in integers over one common denominator.
     Nullity zero is the case with no t.
     """
-    if not is_int(bound):
-        raise ValueError(f"bound must be an int, got {bound!r}")
+    check_int("bound", bound)
     if bound < 1:
         raise ValueError("bound must be positive")
     if result.particular is None:
