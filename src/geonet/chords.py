@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .errors import CrossingEdges
+from .errors import CrossingEdges, check_int
 
 ENUMERATION_CAP = 12  # Catalan-type growth; exhaustive search stays desk-scale
 
@@ -42,6 +42,7 @@ class ChordSet:
     chords: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        check_int("n", self.n)
         if self.n < 1:
             raise ValueError("need at least one point")
         seen = set()
@@ -84,6 +85,7 @@ class ChordBounds:
 
 
 def closed_form_bounds(n: int) -> ChordBounds:
+    check_int("n", n)
     if n < 1:
         raise ValueError("need at least one point")
     nonadj = max(n - 3, 0)
@@ -129,6 +131,7 @@ def enumerate_chord_sets(
     candidate pair, v's neighbours are final, so a v that fails cuts the
     whole subtree.
     """
+    check_int("n", n)
     if n < 1:
         raise ValueError("need at least one point")
     if n > ENUMERATION_CAP:
@@ -198,9 +201,10 @@ def max_nonadjacent_chords(n: int) -> int:
     return max(len(cs.chords) for cs in enumerate_chord_sets(n, allow_adjacent=False))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a cached n = 1 must not answer True
 def nonadjacent_max_recursive(n: int) -> int:
     """Split recursion: a chord leaves k and l >= 1 points on its two sides."""
+    check_int("n", n)
     if n <= 3:
         return 0
     return max(
@@ -309,6 +313,7 @@ def audit_counting_argument(n: int, *, keep_rows: bool = False) -> CountingAudit
     The report's rows hold one StructureRow per structure only when keep_rows
     is set; otherwise rows is empty and the tallies are counted directly.
     """
+    check_int("n", n)
     if n < 3:
         raise ValueError("audit needs at least three points")
     bounds = closed_form_bounds(n)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NonConvergence, check_int
 
 # a curvature offset of d leaves the limit latitude's length off by ~2.2d,
 # so stop well under the 1e-3 accuracy the flow advertises
@@ -98,6 +98,7 @@ def c_length(region: CapRegion, cfg: SphereConfig) -> float:
 
 def latitude_sweepout(n: int) -> Sweepout:
     """n caps at the parameters k/(n - 1), of colatitude pi*k/(n - 1)."""
+    check_int("n", n)
     if n < 3:
         raise DomainError("a sweepout needs at least three samples")
     k = np.arange(n)
@@ -171,6 +172,7 @@ class PolyCurve:
 
 def latitude_curve(phi: float, n: int = 256) -> PolyCurve:
     """The colatitude-phi circle, oriented counterclockwise seen from north."""
+    check_int("n", n)
     lam = 2.0 * np.pi * np.arange(n) / n
     s, c = math.sin(phi), math.cos(phi)
     return PolyCurve(
@@ -302,6 +304,7 @@ def flow_to_cmc(
     """
     if len(curve) < 32:
         raise DomainError("flow needs at least 32 points")
+    check_int("max_iters", max_iters)
     if max_iters < 1:
         raise DomainError(f"max_iters must be at least 1, got {max_iters}")
     pts = _coordinates(curve)
