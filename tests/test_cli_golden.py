@@ -117,6 +117,26 @@ def test_cli_matches_golden(tmp_path):
         assert g == e, " ".join(e["argv"])
 
 
+def test_golden_records_keep_the_stream_contract():
+    """Machine output on stdout only on success; every exit-1 diagnostic goes
+    through dispatch's "error: " path, except validate's violation report."""
+    for r in json.loads(GOLDEN_PATH.read_text(encoding="utf-8")):
+        argv, err = " ".join(r["argv"]), r["stderr"]
+        if r["code"] == 0:
+            assert err == "", argv
+        else:
+            assert r["stdout"] == "", argv
+        if r["code"] == 1:
+            *violations, last = err.splitlines()
+            report = (
+                r["argv"][0] == "validate"
+                and violations
+                and all(v.startswith("violation: ") for v in violations)
+                and last == "network is not admissible"
+            )
+            assert err.startswith("error: ") or report, argv
+
+
 if __name__ == "__main__":
     import tempfile
 
