@@ -16,9 +16,11 @@ import sys
 from .chords import ChordSet, closed_form_bounds, enumerate_chord_sets
 from .errors import GeonetError
 from .io import network_to_dict, point_to_json, read_network, scalar_to_json
-from .network import is_admissible
+from .network import DEFAULT_TOL, is_admissible
 from .render import RenderStyle, render_svg
 from .replace import (
+    MAX_AUDIT_BOUND,
+    MAX_AUDIT_DEPTH,
     AuditVerdict,
     ReplacementProblem,
     certify_no_good_n3,
@@ -203,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check admissibility of a network file")
     p.add_argument("--network", required=True)
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("enumerate", help="list non-crossing chord sets")
@@ -230,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="iterated-replacement audit")
     p.add_argument("--network", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--bound", type=int, default=50)
+    p.add_argument("--depth", type=int, default=MAX_AUDIT_DEPTH)
+    p.add_argument("--bound", type=int, default=MAX_AUDIT_BOUND)
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("certify-n3", help="symbolic three-vertex refutation")
