@@ -201,7 +201,7 @@ def max_nonadjacent_chords(n: int) -> int:
     return max(len(cs.chords) for cs in enumerate_chord_sets(n, allow_adjacent=False))
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: a cached n = 1 must not answer True
+@lru_cache(maxsize=None)
 def nonadjacent_max_recursive(n: int) -> int:
     """Split recursion: a chord leaves k and l >= 1 points on its two sides."""
     check_int("n", n)

@@ -73,12 +73,3 @@ def test_integer_arguments_and_vertex_indices_raise_value_error(call, value, mes
     with pytest.raises(ValueError, match=re.escape(message)):
         call(value)
 
-
-def test_checked_entry_points_still_take_ints():
-    # nonadjacent_max_recursive caches by type, so a cached n = 1 does not
-    # answer for True
-    assert chords.nonadjacent_max_recursive(1) == 0
-    with pytest.raises(ValueError, match="n must be an int, got True"):
-        chords.nonadjacent_max_recursive(True)
-    assert golden_triangle().neighbors(2) == [(0, 75), (1, 35)]
-    assert stationarity_residual(golden_triangle(), 2, mode="exact") == (0, 0)
