@@ -201,7 +201,8 @@ def max_nonadjacent_chords(n: int) -> int:
     return max(len(cs.chords) for cs in enumerate_chord_sets(n, allow_adjacent=False))
 
 
-@lru_cache(maxsize=None)
+# typed: a keyword call n=2.0 or n=True must not hit the cached n=2 or n=1
+@lru_cache(maxsize=None, typed=True)
 def nonadjacent_max_recursive(n: int) -> int:
     """Split recursion: a chord leaves k and l >= 1 points on its two sides."""
     check_int("n", n)

@@ -83,12 +83,17 @@ class Network:
         return len(self.edges)
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
-        """(neighbor index, edge multiplicity) pairs for vertex i, in edge
-        order.  The package's one vertex-index check: ValueError unless i is
-        an int (not a bool) with 0 <= i < n."""
+        """(neighbor index, edge multiplicity) pairs for vertex i; the one
+        vertex-index check: ValueError unless i is an int, not a bool, in [0, n)."""
         if not (is_int(i) and 0 <= i < len(self.vertices)):
             raise ValueError(f"vertex {i} out of range")
-        return [(e.j if e.i == i else e.i, e.mult) for e in self.edges if i in (e.i, e.j)]
+        out = []
+        for e in self.edges:
+            if e.i == i:
+                out.append((e.j, e.mult))
+            elif e.j == i:
+                out.append((e.i, e.mult))
+        return out
 
     @property
     def is_exact(self) -> bool:

@@ -28,6 +28,12 @@ def _flow(max_iters):
     return sweep.flow_to_cmc(curve, sweep.SphereConfig(1.0), max_iters=max_iters)
 
 
+def _recursive_by_keyword(n):
+    # the equal int is cached first: a keyword call must still be checked
+    chords.nonadjacent_max_recursive(n=int(n))
+    return chords.nonadjacent_max_recursive(n=n)
+
+
 INTEGER_ARGUMENTS = {
     "positive_integer_solutions": ("bound", lambda v: positive_integer_solutions(_line_solution(), v)),
     "replacement_feasible": (
@@ -44,6 +50,7 @@ INTEGER_ARGUMENTS = {
     "enumerate_chord_sets": ("n", chords.enumerate_chord_sets),
     "max_nonadjacent_chords": ("n", chords.max_nonadjacent_chords),
     "nonadjacent_max_recursive": ("n", chords.nonadjacent_max_recursive),
+    "nonadjacent_max_recursive-keyword": ("n", _recursive_by_keyword),
     "audit_counting_argument": ("n", chords.audit_counting_argument),
     "latitude_sweepout": ("n", sweep.latitude_sweepout),
     "latitude_curve": ("n", lambda v: sweep.latitude_curve(1.0, v)),
@@ -64,7 +71,7 @@ CASES = [
 ] + [
     pytest.param(call, i, f"vertex {i!r} out of range", id=f"{entry}-{i!r}")
     for entry, call in VERTEX_INDEX_ENTRY_POINTS.items()
-    for i in (-1, 3, True, 2.5)
+    for i in (-1, 3, True, 2.0, 2.5)
 ]
 
 

@@ -123,6 +123,10 @@ def test_replacement_problem_isolated_vertex():
     )
     with pytest.raises(IsolatedVertex):
         replacement_problem(net, 1)
+    # an index off the network is not an isolated vertex
+    for i in (3, 5, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"vertex {i} out of range"):
+            replacement_problem(net, i)
 
 
 def test_line_problem_is_its_own_replacement():
