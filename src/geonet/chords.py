@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
-from .errors import CrossingEdges, check_int
+from .errors import CrossingEdges, check_int, is_index
 
 ENUMERATION_CAP = 12  # Catalan-type growth; exhaustive search stays desk-scale
 
@@ -47,7 +47,7 @@ class ChordSet:
             raise ValueError("need at least one point")
         seen = set()
         for i, j in self.chords:
-            if not 0 <= i < j < self.n:
+            if not (is_index(i, self.n) and is_index(j, self.n) and i < j):
                 raise ValueError(f"chord ({i}, {j}) out of range for n={self.n}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate chord ({i}, {j})")

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence, Union
 
-from .errors import DuplicateVertexAngle, ExactDataMissing, InexactPosition
-from .exact import RadExpr
+from .errors import DuplicateVertexAngle, InexactPosition
+from .exact import RadExpr, simplify
 
 TAU = math.tau
 
@@ -34,6 +34,10 @@ class _InfinityType:
     def __repr__(self):
         return "INFINITY"
 
+    def __reduce__(self):
+        # pickled by name, so every protocol and copy gives INFINITY itself back
+        return "INFINITY"
+
 
 INFINITY = _InfinityType()
 
@@ -41,44 +45,34 @@ ExactScalar = Union[Fraction, RadExpr]
 TanHalf = Union[Fraction, RadExpr, _InfinityType]
 
 
-def _simplify(x: ExactScalar) -> ExactScalar:
-    if isinstance(x, RadExpr) and x.is_rational():
-        return x.rational_value()
-    return x
-
-
-def _is_zero(x: ExactScalar) -> bool:
-    return x.is_zero() if isinstance(x, RadExpr) else x == 0
-
-
 def _recip(x: ExactScalar) -> TanHalf:
-    if _is_zero(x):
+    if not x:
         return INFINITY
-    return _simplify(1 / x)
+    return simplify(1 / x)
 
 
 def as_tan_half(x) -> TanHalf:
     """Coerce ints/Fractions/RadExpr (or INFINITY) to a canonical tan-half."""
-    if x is INFINITY or isinstance(x, _InfinityType):
+    if x is INFINITY:
         return INFINITY
     if isinstance(x, RadExpr):
-        return _simplify(x)
+        return simplify(x)
     return Fraction(x)
 
 
 def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
     """tan((alpha+beta)/2) from the two half-angle tangents."""
-    ainf = isinstance(a, _InfinityType)
-    binf = isinstance(b, _InfinityType)
+    ainf = a is INFINITY
+    binf = b is INFINITY
     if ainf and binf:
         return Fraction(0)
     if ainf or binf:
         # tan((alpha + pi)/2) = -1/tan(alpha/2)
         return tan_half_neg(_recip(a if binf else b))
     denom = 1 - a * b
-    if _is_zero(denom):
+    if not denom:
         return INFINITY
-    return _simplify((a + b) / denom)
+    return simplify((a + b) / denom)
 
 
 def tan_half_sub(a: TanHalf, b: TanHalf) -> TanHalf:
@@ -88,16 +82,16 @@ def tan_half_sub(a: TanHalf, b: TanHalf) -> TanHalf:
 
 def tan_half_neg(a: TanHalf) -> TanHalf:
     """Half-angle tangent of -alpha (reflection across the x-axis)."""
-    if isinstance(a, _InfinityType):
+    if a is INFINITY:
         return INFINITY
-    return _simplify(-a)
+    return simplify(-a)
 
 
 def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
-    if isinstance(t, _InfinityType):
+    if t is INFINITY:
         return Fraction(-1), Fraction(0)
     one_plus = 1 + t * t
-    return _simplify((1 - t * t) / one_plus), _simplify((2 * t) / one_plus)
+    return simplify((1 - t * t) / one_plus), simplify((2 * t) / one_plus)
 
 
 def normalize_angle(angle: float) -> float:
@@ -113,7 +107,7 @@ def normalize_angle(angle: float) -> float:
 
 
 def angle_of_tan(t: TanHalf) -> float:
-    if isinstance(t, _InfinityType):
+    if t is INFINITY:
         return math.pi
     return normalize_angle(2.0 * math.atan(float(t)))
 
@@ -156,7 +150,7 @@ class CirclePoint:
 
     def exact_xy(self) -> tuple[ExactScalar, ExactScalar]:
         if self._xy is None:
-            raise ExactDataMissing("point has no exact parametrization")
+            raise InexactPosition("point has no exact parametrization")
         return self._xy
 
 
@@ -224,8 +218,8 @@ def chord_square(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScal
     rational components."""
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
-    dx, dy = _simplify(wx - vx), _simplify(wy - vy)
-    return dx, dy, _simplify(dx * dx + dy * dy)
+    dx, dy = simplify(wx - vx), simplify(wy - vy)
+    return dx, dy, simplify(dx * dx + dy * dy)
 
 
 def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
@@ -235,7 +229,7 @@ def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, Ex
     dx, dy, sq = chord_square(v, w)
     if isinstance(sq, RadExpr):
         raise InexactPosition("chord direction is not a representable radical")
-    return dx, dy, _simplify(RadExpr.sqrt(sq))
+    return dx, dy, simplify(RadExpr.sqrt(sq))
 
 
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:

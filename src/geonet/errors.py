@@ -14,6 +14,11 @@ def check_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def is_index(i: object, n: int) -> bool:
+    """The rule for vertex indices and chord endpoints: an int (not a bool) in [0, n)."""
+    return is_int(i) and 0 <= i < n
+
+
 def is_positive_int(x: object) -> bool:
     """The rule for vertex and edge multiplicities: an int (not a bool) >= 1."""
     return is_int(x) and x >= 1
@@ -39,12 +44,9 @@ class DuplicateEdge(GeonetError):
     pass
 
 
-class ExactDataMissing(GeonetError):
-    """An exact-mode operation was asked of a network without exact positions."""
-
-
 class InexactPosition(GeonetError):
-    """A solver-grade operation needs exact positions (or exact tangent data)."""
+    """An exact operation was asked of data without an exact form: a point with
+    no tan-half, or a length that is not a representable radical."""
 
 
 class CrossingEdges(GeonetError, ValueError):

@@ -259,3 +259,11 @@ def _coerce(x) -> "RadExpr":
     if isinstance(x, (RadExpr, int, Fraction)):
         return RadExpr.of(x)
     return NotImplemented
+
+
+def simplify(x: Rational | RadExpr) -> Rational | RadExpr:
+    """The one reduction of exact data: a rational RadExpr as its Fraction,
+    any other value as it is."""
+    if isinstance(x, RadExpr) and x.is_rational():
+        return x.rational_value()
+    return x

@@ -18,9 +18,9 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .circle import INFINITY, CirclePoint, _InfinityType, normalize_angle
+from .circle import INFINITY, CirclePoint, normalize_angle
 from .errors import ParseError, VersionError, is_int
-from .exact import RadExpr
+from .exact import RadExpr, simplify
 from .network import InteriorEdge, Network, Vertex, make_network
 
 FORMAT_VERSION = "geonet/1"
@@ -31,7 +31,7 @@ def point_to_json(p: CirclePoint) -> dict:
     t = p.tan_half
     if t is None or isinstance(t, RadExpr):
         tan_half = None
-    elif isinstance(t, _InfinityType):
+    elif t is INFINITY:
         tan_half = "inf"
     else:
         tan_half = [t.numerator, t.denominator]
@@ -40,16 +40,12 @@ def point_to_json(p: CirclePoint) -> dict:
 
 def scalar_to_json(x):
     """Exact scalars for machine output: int, [num, den], or radical terms."""
+    x = simplify(x)
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
     if isinstance(x, RadExpr):
-        if x.is_integer():
-            return int(x.rational_value())
-        if x.is_rational():
-            q = x.rational_value()
-            return [q.numerator, q.denominator]
         return {
             "radical_terms": [
                 [d, q.numerator, q.denominator] for d, q in sorted(x.terms().items())

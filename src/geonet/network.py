@@ -28,11 +28,10 @@ from .circle import (
 )
 from .errors import (
     DuplicateEdge,
-    ExactDataMissing,
     InexactPosition,
     ZeroMultiplicity,
     SelfLoopEdge,
-    is_int,
+    is_index,
     is_positive_int,
 )
 from .exact import RadExpr
@@ -85,7 +84,7 @@ class Network:
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(neighbor index, edge multiplicity) pairs for vertex i; the one
         vertex-index check: ValueError unless i is an int, not a bool, in [0, n)."""
-        if not (is_int(i) and 0 <= i < len(self.vertices)):
+        if not is_index(i, len(self.vertices)):
             raise ValueError(f"vertex {i} out of range")
         out = []
         for e in self.edges:
@@ -119,7 +118,7 @@ def make_network(vertices: Sequence[Vertex], edges: Sequence[InteriorEdge]) -> N
     seen: set[tuple[int, int]] = set()
     new_edges = []
     for e in edges:
-        if not (0 <= e.i < len(vertices) and 0 <= e.j < len(vertices)):
+        if not (is_index(e.i, len(vertices)) and is_index(e.j, len(vertices))):
             raise ValueError(f"edge ({e.i}, {e.j}) references a missing vertex")
         i, j = sorted((remap[e.i], remap[e.j]))
         if (i, j) in seen:
@@ -158,7 +157,7 @@ def _residual_float(net: Network, i: int) -> tuple[float, float]:
 def stationarity_residual(net: Network, i: int, mode: str = "auto"):
     """Force balance at vertex i: exterior ray plus weighted chord tangents.
 
-    mode "exact" returns a RadExpr pair and raises ExactDataMissing when the
+    mode "exact" returns a RadExpr pair and raises InexactPosition when the
     data cannot support it; "float" always evaluates numerically; "auto"
     prefers exact and falls back.
     """
@@ -168,9 +167,9 @@ def stationarity_residual(net: Network, i: int, mode: str = "auto"):
         return _residual_float(net, i)
     try:
         return _residual_exact(net, i)
-    except (ExactDataMissing, InexactPosition):
+    except InexactPosition:
         if mode == "exact":
-            raise ExactDataMissing(
+            raise InexactPosition(
                 f"vertex {i} has no exact residual (missing or irrational data)"
             )
         return _residual_float(net, i)
@@ -259,7 +258,7 @@ def invariant_report(net: Network) -> InvariantReport:
                 ln = _chord(net.vertices[e.i].position, net.vertices[e.j].position)[2]
                 mass = mass - e.mult * ln
             return InvariantReport(balance, mass, parity, True)
-        except (ExactDataMissing, InexactPosition):
+        except InexactPosition:
             pass
     bx = by = 0.0
     for v in net.vertices:

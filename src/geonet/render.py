@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import check_int
 from .network import Network
 
 RAY_REACH = 1.3  # exterior rays drawn to this multiple of the circle radius
@@ -21,6 +22,7 @@ class RenderStyle:
     labels: bool = False
 
     def __post_init__(self):
+        check_int("size", self.size)
         if self.size < 64:
             raise ValueError("canvas must be at least 64 px")
         if not 0 < self.stroke_scale < math.inf:

@@ -36,13 +36,12 @@ from .circle import (
     ExactScalar,
     INFINITY,
     TanHalf,
-    _InfinityType,
     _chord,
     angle_order,
     tan_half_add,
 )
 from .errors import DomainError, InexactPosition, check_int
-from .exact import RadExpr
+from .exact import RadExpr, simplify
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
 SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dimension
@@ -257,11 +256,9 @@ def positive_integer_solutions(
 
 def _multiplicity(y: ExactScalar, length: ExactScalar, bound: int) -> int | None:
     """x = y * length when it is an integer in [1, bound], else None."""
-    x = y * length
+    x = simplify(y * length)
     if isinstance(x, RadExpr):
-        if not x.is_rational():
-            return None
-        x = x.rational_value()
+        return None
     return int(x) if x.denominator == 1 and 1 <= x <= bound else None
 
 
@@ -371,7 +368,7 @@ def half_cos_sin(u: TanHalf) -> tuple[ExactScalar, ExactScalar]:
 
     There sin(a/2) > 0 while cos(a/2) carries the sign of u; u = INFINITY
     means a = pi and gives (0, 1)."""
-    if isinstance(u, _InfinityType):
+    if u is INFINITY:
         return Fraction(0), Fraction(1)
     uu = RadExpr.of(u)
     sq = 1 + uu * uu
@@ -386,7 +383,7 @@ def half_cos_sin(u: TanHalf) -> tuple[ExactScalar, ExactScalar]:
 
 
 def _tan_sign(u: TanHalf) -> int:
-    if isinstance(u, _InfinityType):
+    if u is INFINITY:
         return 0  # boundary marker: the angle equals pi
     x = RadExpr.of(u)
     return 0 if x.is_zero() else x.sign()
@@ -442,7 +439,7 @@ def n3_closed_forms(alpha12: CirclePoint, alpha23: CirclePoint) -> N3ClosedForm:
         RadExpr.of(c12) * RadExpr.of(s12),
     )
     rational = all(
-        not isinstance(u, _InfinityType) and RadExpr.of(u).is_rational()
+        u is not INFINITY and RadExpr.of(u).is_rational()
         for u in (u12, u23, u13)
     )
     return N3ClosedForm(u12, u23, u13, edge, exterior, rational)

@@ -4,6 +4,8 @@ Every integer argument (a bound, depth, n, sample or point count, or
 max_iters) must be an int that is not a bool, and every vertex index must
 also lie in [0, n); otherwise the call raises ValueError naming the argument,
 before any work.  errors.check_int and Network.neighbors hold the two rules.
+Chord endpoints in ChordSet and make_network follow the index rule too
+(errors.is_index), keeping those checks' own messages.
 """
 
 import re
@@ -13,7 +15,8 @@ import pytest
 from geonet import chords, sweep
 from geonet.chords import ChordSet
 from geonet.circle import INFINITY
-from geonet.network import stationarity_residual
+from geonet.network import InteriorEdge, Vertex, make_network, stationarity_residual
+from geonet.render import RenderStyle
 from geonet.replace import good_network_audit, replacement_feasible, replacement_problem
 from geonet.solver import build_system, positive_integer_solutions, solve
 from helpers import golden_triangle, line_network, pt
@@ -72,6 +75,27 @@ CASES = [
     pytest.param(call, i, f"vertex {i!r} out of range", id=f"{entry}-{i!r}")
     for entry, call in VERTEX_INDEX_ENTRY_POINTS.items()
     for i in (-1, 3, True, 2.0, 2.5)
+]
+
+CASES += [
+    pytest.param(
+        lambda c: ChordSet(3, (c,)), c, f"chord {c!r} out of range for n=3", id=f"ChordSet-{c!r}"
+    )
+    for c in ((0, 1.5), (0, True), (0.0, 2))
+] + [
+    pytest.param(
+        lambda e: make_network([Vertex(pt(0), 1), Vertex(pt(INFINITY), 1)], [e]),
+        e,
+        f"edge ({e.i!r}, {e.j!r}) references a missing vertex",
+        id=f"make_network-{e.i!r}-{e.j!r}",
+    )
+    for e in (InteriorEdge(0, True, 1), InteriorEdge(False, 1, 1), InteriorEdge(0, 1.0, 1))
+] + [
+    # 512.0 and 100.5 pass the range check, so only the int rule refuses them
+    pytest.param(
+        lambda v: RenderStyle(size=v), v, f"size must be an int, got {v!r}", id=f"RenderStyle-{v!r}"
+    )
+    for v in (True, 512.0, 100.5)
 ]
 
 

@@ -106,6 +106,14 @@ def test_closed_form_bounds_small():
     assert (b5.nonadjacent_max, b5.edge_max, b5.leaf_edge_max) == (2, 7, 5)
 
 
+def test_point_counts_below_the_minimum_raise():
+    for call in (lambda: ChordSet(0, ()), lambda: closed_form_bounds(0)):
+        with pytest.raises(ValueError, match="need at least one point"):
+            call()
+    with pytest.raises(ValueError, match="audit needs at least three points"):
+        audit_counting_argument(2)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_audit_no_survivors(n):
     report = audit_counting_argument(n)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from geonet.circle import (
     tangent_components_exact,
     tangent_point,
 )
-from geonet.errors import ExactDataMissing, InexactPosition
+from geonet.errors import InexactPosition
 from geonet.exact import RadExpr
 from helpers import point_mul, reflect_point
 
@@ -90,8 +92,18 @@ def test_point_consistency_guard():
 def test_float_only_point():
     p = CirclePoint.from_angle(1.234)
     assert not p.is_exact
-    with pytest.raises(ExactDataMissing):
+    with pytest.raises(InexactPosition):
         p.exact_xy()
+
+
+def test_infinity_survives_copy_and_pickle():
+    # the point at pi is tested by identity, so every copy must be INFINITY itself
+    assert copy.copy(INFINITY) is INFINITY
+    assert copy.deepcopy(INFINITY) is INFINITY
+    point = CirclePoint.from_tan_half(INFINITY)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INFINITY, protocol)) is INFINITY
+        assert pickle.loads(pickle.dumps(point, protocol)).tan_half is INFINITY
 
 
 @given(a=tan_halves, b=tan_halves)

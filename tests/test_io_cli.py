@@ -198,6 +198,8 @@ def test_scalar_encoding():
     assert scalar_to_json(Fraction(3, 1)) == 3
     assert scalar_to_json(Fraction(-8, 5)) == [-8, 5]
     assert scalar_to_json(RadExpr.of(Fraction(1, 2))) == [1, 2]
+    assert scalar_to_json(RadExpr.of(4)) == 4
+    assert type(scalar_to_json(RadExpr.of(4))) is int
     radical = RadExpr.of(1) + RadExpr.sqrt(2)
     assert scalar_to_json(radical) == {"radical_terms": [[1, 1, 1], [2, 1, 1]]}
     # anything else is written as a float

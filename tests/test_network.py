@@ -8,13 +8,14 @@ from geonet.circle import INFINITY, TAU, CirclePoint
 from geonet.errors import (
     DuplicateEdge,
     DuplicateVertexAngle,
-    ExactDataMissing,
+    InexactPosition,
     SelfLoopEdge,
     ZeroMultiplicity,
 )
 from geonet.exact import RadExpr
 from geonet.network import (
     InteriorEdge,
+    Network,
     Vertex,
     canonical_key,
     crossing_pairs,
@@ -129,6 +130,11 @@ def test_rectangle_admissible():
     assert is_admissible(rectangle_network(), mode="exact").admissible
 
 
+def test_admissibility_needs_a_point():
+    with pytest.raises(ValueError, match="need at least one point"):
+        is_admissible(Network((), ()))
+
+
 def test_crossing_pairs_detects_diagonals():
     net = make_network(
         [Vertex(pt(0), 1), Vertex(pt(1), 1), Vertex(pt(INFINITY), 1), Vertex(pt(-1), 1)],
@@ -142,7 +148,7 @@ def test_float_network_falls_back():
     net = float_line_network()
     assert not net.is_exact
     assert is_stationary(net)  # float mode within tolerance
-    with pytest.raises(ExactDataMissing):
+    with pytest.raises(InexactPosition):
         stationarity_residual(net, 0, mode="exact")
 
 

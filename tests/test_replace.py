@@ -203,6 +203,22 @@ def test_audit_rejects_bad_inputs():
         good_network_audit(square_network())  # not admissible
 
 
+def test_refutation_below_depth_one_is_passed_up(monkeypatch):
+    # the first replacement succeeds, so the refutation comes from the nested level
+    problems = []
+
+    def feasible_once(problem, bound):
+        problems.append(problem)
+        return line_network() if len(problems) == 1 else None
+
+    monkeypatch.setattr(replace, "replacement_feasible", feasible_once)
+    verdict = good_network_audit(line_network(), depth=2)
+    assert verdict.status == "refuted-at-depth-2"
+    assert verdict.depth == 2
+    assert len(problems) == 2
+    assert verdict.witness is problems[1]
+
+
 def test_depth_zero_is_vacuous():
     verdict = good_network_audit(rectangle_network(), depth=0)
     assert verdict.good

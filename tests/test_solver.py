@@ -413,6 +413,24 @@ def test_closed_forms_domain_errors(u12, u23):
         n3_closed_forms(*n3_points(u12, u23))
 
 
+def test_closed_forms_need_exact_angle_differences():
+    with pytest.raises(InexactPosition, match="closed forms need exact angle differences"):
+        n3_closed_forms(CirclePoint.from_angle(1.0), pt(Fraction(1, 2)))
+
+
+def test_closed_forms_reject_a_second_difference_past_pi():
+    with pytest.raises(
+        DomainError, match=r"second angle difference must lie strictly in \(0, pi\)"
+    ):
+        n3_closed_forms(*n3_points(Fraction(2), Fraction(-1)))
+
+
+def test_half_cos_sin_needs_a_rational_norm():
+    # 1 + (1 + sqrt2)^2 = 4 + 2*sqrt2 has no representable square root
+    with pytest.raises(InexactPosition, match="half-angle norm is not a representable radical"):
+        half_cos_sin(1 + RadExpr.sqrt(2))
+
+
 def test_kernel_matches_closed_form_sample():
     rng = seeded_rng(salt=3)
     for _ in range(40):
