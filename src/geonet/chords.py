@@ -30,6 +30,23 @@ def crossing_index_pairs(chords: Sequence[tuple[int, int]]) -> Iterator[tuple[in
                 yield a, b
 
 
+def _nested(chords: Sequence[tuple[int, int]]) -> bool:
+    """Whether distinct chords i < j are pairwise non-crossing, in O(k log k).
+
+    Taken by left end, and the longer first at a shared left end, they must
+    nest like brackets: once the open chords that end at or before i are
+    closed, the innermost one left must not end before j.
+    """
+    ends: list[int] = []
+    for i, j in sorted(chords, key=lambda c: (c[0], -c[1])):
+        while ends and ends[-1] <= i:
+            ends.pop()
+        if ends and ends[-1] < j:
+            return False
+        ends.append(j)
+    return True
+
+
 def _adjacent(i: int, j: int, n: int) -> bool:
     return j - i == 1 or (i == 0 and j == n - 1)
 
@@ -53,14 +70,15 @@ class ChordSet:
                 raise ValueError(f"duplicate chord ({i}, {j})")
             seen.add((i, j))
         cs = sorted(self.chords)
-        for a, b in crossing_index_pairs(cs):
+        if not _nested(cs):
+            a, b = next(crossing_index_pairs(cs))
             raise CrossingEdges(f"chords {cs[a]} and {cs[b]} cross")
         object.__setattr__(self, "chords", tuple(cs))
 
     @classmethod
     def _trusted(cls, n: int, chords: tuple[tuple[int, int], ...]) -> ChordSet:
         """A set built by the enumerator: sorted, in range and non-crossing by
-        construction, so it skips the O(k^2) checks of __post_init__."""
+        construction, so it skips the checks of __post_init__."""
         cs = object.__new__(cls)
         object.__setattr__(cs, "n", n)
         object.__setattr__(cs, "chords", chords)

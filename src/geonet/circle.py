@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Sequence, Union
 
-from .errors import DuplicateVertexAngle, InexactPosition
+from .errors import DuplicateVertexAngle, InexactPosition, is_int
 from .exact import RadExpr, simplify
 
 TAU = math.tau
@@ -52,12 +52,20 @@ def _recip(x: ExactScalar) -> TanHalf:
 
 
 def as_tan_half(x) -> TanHalf:
-    """Coerce ints/Fractions/RadExpr (or INFINITY) to a canonical tan-half."""
+    """Coerce an int, Fraction or RadExpr (or INFINITY) to a canonical tan-half.
+
+    Anything else, a float or a bool among them, raises ValueError: a float's
+    binary value is not the number it was written as, and True counts nothing.
+    """
     if x is INFINITY:
         return INFINITY
     if isinstance(x, RadExpr):
         return simplify(x)
-    return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if is_int(x):
+        return Fraction(x)
+    raise ValueError(f"tan_half must be an int, Fraction, RadExpr or INFINITY, got {x!r}")
 
 
 def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
@@ -125,6 +133,7 @@ class CirclePoint:
         if not 0.0 <= self.angle < TAU:
             raise ValueError(f"angle {self.angle} not normalized to [0, tau)")
         if self.tan_half is not None:
+            object.__setattr__(self, "tan_half", as_tan_half(self.tan_half))
             ex, ey = exact_xy_of_tan(self.tan_half)
             if abs(float(ex) - math.cos(self.angle)) > 1e-9 or abs(
                 float(ey) - math.sin(self.angle)

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .errors import SignUndecided
+
 Rational = Union[int, Fraction]
 
 _SIGN_PRECISION_LIMIT = 4096  # bits; far beyond anything desk-scale inputs need
@@ -223,7 +225,7 @@ class RadExpr:
             if hi < 0:
                 return -1
             bits *= 2
-        raise ArithmeticError("sign undecided at precision limit")
+        raise SignUndecided("sign undecided at precision limit")
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

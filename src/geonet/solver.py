@@ -15,19 +15,23 @@ elimination runs on Fractions; radical positions keep RadExpr entries.  Each
 kernel vector is reported divided by its lead, and as coprime integers when
 that leaves it rational.
 
-Integer solutions are searched on the rational part of the solution space:
-splitting every coordinate by radical term leaves a rational lattice, usually
-of much lower dimension than the kernel, and only its points within the bound
-are enumerated.
+Integer solutions are searched on the rational part of the solution space.
+The search reads the scaled solution that solve keeps beside its output (the
+column scale, the y-particular and the y-kernel), never the x-space fields.
+Splitting every coordinate by radical term gives rational equations in the
+free coordinates; a row with one unknown fixes it, and a value outside the
+integers in [1, bound] refutes at once.  The rest leaves a rational lattice,
+usually of much lower dimension than the kernel, and only its points within
+the bound are enumerated.
 The three-vertex case additionally gets the closed forms in half-angle
 cosines/sines that drive the rationality analysis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .chords import ChordSet
@@ -69,6 +73,12 @@ class SolveResult:
     particular: tuple | None
     free_columns: tuple[int, ...]
     n_unknowns: int
+    # the scaled solution that positive_integer_solutions reads: x = scale * y
+    # per column, one term q*sqrt(d) each; the y-particular; and the y-kernel
+    # as kernel_from_rref gives it, one in its free column and zero in the others
+    scale: tuple[ExactScalar, ...] = field(compare=False, repr=False)
+    y_particular: tuple | None = field(compare=False, repr=False)
+    y_kernel: tuple[tuple, ...] = field(compare=False, repr=False)
 
     @property
     def nullity(self) -> int:
@@ -163,22 +173,44 @@ def solve(system: StationaritySystem) -> SolveResult:
     One elimination on the scaled matrix gives them in y, and x = scale * y.
     Each kernel vector scale * y is normalized as it is: all its multiples
     normalize alike, so a rational kernel comes out as the coprime integers
-    of the unit-direction system.
+    of the unit-direction system.  The y-particular, the y-kernel and the
+    scale ride along, uncompared, for positive_integer_solutions.
     """
     m, pivots, b = rref(system.matrix, system.rhs)
     ncols, scale = system.n_unknowns, system.scale
     y = particular_from_rref(m, pivots, b, ncols)
     particular = None if y is None else tuple(RadExpr.of(s * v) for s, v in zip(scale, y))
+    kernel = tuple(tuple(k) for k in kernel_from_rref(m, pivots, ncols))
     return SolveResult(
         rank=len(pivots),
-        kernel_basis=tuple(
-            normalize_vector([s * v for s, v in zip(scale, k)])
-            for k in kernel_from_rref(m, pivots, ncols)
-        ),
+        kernel_basis=tuple(normalize_vector([s * v for s, v in zip(scale, k)]) for k in kernel),
         particular=particular,
         free_columns=tuple(c for c in range(ncols) if c not in pivots),
         n_unknowns=ncols,
+        scale=scale,
+        y_particular=None if y is None else tuple(y),
+        y_kernel=kernel,
     )
+
+
+def _term(s: ExactScalar) -> tuple[int, Fraction]:
+    """A column scale's one term q*sqrt(d) as (d, q)."""
+    if isinstance(s, RadExpr):
+        ((d, q),) = s.terms().items()
+        return d, q
+    return 1, s
+
+
+def _times_term(y: ExactScalar, d: int, q: Fraction) -> dict[int, Fraction]:
+    """y * q*sqrt(d) as a term map.  Times sqrt(d), distinct squarefree e give
+    distinct keys d*e/gcd(d, e)**2, so no two terms of y collide."""
+    if not isinstance(y, RadExpr):
+        return {d: q * y} if y else {}
+    out = {}
+    for e, p in y.terms().items():
+        g = gcd(d, e)
+        out[(d // g) * (e // g)] = p * q * g
+    return out
 
 
 def positive_integer_solutions(
@@ -188,46 +220,66 @@ def positive_integer_solutions(
 
     A solution is x = particular + sum_k t_k * basis_k, with each kernel
     vector scaled to one in its free column, so t_k = x[free_k] is an integer.
-    Square roots of distinct squarefree integers are linearly independent over
-    Q, so x is rational exactly when, in every coordinate, the coefficient of
-    each sqrt(d) with d != 1 vanishes.  Those equations are rational and linear
-    in t; their solutions are an affine family over the r' coordinates of t
-    they leave free.  Only that rational lattice is walked: bound**r' points,
-    refused above SEARCH_BOX_CAP, in integers over one common denominator.
-    Nullity zero is the case with no t.
+    The search builds them from the scaled solution alone: coordinate i of the
+    particular is scale_i * y_i, and the coefficient of t_k there is
+    (scale_i / scale_{free_k}) * y_k[i], one radical times a Fraction, or times
+    a RadExpr on radical positions.  Square roots of distinct squarefree
+    integers are linearly independent over Q, so x is rational exactly when,
+    in every coordinate, the coefficient of each sqrt(d) with d != 1 vanishes.
+    Those equations are rational and linear in t, and are built coordinate by
+    coordinate; one with a single unknown fixes it (the singleton rows of
+    integer-programming presolve), and a value that is not an integer in
+    [1, bound] returns [] before anything is eliminated.  The equations' other
+    solutions are an affine family over the r' coordinates of t they leave
+    free.  Only that rational lattice is walked: bound**r' points, refused
+    above SEARCH_BOX_CAP, in integers over one common denominator.  Nullity
+    zero is the case with no t.
     """
     check_int("bound", bound)
     if bound < 1:
         raise ValueError("bound must be positive")
-    if result.particular is None:
+    if result.y_particular is None:
         return []
-    part = [RadExpr.of(x).terms() for x in result.particular]
-    basis = []
-    for vec, f in zip(result.kernel_basis, result.free_columns):
-        v = [RadExpr.of(x) for x in vec]
-        inv = v[f].inverse()
-        basis.append([(x * inv).terms() for x in v])
+    terms = [_term(s) for s in result.scale]
+    # 1/scale_f = sqrt(d)/(q*d) for each free column f
+    inverse_free = []
+    for f in result.free_columns:
+        d, q = terms[f]
+        inverse_free.append((d, 1 / (q * d)))
 
     # the irrational parts must cancel: one rational equation in t per
     # coordinate and radical
-    rows, rhs = [], []
-    for i, p in enumerate(part):
-        radicals = set(p).union(*(b[i] for b in basis)) - {1}
-        for d in sorted(radicals):
-            rows.append([b[i].get(d, 0) for b in basis])
-            rhs.append(-p.get(d, 0))
+    part, coefficients, rows, rhs = [], [], [], []
+    for i, (d, q) in enumerate(terms):
+        p = _times_term(result.y_particular[i], d, q)
+        coeffs = []
+        for y, (e, r) in zip(result.y_kernel, inverse_free):
+            g = gcd(d, e)
+            coeffs.append(_times_term(y[i], (d // g) * (e // g), q * r * g))
+        part.append(p)
+        coefficients.append(coeffs)
+        for rad in sorted(set(p).union(*coeffs) - {1}):
+            row = [c.get(rad, 0) for c in coeffs]
+            nonzero = [k for k, c in enumerate(row) if c]
+            if len(nonzero) == 1:
+                t = -p.get(rad, 0) / row[nonzero[0]]
+                if t.denominator != 1 or not 1 <= t <= bound:
+                    return []
+            rows.append(row)
+            rhs.append(-p.get(rad, 0))
+    nullity = len(result.y_kernel)
     m, pivots, reduced = rref(rows, rhs)
-    t0 = particular_from_rref(m, pivots, reduced, len(basis))
+    t0 = particular_from_rref(m, pivots, reduced, nullity)
     if t0 is None:
         return []
-    lattice = kernel_from_rref(m, pivots, len(basis))
+    lattice = kernel_from_rref(m, pivots, nullity)
     if bound ** len(lattice) > SEARCH_BOX_CAP:
         raise ValueError("search box too large for exhaustive enumeration")
 
     # x = origin + sum_j s_j * steps_j over the rational parts alone, with
     # s_j the t-coordinate left free by the split
     def rational_part(coeffs, i):
-        return sum((c * b[i].get(1, 0) for c, b in zip(coeffs, basis)), Fraction(0))
+        return sum((c * b.get(1, 0) for c, b in zip(coeffs, coefficients[i])), Fraction(0))
 
     origin = [p.get(1, 0) + rational_part(t0, i) for i, p in enumerate(part)]
     steps = []

@@ -286,12 +286,17 @@ def normalized_solve(positions, edges, fixed_exterior=None) -> SolveResult:
         matrix[2 * j][c], matrix[2 * j + 1][c] = -tx, -ty
     m, pivots, b = rref(matrix, rhs)
     particular = particular_from_rref(m, pivots, b, ncols)
+    kernel = kernel_from_rref(m, pivots, ncols)
     return SolveResult(
         rank=len(pivots),
-        kernel_basis=tuple(normalize_vector(v) for v in kernel_from_rref(m, pivots, ncols)),
+        kernel_basis=tuple(normalize_vector(v) for v in kernel),
         particular=None if particular is None else tuple(RadExpr.of(x) for x in particular),
         free_columns=tuple(c for c in range(ncols) if c not in pivots),
         n_unknowns=ncols,
+        # the unknowns are the multiplicities themselves: unit scale, y = x
+        scale=(Fraction(1),) * ncols,
+        y_particular=None if particular is None else tuple(particular),
+        y_kernel=tuple(tuple(v) for v in kernel),
     )
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from itertools import zip_longest
 
 import pytest
@@ -15,6 +16,7 @@ from geonet.chords import (
     max_nonadjacent_chords,
     nonadjacent_max_recursive,
 )
+from geonet.errors import CrossingEdges
 from helpers import catalan, naive_chord_sets, naive_is_maximal, segments_cross_float
 
 # non-crossing chord sets on n points allowing adjacent chords, n = 3..8
@@ -47,12 +49,37 @@ def test_chords_cross_matches_geometry(data, n):
 
 def test_chord_set_validation():
     ChordSet(5, ((0, 2), (0, 3)))
+    # nested at a shared left end, and joined end to start
+    assert ChordSet(6, ((0, 2), (0, 5), (0, 3), (3, 5), (2, 3))).chords == (
+        (0, 2), (0, 3), (0, 5), (2, 3), (3, 5)
+    )
     with pytest.raises(ValueError):
         ChordSet(5, ((0, 2), (1, 3)))  # crossing
+    with pytest.raises(CrossingEdges, match=re.escape("chords (0, 3) and (1, 4) cross")):
+        ChordSet(6, ((1, 4), (0, 5), (0, 3), (2, 3)))
+    with pytest.raises(CrossingEdges, match=re.escape("chords (0, 2) and (1, 5) cross")):
+        ChordSet(6, ((0, 2), (0, 1), (1, 5)))
     with pytest.raises(ValueError):
         ChordSet(5, ((0, 2), (0, 2)))  # duplicate
     with pytest.raises(ValueError):
         ChordSet(5, ((0, 5),))  # out of range
+
+
+@given(data=st.data(), n=st.integers(min_value=2, max_value=10))
+@settings(max_examples=300, deadline=None)
+def test_crossing_check_matches_every_pair(data, n):
+    # the bracket scan accepts exactly the sets with no crossing pair, and a
+    # refusal names the first crossing pair of the sorted chords
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chords = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8))
+    cs = sorted(chords)
+    crossing = [(a, b) for a in cs for b in cs if a < b and chords_cross(a, b)]
+    if not crossing:
+        assert ChordSet(n, tuple(chords)).chords == tuple(cs)
+        return
+    a, b = crossing[0]
+    with pytest.raises(CrossingEdges, match=re.escape(f"chords {a} and {b} cross")):
+        ChordSet(n, tuple(chords))
 
 
 @pytest.mark.parametrize("n", range(1, 10))

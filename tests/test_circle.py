@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from geonet.circle import (
     _chord,
     angle_of_tan,
     angle_order,
+    as_tan_half,
     diameter_side,
     exact_xy_of_tan,
     normalize_angle,
@@ -87,6 +89,30 @@ def test_point_consistency_guard():
     for angle in (-0.5, math.tau, 7.0, math.nan):
         with pytest.raises(ValueError, match="not normalized to"):
             CirclePoint(angle)
+
+
+def test_int_tan_half_is_kept_exact():
+    p = CirclePoint(angle_of_tan(3), 3)
+    assert type(p.tan_half) is Fraction and p.tan_half == 3
+    # at the point at pi the tan-half is inverted; an int kept as it was
+    # became the float 1/3 there
+    pi = CirclePoint.from_tan_half(INFINITY)
+    assert point_div(pi, p).tan_half == Fraction(1, 3)
+    assert point_div(pi, p) == point_div(pi, CirclePoint.from_tan_half(3))
+    assert tan_half_add(INFINITY, p.tan_half) == Fraction(-1, 3)
+    assert type(tan_half_add(INFINITY, p.tan_half)) is Fraction
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 3.0, True, False, "1/2", None])
+def test_tan_half_must_be_exact(t):
+    message = re.escape(f"tan_half must be an int, Fraction, RadExpr or INFINITY, got {t!r}")
+    with pytest.raises(ValueError, match=message):
+        as_tan_half(t)
+    with pytest.raises(ValueError, match=message):
+        CirclePoint.from_tan_half(t)
+    if t is not None:  # CirclePoint(angle, None) is a point without a tan-half
+        with pytest.raises(ValueError, match=message):
+            CirclePoint(1.0, t)
 
 
 def test_float_only_point():

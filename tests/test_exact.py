@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geonet import cli
+from geonet.errors import GeonetError, SignUndecided
 from geonet.exact import RadExpr, squarefree_decompose
 from helpers import conjugate_product_inverse
 
@@ -69,6 +71,31 @@ def test_sign_of_close_combination():
     assert x.sign() == -1
     assert (-x).sign() == 1
     assert RadExpr.of(0).sign() == 0
+
+
+def pell_gap(bits: int) -> RadExpr:
+    """x - y*sqrt2 for the first Pell pair x^2 - 2y^2 = 1 with x of the given
+    bit length: a positive value near 2^-bits, past the sign's precision limit."""
+    x, y = 3, 2
+    while x.bit_length() < bits:
+        x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    return x - y * RadExpr.sqrt(2)
+
+
+def test_sign_at_the_precision_limit_raises_a_typed_error(monkeypatch, capsys):
+    gap = pell_gap(2100)
+    with pytest.raises(SignUndecided, match="sign undecided at precision limit") as info:
+        gap.sign()
+    assert isinstance(info.value, GeonetError)
+    assert isinstance(info.value, ArithmeticError)
+    # no CLI input is known to reach the limit, so a command is made to (the
+    # handlers look their library calls up at call time): the error then ends
+    # it like every other GeonetError, exit 1 with "error: "
+    monkeypatch.setattr(cli, "certify_no_good_n3", gap.sign)
+    assert cli.dispatch(["certify-n3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sign undecided at precision limit\n"
 
 
 def test_inverse_three_radicals():

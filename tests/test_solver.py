@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -288,7 +289,10 @@ def offset_lattice_result():
     in convex position carry no self-stress), so this inhomogeneous case with
     a lattice of dimension one is built by hand.  x = (3 + sqrt2, 0, 0)
     + t1*(-sqrt2, 1, 0) + t2*(1/2, 0, 1): the radical part pins t1 = 1 and
-    leaves t2 free, and x0 = 3 + t2/2 is an integer for even t2 only.
+    leaves t2 free, and x0 = 3 + t2/2 is an integer for even t2 only.  The
+    y fields that the search reads are the same vectors at unit scale, each
+    kernel vector one in its own free column: the sqrt2 row of x0 is a
+    singleton row, which pins t1 = 1 inside [1, bound].
     """
     root2 = RadExpr.sqrt(2)
     return SolveResult(
@@ -297,6 +301,9 @@ def offset_lattice_result():
         particular=(3 + root2, 0, 0),
         free_columns=(1, 2),
         n_unknowns=3,
+        scale=(Fraction(1),) * 3,
+        y_particular=(3 + root2, 0, 0),
+        y_kernel=((-root2, 1, 0), (HALF, 0, 1)),
     )
 
 
@@ -321,19 +328,43 @@ def oracle_cases():
             tans = [Fraction(0)] + rng.sample(TAN_GRID, n - 1)
             yield f"fan-{n}-{k}", fan_result(tans), bound
     yield "offset-lattice", offset_lattice_result(), 10
-
-
-@pytest.mark.parametrize(
-    "result,bound", [pytest.param(r, b, id=name) for name, r, b in oracle_cases()]
-)
-def test_positive_solutions_match_box_walk(result, bound):
-    assert positive_integer_solutions(result, bound) == box_walk_solutions(result, bound)
+    # the turned cases put radical scales and radical y through the search; at
+    # bound 6 the free rectangles, plain and turned, have a solution each
+    for name, positions, chords, fixed in SCALED_CASES:
+        yield f"scaled-{name}", solve(build_system(positions, chords, fixed)), 6
 
 
 def test_positive_solutions_on_offset_lattice():
     assert positive_integer_solutions(offset_lattice_result(), 10) == [
         (4, 1, 2), (5, 1, 4), (6, 1, 6), (7, 1, 8), (8, 1, 10)
     ]
+
+
+def test_search_reads_the_scaled_solution_alone(monkeypatch):
+    # the search never inverts a RadExpr and never reads the x-space fields;
+    # the grid triangle's chord 0-1 has length 2/sqrt5, so the sqrt5 part of
+    # a coordinate is a singleton row, which pins t = 0 and refutes the
+    # triangle before any elimination
+    golden = solve(triangle_system(Fraction(4, 3), Fraction(4, 3)))
+    grid = solve(triangle_system(HALF, HALF))
+    assert isinstance(grid.scale[3], RadExpr) and grid.nullity == 1
+    cases = [(golden, positive_integer_solutions(golden, 100), 1), (grid, [], 0)]
+    assert cases[0][1] == box_walk_solutions(golden, 100) != []
+    calls = {"inverse": 0, "rref": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(RadExpr, "inverse", counted("inverse", RadExpr.inverse))
+    monkeypatch.setattr(solver, "rref", counted("rref", solver.rref))
+    for result, want, rrefs in cases:
+        calls.update(inverse=0, rref=0)
+        blind = dataclasses.replace(result, kernel_basis=None, particular=None)
+        assert positive_integer_solutions(blind, 100) == want
+        assert calls == {"inverse": 0, "rref": rrefs}
 
 
 def test_rectangle_solutions_are_many():
@@ -601,6 +632,13 @@ def test_scaled_cases_cover_every_kind():
         kinds["particular" if result.particular else "no particular"] += fixed is not None
         kinds["radical entries"] += any(isinstance(x, RadExpr) for row in system.matrix for x in row)
     assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize(
+    "result,bound", [pytest.param(r, b, id=name) for name, r, b in oracle_cases()]
+)
+def test_positive_solutions_match_box_walk(result, bound):
+    assert positive_integer_solutions(result, bound) == box_walk_solutions(result, bound)
 
 
 def test_rational_kernel_with_irrational_column_scale():
