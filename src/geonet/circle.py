@@ -69,7 +69,11 @@ def as_tan_half(x) -> TanHalf:
 
 
 def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
-    """tan((alpha+beta)/2) from the two half-angle tangents."""
+    """tan((alpha+beta)/2) from the two half-angle tangents.
+
+    Each argument goes through as_tan_half, here and in the other tan-half
+    helpers: an int is taken as a Fraction, a float raises ValueError."""
+    a, b = as_tan_half(a), as_tan_half(b)
     ainf = a is INFINITY
     binf = b is INFINITY
     if ainf and binf:
@@ -90,12 +94,14 @@ def tan_half_sub(a: TanHalf, b: TanHalf) -> TanHalf:
 
 def tan_half_neg(a: TanHalf) -> TanHalf:
     """Half-angle tangent of -alpha (reflection across the x-axis)."""
+    a = as_tan_half(a)
     if a is INFINITY:
         return INFINITY
     return simplify(-a)
 
 
 def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
+    t = as_tan_half(t)
     if t is INFINITY:
         return Fraction(-1), Fraction(0)
     one_plus = 1 + t * t

@@ -10,10 +10,10 @@ chord column is y = m_vw/|w - v|, and StationaritySystem.scale records the
 factor x = scale * y that maps it back (one for the m_v columns, |w - v| for
 the chords).  Scaling a column by a nonzero factor moves no pivot, so solve
 runs one elimination on the scaled matrix and maps its particular solution
-and kernel back exactly.  Rational positions give a rational matrix, and the
-elimination runs on Fractions; radical positions keep RadExpr entries.  Each
-kernel vector is reported divided by its lead, and as coprime integers when
-that leaves it rational.
+and kernel back exactly.  Rational positions give a rational matrix, which
+linalg.rref eliminates on integer rows; radical positions keep RadExpr
+entries and take its field pass.  Each kernel vector is reported divided by
+its lead, and as coprime integers when that leaves it rational.
 
 Integer solutions are searched on the rational part of the solution space.
 The search reads the scaled solution that solve keeps beside its output (the
@@ -167,32 +167,6 @@ def normalize_vector(vec: Sequence) -> tuple:
     return tuple(int(q * mult) for q in qs)
 
 
-def solve(system: StationaritySystem) -> SolveResult:
-    """Rank, kernel basis and a particular solution in the multiplicities x.
-
-    One elimination on the scaled matrix gives them in y, and x = scale * y.
-    Each kernel vector scale * y is normalized as it is: all its multiples
-    normalize alike, so a rational kernel comes out as the coprime integers
-    of the unit-direction system.  The y-particular, the y-kernel and the
-    scale ride along, uncompared, for positive_integer_solutions.
-    """
-    m, pivots, b = rref(system.matrix, system.rhs)
-    ncols, scale = system.n_unknowns, system.scale
-    y = particular_from_rref(m, pivots, b, ncols)
-    particular = None if y is None else tuple(RadExpr.of(s * v) for s, v in zip(scale, y))
-    kernel = tuple(tuple(k) for k in kernel_from_rref(m, pivots, ncols))
-    return SolveResult(
-        rank=len(pivots),
-        kernel_basis=tuple(normalize_vector([s * v for s, v in zip(scale, k)]) for k in kernel),
-        particular=particular,
-        free_columns=tuple(c for c in range(ncols) if c not in pivots),
-        n_unknowns=ncols,
-        scale=scale,
-        y_particular=None if y is None else tuple(y),
-        y_kernel=kernel,
-    )
-
-
 def _term(s: ExactScalar) -> tuple[int, Fraction]:
     """A column scale's one term q*sqrt(d) as (d, q)."""
     if isinstance(s, RadExpr):
@@ -211,6 +185,38 @@ def _times_term(y: ExactScalar, d: int, q: Fraction) -> dict[int, Fraction]:
         g = gcd(d, e)
         out[(d // g) * (e // g)] = p * q * g
     return out
+
+
+def solve(system: StationaritySystem) -> SolveResult:
+    """Rank, kernel basis and a particular solution in the multiplicities x.
+
+    One elimination on the scaled matrix gives them in y (on integer rows for
+    a rational matrix, see rref), and x = scale * y, each coordinate built as
+    the term map of y_i times the one term of scale_i.  Each kernel vector
+    scale * y is normalized as it is: all its multiples normalize alike, so a
+    rational kernel comes out as the coprime integers of the unit-direction
+    system.  The y-particular, the y-kernel and the scale ride along,
+    uncompared, for positive_integer_solutions.
+    """
+    m, pivots, b = rref(system.matrix, system.rhs)
+    ncols, scale = system.n_unknowns, system.scale
+    terms = [_term(s) for s in scale]
+
+    def scaled(vec) -> list[RadExpr]:
+        return [RadExpr(_times_term(v, d, q)) for v, (d, q) in zip(vec, terms)]
+
+    y = particular_from_rref(m, pivots, b, ncols)
+    kernel = tuple(tuple(k) for k in kernel_from_rref(m, pivots, ncols))
+    return SolveResult(
+        rank=len(pivots),
+        kernel_basis=tuple(normalize_vector(scaled(k)) for k in kernel),
+        particular=None if y is None else tuple(scaled(y)),
+        free_columns=tuple(c for c in range(ncols) if c not in pivots),
+        n_unknowns=ncols,
+        scale=scale,
+        y_particular=None if y is None else tuple(y),
+        y_kernel=kernel,
+    )
 
 
 def positive_integer_solutions(

@@ -103,6 +103,24 @@ def test_int_tan_half_is_kept_exact():
     assert type(tan_half_add(INFINITY, p.tan_half)) is Fraction
 
 
+def test_tan_half_helpers_take_ints_as_fractions():
+    # int true division made floats here: tan_half_add(1, 2) was -3.0
+    for a, b in [(1, 2), (3, 1), (0, 5), (-2, 7), (INFINITY, 3), (2, INFINITY)]:
+        fa = a if a is INFINITY else Fraction(a)
+        fb = b if b is INFINITY else Fraction(b)
+        for fn in (tan_half_add, tan_half_sub):
+            got = fn(a, b)
+            assert got == fn(fa, fb) and type(got) is type(fn(fa, fb))
+    assert [tan_half_add(1, 2), tan_half_sub(3, 1)] == [Fraction(-3), Fraction(1, 2)]
+    assert type(tan_half_neg(2)) is Fraction and tan_half_neg(2) == -2
+    assert exact_xy_of_tan(2) == exact_xy_of_tan(Fraction(2)) == (Fraction(-3, 5), Fraction(4, 5))
+    assert all(type(x) is Fraction for x in exact_xy_of_tan(2))
+    for call in (lambda: tan_half_add(0.5, 1), lambda: tan_half_sub(1, 2.0),
+                 lambda: tan_half_neg(0.5), lambda: exact_xy_of_tan(2.0)):
+        with pytest.raises(ValueError, match="tan_half must be an int"):
+            call()
+
+
 @pytest.mark.parametrize("t", [0.1, 0.5, 3.0, True, False, "1/2", None])
 def test_tan_half_must_be_exact(t):
     message = re.escape(f"tan_half must be an int, Fraction, RadExpr or INFINITY, got {t!r}")

@@ -2,6 +2,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geonet.chords import ChordSet
 from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add
@@ -11,7 +13,7 @@ from geonet.errors import (
     DuplicateVertexAngle,
     InexactPosition,
 )
-from geonet import solver
+from geonet import linalg, solver
 from geonet.exact import RadExpr
 from geonet.linalg import kernel_from_rref, matvec, particular_from_rref, rref
 from geonet.solver import (
@@ -196,6 +198,52 @@ def test_rref_zero_row_with_nonzero_rhs():
     assert particular_from_rref(m, pivots, b, 2) is None
     m, pivots, b = rref([[0]], [1])
     assert pivots == [] and particular_from_rref(m, pivots, b, 1) is None
+
+
+# ints, and Fractions with and without a denominator
+RATIONALS = st.sampled_from(
+    [*range(-4, 5), *sorted({Fraction(p, q) for p in range(-6, 7) for q in (1, 2, 3, 4, 6)})]
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """(rows, rhs) of mixed ints and Fractions: every row a combination of
+    `rank` base rows, some of them zero rows, and an rhs that is absent,
+    consistent (the rows times a point) or drawn freely, which leaves a
+    rank-deficient system inconsistent in general.  Zero rows give the empty
+    system, with or without an empty rhs."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    base = [[draw(RATIONALS) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if draw(st.booleans()):
+            rows.append([0] * ncols)
+            continue
+        coeffs = [draw(RATIONALS) for _ in base]
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, base)), 0) for j in range(ncols)])
+    kind = draw(st.sampled_from(["none", "consistent", "free"]))
+    if kind == "none":
+        return rows, None
+    if kind == "free":
+        return rows, [draw(RATIONALS) for _ in rows]
+    point = [draw(RATIONALS) for _ in range(ncols)]
+    return rows, [sum((a * x for a, x in zip(row, point)), 0) for row in rows]
+
+
+@given(system=rational_systems())
+@settings(max_examples=300, deadline=None)
+def test_integer_pass_matches_the_field_pass(system):
+    # rational rows take the integer pass, RadExpr copies the field pass; the
+    # rows below the rank and their reduced rhs agree too
+    rows, rhs = system
+    got = rref(rows, rhs)
+    copies = [[RadExpr.of(x) for x in row] for row in rows]
+    assert got == rref(copies, None if rhs is None else [RadExpr.of(y) for y in rhs])
+    m, _, b = got
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert all(type(y) is Fraction for y in b or ())
 
 
 def test_build_system_rejects_inexact():
@@ -617,6 +665,27 @@ def test_scaled_solve_matches_unit_directions(positions, chords, fixed):
         vectors.append(result.particular)
     for vec in vectors:
         assert all(r.is_zero() for r in system_residual(system, vec))
+
+
+def test_rational_systems_never_enter_the_field_pass(monkeypatch):
+    # the field pass is for RadExpr entries alone: a rational system that
+    # reached it (say as RadExpr-wrapped rationals) would still be right,
+    # only slow, so the route is pinned here
+    field, calls = linalg._rref_field, []
+    monkeypatch.setattr(linalg, "_rref_field", lambda *a: calls.append(a) or field(*a))
+    results = []
+    for name, positions, chords, fixed in SCALED_CASES:
+        results.append(solve(build_system(positions, chords, fixed)))
+        # the turned cases' a + b*sqrt2 positions give RadExpr entries
+        assert len(calls) == name.startswith("turned"), name
+        calls.clear()
+    # the split rows of the search are rational whatever y holds; the offset
+    # lattice's sqrt2 row reaches the elimination
+    rows = []
+    monkeypatch.setattr(solver, "rref", lambda *a: rows.append(len(a[0])) or rref(*a))
+    for result in (*results, offset_lattice_result()):
+        positive_integer_solutions(result, 6)
+    assert calls == [] and rows[-1] == 1
 
 
 def test_scaled_cases_cover_every_kind():
