@@ -135,6 +135,14 @@ def _crossing_table(n: int, allow_adjacent: bool) -> _CrossingTable:
     return _CrossingTable(pairs, masks)
 
 
+def _check_enumerable(n: int) -> None:
+    check_int("n", n)
+    if n < 1:
+        raise ValueError("need at least one point")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
+
+
 def enumerate_chord_sets(
     n: int,
     allow_adjacent: bool = False,
@@ -149,11 +157,7 @@ def enumerate_chord_sets(
     candidate pair, v's neighbours are final, so a v that fails cuts the
     whole subtree.
     """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError("need at least one point")
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
+    _check_enumerable(n)
     table = _crossing_table(n, allow_adjacent)
     if vertex_ok is not None:
         return _enumerate_cut(n, table, vertex_ok)
@@ -212,6 +216,33 @@ def _enumerate_cut(
 
     if passes(settled[0]):
         yield from extend([], 0, 0)
+
+
+def _triangulations(i: int, j: int) -> list[tuple[tuple[int, int], ...]]:
+    """The diagonals of each triangulation of the polygon i, i + 1, ..., j:
+    the triangle on the side (i, j) has some apex k, and the polygons
+    i..k and k..j on its other two sides are triangulated alike."""
+    if j - i < 2:
+        return [()]
+    out = []
+    for k in range(i + 1, j):
+        sides = tuple(c for c in ((i, k), (k, j)) if c[1] - c[0] > 1)
+        rights = _triangulations(k, j)
+        out.extend(sides + left + right for left in _triangulations(i, k) for right in rights)
+    return out
+
+
+def maximal_chord_sets(n: int, allow_adjacent: bool = False) -> Iterator[ChordSet]:
+    """The inclusion-maximal non-crossing chord sets, in the order of
+    enumerate_chord_sets: the triangulations of the n-gon, with its n hull
+    sides under allow_adjacent.  Built directly, so n = 12 takes a Catalan
+    number of steps, not an exhaustive walk; n is checked as there."""
+    _check_enumerable(n)
+    hull = set()
+    if allow_adjacent and n > 1:
+        hull = {(0, n - 1)} | {(i, i + 1) for i in range(n - 1)}
+    sets = sorted(tuple(sorted(hull.union(t))) for t in _triangulations(0, n - 1))
+    return (ChordSet._trusted(n, chords) for chords in sets)
 
 
 def max_nonadjacent_chords(n: int) -> int:

@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from .chords import ChordSet, closed_form_bounds, enumerate_chord_sets
+from .chords import ChordSet, enumerate_chord_sets, maximal_chord_sets
 from .errors import GeonetError
 from .io import network_to_dict, point_to_json, read_network, scalar_to_json
 from .network import DEFAULT_TOL, is_admissible
@@ -82,12 +82,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    sets = enumerate_chord_sets(args.n, allow_adjacent=args.allow_adjacent)
-    if args.max_only:
-        bounds = closed_form_bounds(args.n)
-        top = bounds.edge_max if args.allow_adjacent else bounds.nonadjacent_max
-        sets = (cs for cs in sets if len(cs.chords) == top)
-    for cs in sets:
+    enumerate_sets = maximal_chord_sets if args.max_only else enumerate_chord_sets
+    for cs in enumerate_sets(args.n, allow_adjacent=args.allow_adjacent):
         _emit({"n": cs.n, "chords": [list(c) for c in cs.chords]})
     return 0
 

@@ -57,11 +57,6 @@ class IsolatedVertex(GeonetError):
     pass
 
 
-class SignUndecided(GeonetError, ArithmeticError):
-    """RadExpr.sign found no interval clear of zero within its precision limit;
-    an ArithmeticError, as the untyped error it replaces was."""
-
-
 class DomainError(GeonetError):
     """Angle data outside the valid open domain of a closed-form expression."""
 

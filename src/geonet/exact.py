@@ -13,11 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-from .errors import SignUndecided
-
 Rational = Union[int, Fraction]
-
-_SIGN_PRECISION_LIMIT = 4096  # bits; far beyond anything desk-scale inputs need
+Term = tuple[int, Fraction]  # one term q*sqrt(d) as (d, q), d squarefree
 
 
 @lru_cache(maxsize=None)
@@ -25,26 +22,21 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split n > 0 as d * k**2 with d squarefree; returns (d, k)."""
     if n <= 0:
         raise ValueError("squarefree_decompose needs a positive integer")
-    d = 1
-    k = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            k *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return d * m, k
+    d = k = 1
+    while n > 1:
+        p = _least_prime(n)
+        n //= p
+        if n % p:
+            d *= p
+        else:
+            n //= p
+            k *= p
+    return d, k
 
 
 @lru_cache(maxsize=None)
 def _least_prime(d: int) -> int:
-    """The least prime factor of d > 1."""
+    """The least prime factor of d > 1; the one trial division of the package."""
     p = 2
     while p * p <= d:
         if d % p == 0:
@@ -157,8 +149,7 @@ class RadExpr:
         out: dict[int, Fraction] = {}
         for d1, q1 in self._terms.items():
             for d2, q2 in other._terms.items():
-                # sqrt(d1)*sqrt(d2) = g*sqrt(d1*d2/g^2) with g = gcd: both squarefree,
-                # so the reduced radical is squarefree again without factoring.
+                # term_product, inlined: a call per pair slows every product
                 g = math.gcd(d1, d2)
                 d = (d1 // g) * (d2 // g)
                 q = q1 * q2 * g if g > 1 else q1 * q2
@@ -201,11 +192,13 @@ class RadExpr:
     # --- order and conversion ----------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign via interval refinement of the square roots."""
+        """Exact sign via interval refinement of the square roots.  It always
+        ends: a nonzero term map is a nonzero number (the roots are linearly
+        independent), and the interval narrows to it."""
         if not self._terms:
             return 0
         bits = 16
-        while bits <= _SIGN_PRECISION_LIMIT:
+        while True:
             lo = Fraction(0)
             hi = Fraction(0)
             for d, q in self._terms.items():
@@ -225,7 +218,6 @@ class RadExpr:
             if hi < 0:
                 return -1
             bits *= 2
-        raise SignUndecided("sign undecided at precision limit")
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -261,6 +253,39 @@ def _coerce(x) -> "RadExpr":
     if isinstance(x, (RadExpr, int, Fraction)):
         return RadExpr.of(x)
     return NotImplemented
+
+
+def term(x: Fraction | RadExpr) -> Term:
+    """The one term of a nonzero Fraction or one-term RadExpr."""
+    if isinstance(x, RadExpr):
+        ((d, q),) = x._terms.items()
+        return d, q
+    return 1, x
+
+
+def term_product(a: Term, b: Term) -> Term:
+    """sqrt(d)*sqrt(e) = g*sqrt(d*e/g**2) with g = gcd(d, e), squarefree again."""
+    (d, q), (e, r) = a, b
+    g = math.gcd(d, e)
+    return (d // g) * (e // g), q * r * g if g > 1 else q * r
+
+
+def term_inverse(a: Term) -> Term:
+    """1/(q*sqrt(d)) = sqrt(d)/(q*d)."""
+    d, q = a
+    return d, 1 / (q * d)
+
+
+def times_term_map(y: Rational | RadExpr, t: Term) -> dict[int, Fraction]:
+    """The term map of y * t: times one term, distinct keys stay distinct."""
+    if not isinstance(y, RadExpr):
+        return {t[0]: t[1] * y} if y else {}
+    return dict(term_product(s, t) for s in y._terms.items())
+
+
+def times_term(y: Rational | RadExpr, t: Term) -> RadExpr:
+    """y * t from its term map, with no RadExpr product."""
+    return RadExpr(times_term_map(y, t))
 
 
 def simplify(x: Rational | RadExpr) -> Rational | RadExpr:

@@ -10,10 +10,12 @@ chord column is y = m_vw/|w - v|, and StationaritySystem.scale records the
 factor x = scale * y that maps it back (one for the m_v columns, |w - v| for
 the chords).  Scaling a column by a nonzero factor moves no pivot, so solve
 runs one elimination on the scaled matrix and maps its particular solution
-and kernel back exactly.  Rational positions give a rational matrix, which
-linalg.rref eliminates on integer rows; radical positions keep RadExpr
-entries and take its field pass.  Each kernel vector is reported divided by
-its lead, and as coprime integers when that leaves it rational.
+and kernel back exactly.  Each scale is one radical term, and exact's term
+helpers multiply by it without a RadExpr product, here and in the search.
+Rational positions give a rational matrix, which linalg.rref eliminates on
+integer rows; radical positions keep RadExpr entries and take its field
+pass.  Each kernel vector is reported divided by its lead, and as coprime
+integers when that leaves it rational.
 
 Integer solutions are searched on the rational part of the solution space.
 The search reads the scaled solution that solve keeps beside its output (the
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Sequence
 
 from .chords import ChordSet
@@ -45,7 +47,7 @@ from .circle import (
     tan_half_add,
 )
 from .errors import DomainError, InexactPosition, check_int
-from .exact import RadExpr, simplify
+from .exact import RadExpr, simplify, term, term_inverse, term_product, times_term, times_term_map
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
 SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dimension
@@ -167,32 +169,12 @@ def normalize_vector(vec: Sequence) -> tuple:
     return tuple(int(q * mult) for q in qs)
 
 
-def _term(s: ExactScalar) -> tuple[int, Fraction]:
-    """A column scale's one term q*sqrt(d) as (d, q)."""
-    if isinstance(s, RadExpr):
-        ((d, q),) = s.terms().items()
-        return d, q
-    return 1, s
-
-
-def _times_term(y: ExactScalar, d: int, q: Fraction) -> dict[int, Fraction]:
-    """y * q*sqrt(d) as a term map.  Times sqrt(d), distinct squarefree e give
-    distinct keys d*e/gcd(d, e)**2, so no two terms of y collide."""
-    if not isinstance(y, RadExpr):
-        return {d: q * y} if y else {}
-    out = {}
-    for e, p in y.terms().items():
-        g = gcd(d, e)
-        out[(d // g) * (e // g)] = p * q * g
-    return out
-
-
 def solve(system: StationaritySystem) -> SolveResult:
     """Rank, kernel basis and a particular solution in the multiplicities x.
 
     One elimination on the scaled matrix gives them in y (on integer rows for
-    a rational matrix, see rref), and x = scale * y, each coordinate built as
-    the term map of y_i times the one term of scale_i.  Each kernel vector
+    a rational matrix, see rref), and x = scale * y, each coordinate built by
+    exact.times_term from y_i and the one term of scale_i.  Each kernel vector
     scale * y is normalized as it is: all its multiples normalize alike, so a
     rational kernel comes out as the coprime integers of the unit-direction
     system.  The y-particular, the y-kernel and the scale ride along,
@@ -200,10 +182,10 @@ def solve(system: StationaritySystem) -> SolveResult:
     """
     m, pivots, b = rref(system.matrix, system.rhs)
     ncols, scale = system.n_unknowns, system.scale
-    terms = [_term(s) for s in scale]
+    terms = [term(s) for s in scale]
 
     def scaled(vec) -> list[RadExpr]:
-        return [RadExpr(_times_term(v, d, q)) for v, (d, q) in zip(vec, terms)]
+        return [times_term(v, t) for v, t in zip(vec, terms)]
 
     y = particular_from_rref(m, pivots, b, ncols)
     kernel = tuple(tuple(k) for k in kernel_from_rref(m, pivots, ncols))
@@ -246,22 +228,18 @@ def positive_integer_solutions(
         raise ValueError("bound must be positive")
     if result.y_particular is None:
         return []
-    terms = [_term(s) for s in result.scale]
-    # 1/scale_f = sqrt(d)/(q*d) for each free column f
-    inverse_free = []
-    for f in result.free_columns:
-        d, q = terms[f]
-        inverse_free.append((d, 1 / (q * d)))
+    terms = [term(s) for s in result.scale]
+    inverse_free = [term_inverse(terms[f]) for f in result.free_columns]
 
     # the irrational parts must cancel: one rational equation in t per
     # coordinate and radical
     part, coefficients, rows, rhs = [], [], [], []
-    for i, (d, q) in enumerate(terms):
-        p = _times_term(result.y_particular[i], d, q)
-        coeffs = []
-        for y, (e, r) in zip(result.y_kernel, inverse_free):
-            g = gcd(d, e)
-            coeffs.append(_times_term(y[i], (d // g) * (e // g), q * r * g))
+    for i, t in enumerate(terms):
+        p = times_term_map(result.y_particular[i], t)
+        coeffs = [
+            times_term_map(y[i], term_product(t, r))
+            for y, r in zip(result.y_kernel, inverse_free)
+        ]
         part.append(p)
         coefficients.append(coeffs)
         for rad in sorted(set(p).union(*coeffs) - {1}):

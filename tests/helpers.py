@@ -329,6 +329,33 @@ def conjugate_product_inverse(x: RadExpr) -> RadExpr:
     return prod * (1 / norm.rational_value())
 
 
+def norm_sign(x: RadExpr) -> int:
+    """The sign of x by the norm recursion, exact and free of root bounds.
+
+    Independent oracle for RadExpr.sign, which refines intervals.  With p the
+    largest prime under x's radicals, x = a + b*sqrt(p) with a and b free of
+    p.  Where a and b agree in sign, or one of them is zero, that sign is
+    x's.  Where they differ, x has a's sign exactly when a^2 > p*b^2, and
+    a^2 - p*b^2 is free of p.  Three calls per prime, so few primes only.
+    """
+    terms = x.terms()
+    primes = set().union(*(_prime_divisors(d) for d in terms))
+    if not primes:
+        q = terms.get(1, 0)
+        return (q > 0) - (q < 0)
+    p = max(primes)
+    a = b = RadExpr.of(0)
+    for d, q in terms.items():
+        if d % p:
+            a = a + RadExpr.sqrt(d) * q
+        else:
+            b = b + RadExpr.sqrt(d // p) * q
+    sa, sb = norm_sign(a), norm_sign(b)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * norm_sign(a * a - p * b * b)
+
+
 def rebuilt_canonical_key(net: Network) -> tuple:
     """The least signature over all 2N rotated and reflected images of net.
 

@@ -14,6 +14,7 @@ from geonet.chords import (
     closed_form_bounds,
     enumerate_chord_sets,
     max_nonadjacent_chords,
+    maximal_chord_sets,
     nonadjacent_max_recursive,
 )
 from geonet.errors import CrossingEdges
@@ -111,19 +112,33 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_maximal_sets_are_triangulations(n):
     # a non-crossing set is inclusion-maximal exactly when it has the
-    # closed-form maximum size, the filter behind enumerate --max-only; the
-    # 2.2 million sets at n = 9 with adjacent chords are left out for time
+    # closed-form maximum size, and maximal_chord_sets (behind enumerate
+    # --max-only) builds exactly the sets of that size, in enumeration order;
+    # the naive maximality check skips the 2.2 million sets at n = 9 with
+    # adjacent chords for time
     bounds = closed_form_bounds(n)
     tops = {True: bounds.edge_max, False: bounds.nonadjacent_max}
-    for allow_adjacent in (True, False) if n < 9 else (False,):
-        maximal = 0
+    for allow_adjacent in (True, False):
+        sized = []
         for cs in enumerate_chord_sets(n, allow_adjacent=allow_adjacent):
-            sized = len(cs.chords) == tops[allow_adjacent]
-            assert sized == naive_is_maximal(cs, allow_adjacent), cs
-            maximal += sized
+            top = len(cs.chords) == tops[allow_adjacent]
+            if n < 9 or not allow_adjacent:
+                assert top == naive_is_maximal(cs, allow_adjacent), cs
+            if top:
+                sized.append(cs)
+        assert list(maximal_chord_sets(n, allow_adjacent)) == sized
         if allow_adjacent and n >= 2:
             # with adjacent chords they are the triangulations of the n-gon
-            assert maximal == catalan(n - 2)
+            assert len(sized) == catalan(n - 2)
+
+
+@pytest.mark.parametrize("allow_adjacent", [False, True])
+def test_maximal_sets_reach_the_enumeration_cap(allow_adjacent):
+    sets = list(maximal_chord_sets(12, allow_adjacent))
+    assert len(sets) == catalan(10)
+    assert all(len(cs.chords) == (21 if allow_adjacent else 9) for cs in sets)
+    with pytest.raises(ValueError, match="capped at n <= 12"):
+        maximal_chord_sets(13, allow_adjacent)
 
 
 def test_closed_form_bounds_small():

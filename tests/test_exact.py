@@ -1,14 +1,24 @@
+import ast
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonet import cli
-from geonet.errors import GeonetError, SignUndecided
-from geonet.exact import RadExpr, squarefree_decompose
-from helpers import conjugate_product_inverse
+import geonet
+from geonet.exact import (
+    RadExpr,
+    simplify,
+    squarefree_decompose,
+    term,
+    term_inverse,
+    term_product,
+    times_term,
+)
+from helpers import conjugate_product_inverse, norm_sign
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -27,7 +37,17 @@ def rad(pairs) -> RadExpr:
 
 @pytest.mark.parametrize(
     "n,d,k",
-    [(1, 1, 1), (4, 1, 2), (8, 2, 2), (12, 3, 2), (360, 10, 6), (49, 1, 7)],
+    [
+        (1, 1, 1),
+        (4, 1, 2),
+        (8, 2, 2),
+        (12, 3, 2),
+        (360, 10, 6),
+        (49, 1, 7),
+        (864, 6, 12),
+        (1000003, 1000003, 1),
+        (2 * 1000003**2, 2, 1000003),
+    ],
 )
 def test_squarefree_decompose(n, d, k):
     assert squarefree_decompose(n) == (d, k)
@@ -75,27 +95,47 @@ def test_sign_of_close_combination():
 
 def pell_gap(bits: int) -> RadExpr:
     """x - y*sqrt2 for the first Pell pair x^2 - 2y^2 = 1 with x of the given
-    bit length: a positive value near 2^-bits, past the sign's precision limit."""
+    bit length: a positive value near 2^-bits."""
     x, y = 3, 2
     while x.bit_length() < bits:
         x, y = 3 * x + 4 * y, 2 * x + 3 * y
     return x - y * RadExpr.sqrt(2)
 
 
-def test_sign_at_the_precision_limit_raises_a_typed_error(monkeypatch, capsys):
-    gap = pell_gap(2100)
-    with pytest.raises(SignUndecided, match="sign undecided at precision limit") as info:
-        gap.sign()
-    assert isinstance(info.value, GeonetError)
-    assert isinstance(info.value, ArithmeticError)
-    # no CLI input is known to reach the limit, so a command is made to (the
-    # handlers look their library calls up at call time): the error then ends
-    # it like every other GeonetError, exit 1 with "error: "
-    monkeypatch.setattr(cli, "certify_no_good_n3", gap.sign)
-    assert cli.dispatch(["certify-n3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: sign undecided at precision limit\n"
+@pytest.mark.parametrize("bits", [2100, 4201])
+def test_sign_decides_pell_gaps(bits):
+    # the interval must narrow past 2^-bits; no precision stops it
+    gap = pell_gap(bits)
+    assert gap.sign() == 1
+    assert (-gap).sign() == -1
+    assert norm_sign(gap) == 1
+
+
+three_prime_radicals = st.lists(
+    st.tuples(st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30]), rationals),
+    min_size=1,
+    max_size=4,
+).map(rad)
+
+
+def near(v: RadExpr) -> Fraction:
+    """A rational within about 1e-100 of v, from 110-digit decimal roots."""
+    with localcontext(Context(prec=110)):
+        return sum((q * Fraction(Decimal(d).sqrt()) for d, q in v.terms().items()), Fraction(0))
+
+
+@given(
+    x=three_prime_radicals,
+    y=three_prime_radicals,
+    shift=st.sampled_from([0, Fraction(1, 10**12), Fraction(-1, 10**12)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_sign_matches_the_norm_recursion(x, y, shift):
+    # x*y less a rational within 1e-100 of it keeps its radical parts, and
+    # its sign needs the square roots to more than 330 bits
+    xy = x * y
+    for v in (x, xy - y * x + shift, xy - near(xy)):
+        assert v.sign() == norm_sign(v), v
 
 
 def test_inverse_three_radicals():
@@ -234,3 +274,49 @@ def test_truth_value_is_nonzero():
     assert [bool(x) for x in values] == [not x.is_zero() for x in values]
     assert [bool(x) for x in values] == [False, False, True, True, False, False, False, True]
 
+
+@given(
+    pairs=st.lists(st.tuples(small_squarefree, rationals), max_size=4),
+    d=small_squarefree,
+    q=rationals.filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_term_helpers_match_the_ring_operations(pairs, d, q):
+    # equal to the ring operations, which keep their own copy of the product
+    # rule, and to floats, which use neither
+    y, s = rad(pairs), simplify(RadExpr.sqrt(d) * q)
+    t = term(s)
+    for got, want, approx in [
+        (times_term(y, t), y * s, float(y) * float(s)),
+        (times_term(simplify(y), t), y * s, float(y) * float(s)),
+        (times_term(y, term_product(t, t)), y * s * s, float(y) * float(s) ** 2),
+        (times_term(y, term_inverse(t)), y / s, float(y) / float(s)),
+    ]:
+        assert got == want
+        assert float(got) == pytest.approx(approx, rel=1e-9, abs=1e-9)
+
+
+def _term_map_uses(path: Path) -> list[str]:
+    """Where a module reads RadExpr._terms or builds a RadExpr from a term map."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "_terms":
+            found.append(f"{path.name}:{node.lineno} reads _terms")
+        elif isinstance(node, ast.Call) and (node.args or node.keywords):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "RadExpr":
+                found.append(f"{path.name}:{node.lineno} calls RadExpr(...)")
+    return found
+
+
+def test_only_exact_knows_the_term_map():
+    # the representation of a radical value is exact's alone: other modules
+    # go through terms(), of, sqrt, the ring operations and the term helpers
+    src = Path(geonet.__file__).parent
+    assert _term_map_uses(src / "exact.py"), "the scan finds nothing"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "exact.py":
+            found += _term_map_uses(path)
+    assert found == []
