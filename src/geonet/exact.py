@@ -23,8 +23,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("squarefree_decompose needs a positive integer")
     d = k = 1
+    p = 2
     while n > 1:
-        p = _least_prime(n)
+        p = _least_prime(n, p)  # n has no prime factor below the last one
         n //= p
         if n % p:
             d *= p
@@ -35,9 +36,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _least_prime(d: int) -> int:
-    """The least prime factor of d > 1; the one trial division of the package."""
-    p = 2
+def _least_prime(d: int, p: int = 2) -> int:
+    """The least prime factor of d > 1, trial-dividing from p: 2, or an odd
+    number with no prime factor of d below it.  The one trial division of the
+    package; squarefree_decompose resumes it from the last prime it found."""
     while p * p <= d:
         if d % p == 0:
             return p
@@ -53,12 +55,18 @@ def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
 
 
 class RadExpr:
-    """Immutable element of Q[sqrt(d1), sqrt(d2), ...]."""
+    """Immutable element of Q[sqrt(d1), sqrt(d2), ...].
+
+    The constructor takes a term map as it is: its keys must be positive
+    squarefree integers and its values nonzero Fractions, and nothing checks
+    this.  of, sqrt and the ring operations build only such maps.  On any
+    other map the canonical form fails: equality is wrong, and sign may never
+    end (it refines until the interval clears zero, which a map that sums to
+    zero, such as {4: 1, 1: -2}, never does)."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
-        # squarefree keys and nonzero Fractions; of, sqrt and _coerce clean input
         object.__setattr__(self, "_terms", terms or {})
 
     def __setattr__(self, *a):  # pragma: no cover - guards accidental mutation
@@ -149,10 +157,7 @@ class RadExpr:
         out: dict[int, Fraction] = {}
         for d1, q1 in self._terms.items():
             for d2, q2 in other._terms.items():
-                # term_product, inlined: a call per pair slows every product
-                g = math.gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                q = q1 * q2 * g if g > 1 else q1 * q2
+                d, q = term_product((d1, q1), (d2, q2))
                 if d not in out:
                     out[d] = q
                 elif s := out[d] + q:
@@ -193,8 +198,9 @@ class RadExpr:
 
     def sign(self) -> int:
         """Exact sign via interval refinement of the square roots.  It always
-        ends: a nonzero term map is a nonzero number (the roots are linearly
-        independent), and the interval narrows to it."""
+        ends on a well-formed map (see the class docstring): a nonzero term
+        map is a nonzero number (the roots are linearly independent), and the
+        interval narrows to it."""
         if not self._terms:
             return 0
         bits = 16

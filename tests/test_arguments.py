@@ -51,6 +51,7 @@ INTEGER_ARGUMENTS = {
     "ChordSet": ("n", lambda v: ChordSet(v, ())),
     "closed_form_bounds": ("n", chords.closed_form_bounds),
     "enumerate_chord_sets": ("n", chords.enumerate_chord_sets),
+    "maximal_chord_sets": ("n", chords.maximal_chord_sets),
     "max_nonadjacent_chords": ("n", chords.max_nonadjacent_chords),
     "nonadjacent_max_recursive": ("n", chords.nonadjacent_max_recursive),
     "nonadjacent_max_recursive-keyword": ("n", _recursive_by_keyword),

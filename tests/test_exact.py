@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geonet
+from geonet import exact
 from geonet.exact import (
     RadExpr,
     simplify,
@@ -47,11 +48,28 @@ def rad(pairs) -> RadExpr:
         (864, 6, 12),
         (1000003, 1000003, 1),
         (2 * 1000003**2, 2, 1000003),
+        (3**5 * 999983**3 * 1000003, 3 * 999983 * 1000003, 9 * 999983),
     ],
 )
 def test_squarefree_decompose(n, d, k):
     assert squarefree_decompose(n) == (d, k)
     assert d * k * k == n
+
+
+def test_squarefree_decompose_resumes_the_trial_division(monkeypatch):
+    # each prime is searched for from the last one found, not from 2 again,
+    # so k large prime factors cost one trial division up to the largest
+    calls = []
+    least_prime = exact._least_prime
+
+    def recording(d, p=2):
+        calls.append((d, p))
+        return least_prime(d, p)
+
+    monkeypatch.setattr(exact, "_least_prime", recording)
+    a, b, c = 999983, 1000003, 1000033
+    assert squarefree_decompose.__wrapped__(a * a * b * c) == (b * c, a)
+    assert calls == [(a * a * b * c, 2), (b * c, a), (c, b)]
 
 
 @pytest.mark.parametrize("n", [0, -4])
@@ -282,8 +300,8 @@ def test_truth_value_is_nonzero():
 )
 @settings(max_examples=100, deadline=None)
 def test_term_helpers_match_the_ring_operations(pairs, d, q):
-    # equal to the ring operations, which keep their own copy of the product
-    # rule, and to floats, which use neither
+    # equal to the ring operations, which sum their pair products in their
+    # own loop, and to floats, which use no term rule
     y, s = rad(pairs), simplify(RadExpr.sqrt(d) * q)
     t = term(s)
     for got, want, approx in [
