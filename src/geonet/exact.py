@@ -37,9 +37,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _least_prime(d: int, p: int = 2) -> int:
-    """The least prime factor of d > 1, trial-dividing from p: 2, or an odd
-    number with no prime factor of d below it.  The one trial division of the
-    package; squarefree_decompose resumes it from the last prime it found."""
+    """The least prime factor of d > 1, trial-dividing from p (2, or odd and no
+    larger than any prime factor of d); the one trial division of the package."""
     while p * p <= d:
         if d % p == 0:
             return p
@@ -57,12 +56,9 @@ def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
 class RadExpr:
     """Immutable element of Q[sqrt(d1), sqrt(d2), ...].
 
-    The constructor takes a term map as it is: its keys must be positive
-    squarefree integers and its values nonzero Fractions, and nothing checks
-    this.  of, sqrt and the ring operations build only such maps.  On any
-    other map the canonical form fails: equality is wrong, and sign may never
-    end (it refines until the interval clears zero, which a map that sums to
-    zero, such as {4: 1, 1: -2}, never does)."""
+    The constructor trusts its term map: positive squarefree keys, nonzero
+    Fraction values.  On any other map equality is wrong and sign may never
+    end ({4: 1, 1: -2} is zero, and no interval around it clears zero)."""
 
     __slots__ = ("_terms",)
 
@@ -197,10 +193,9 @@ class RadExpr:
     # --- order and conversion ----------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign via interval refinement of the square roots.  It always
-        ends on a well-formed map (see the class docstring): a nonzero term
-        map is a nonzero number (the roots are linearly independent), and the
-        interval narrows to it."""
+        """Exact sign via interval refinement of the square roots.  On a
+        well-formed map it always ends: a nonzero term map is a nonzero number
+        (the roots are linearly independent), and the interval narrows to it."""
         if not self._terms:
             return 0
         bits = 16
