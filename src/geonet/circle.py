@@ -16,7 +16,7 @@ from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .errors import DuplicateVertexAngle, InexactPosition, is_int
-from .exact import RadExpr, simplify
+from .exact import RadExpr, simplify, term, term_inverse, times_term
 
 TAU = math.tau
 
@@ -262,12 +262,13 @@ def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
 def tangent_components_exact(
     v: CirclePoint, w: CirclePoint
 ) -> tuple[RadExpr, RadExpr]:
-    """(w - v)/|w - v| componentwise, exact; needs a rational squared length."""
+    """(w - v)/|w - v| componentwise, exact; needs a rational squared length,
+    so the length is one term and its inverse is one term too."""
     dx, dy, length = _chord(v, w)
     if not length:
         raise ValueError("tangent direction of coincident points")
-    inv = RadExpr.of(length).inverse()
-    return dx * inv, dy * inv
+    inv = term_inverse(term(length))
+    return times_term(dx, inv), times_term(dy, inv)
 
 
 def tangent_point(v: CirclePoint, w: CirclePoint) -> CirclePoint:

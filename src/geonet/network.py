@@ -12,6 +12,7 @@ crossings are decided by the cyclic-interval test on indices alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -129,12 +130,32 @@ def make_network(vertices: Sequence[Vertex], edges: Sequence[InteriorEdge]) -> N
     return Network(tuple(vertices[k] for k in order), tuple(new_edges))
 
 
-def _residual_exact(net: Network, i: int) -> tuple[RadExpr, RadExpr]:
+def _chord_tangents(net: Network):
+    """(i, j) -> the exact unit tangent at vertex i toward vertex j.
+
+    Each chord's tangent is computed once, at its lower end, and negated at
+    the other.  functools.cache keeps no exception, so an InexactPosition is
+    raised again at every lookup of its chord."""
+
+    @functools.cache
+    def lower(i: int, j: int) -> tuple[RadExpr, RadExpr]:
+        return tangent_components_exact(net.vertices[i].position, net.vertices[j].position)
+
+    def tangent(i: int, j: int) -> tuple[RadExpr, RadExpr]:
+        if i < j:
+            return lower(i, j)
+        tx, ty = lower(j, i)
+        return -tx, -ty
+
+    return tangent
+
+
+def _residual_exact(net: Network, i: int, tangent) -> tuple[RadExpr, RadExpr]:
     nbrs = net.neighbors(i)  # checks i before vertices[i] is read
     v = net.vertices[i]
     rx, ry = exterior_balance([(v.position, v.exterior_mult)])
     for j, mult in nbrs:
-        tx, ty = tangent_components_exact(v.position, net.vertices[j].position)
+        tx, ty = tangent(i, j)
         rx = rx + mult * tx
         ry = ry + mult * ty
     return rx, ry
@@ -161,12 +182,16 @@ def stationarity_residual(net: Network, i: int, mode: str = "auto"):
     data cannot support it; "float" always evaluates numerically; "auto"
     prefers exact and falls back.
     """
+    return _residual(net, i, mode, _chord_tangents(net))
+
+
+def _residual(net: Network, i: int, mode: str, tangent):
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "float":
         return _residual_float(net, i)
     try:
-        return _residual_exact(net, i)
+        return _residual_exact(net, i, tangent)
     except InexactPosition:
         if mode == "exact":
             raise InexactPosition(
@@ -201,8 +226,9 @@ def is_admissible(
     violations: list[str] = []
     max_resid = 0.0
     stationary = True
+    tangent = _chord_tangents(net)
     for i in range(net.n_vertices):
-        r = stationarity_residual(net, i, mode=mode)
+        r = _residual(net, i, mode, tangent)
         norm = math.hypot(float(r[0]), float(r[1]))
         max_resid = max(max_resid, norm)
         if isinstance(r[0], RadExpr):
@@ -230,13 +256,16 @@ class InvariantReport:
 
 
 def exterior_balance(rays: Iterable[tuple[CirclePoint, int]]) -> tuple:
-    """The exact ray resultant, sum of m * p over (p, m); needs exact points."""
-    bx = by = RadExpr.of(0)
+    """The exact ray resultant, sum of m * p over (p, m); needs exact points.
+
+    Rational coordinates sum as Fractions; a radical one makes the running
+    sum a RadExpr (through RadExpr.__radd__), so one loop serves both."""
+    bx = by = 0
     for p, m in rays:
         px, py = p.exact_xy()
-        bx = bx + m * RadExpr.of(px)
-        by = by + m * RadExpr.of(py)
-    return bx, by
+        bx += m * px
+        by += m * py
+    return RadExpr.of(bx), RadExpr.of(by)
 
 
 def invariant_report(net: Network) -> InvariantReport:
@@ -253,11 +282,11 @@ def invariant_report(net: Network) -> InvariantReport:
         try:
             rays = ((v.position, v.exterior_mult) for v in net.vertices)
             balance = exterior_balance(rays)
-            mass = RadExpr.of(total_ext)
-            for e in net.edges:
-                ln = _chord(net.vertices[e.i].position, net.vertices[e.j].position)[2]
-                mass = mass - e.mult * ln
-            return InvariantReport(balance, mass, parity, True)
+            mass = total_ext - sum(
+                e.mult * _chord(net.vertices[e.i].position, net.vertices[e.j].position)[2]
+                for e in net.edges
+            )
+            return InvariantReport(balance, RadExpr.of(mass), parity, True)
         except InexactPosition:
             pass
     bx = by = 0.0
