@@ -5,7 +5,7 @@ import math
 import os
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -462,6 +462,20 @@ def irrational_chord_pairs(positions) -> set[tuple[int, int]]:
     return pairs
 
 
+def radexpr_exterior_balance(rays) -> tuple:
+    """The ray resultant with every coordinate wrapped in a RadExpr and every
+    sum a RadExpr sum.
+
+    Independent oracle for network.exterior_balance, which sums rational
+    coordinates as Fractions and wraps each total once."""
+    bx = by = RadExpr.of(0)
+    for p, m in rays:
+        px, py = p.exact_xy()
+        bx = bx + m * RadExpr.of(px)
+        by = by + m * RadExpr.of(py)
+    return bx, by
+
+
 def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
     """First admissible network of a replacement problem, with no pruning.
 
@@ -511,6 +525,23 @@ RECTANGLE_TANS = tuple(
 TAN_GRID = sorted(
     {Fraction(s * p, q) for s in (1, -1) for p in range(1, 11) for q in range(1, 11)}
 )
+
+
+@cache
+def admissible_fan_rectangles() -> tuple[Network, ...]:
+    """Every admissible fan-triangulated inscribed rectangle t, 1/t, -t, -1/t
+    (t in RECTANGLE_TANS) with every multiplicity in [1, 20], as the library
+    solves them: 80 networks."""
+    nets = []
+    chords = fan_chords(4)
+    for t in RECTANGLE_TANS:
+        points = [pt(x) for x in sorted_by_angle([t, 1 / t, -t, -1 / t])]
+        result = solve(build_system(points, ChordSet(4, chords)))
+        for x in positive_integer_solutions(result, 20):
+            vertices = [Vertex(p, m) for p, m in zip(points, x[:4])]
+            edges = [InteriorEdge(i, j, m) for (i, j), m in zip(chords, x[4:])]
+            nets.append(make_network(vertices, edges))
+    return tuple(nets)
 
 
 def fan_network(tans, exterior=None) -> Network:

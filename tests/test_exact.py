@@ -192,6 +192,26 @@ def test_inverse_matches_conjugate_product_on_random_radicals(pairs):
     assert x.inverse() == conjugate_product_inverse(x)
 
 
+@pytest.mark.parametrize(
+    "d,q",
+    [
+        (1, Fraction(3, 7)),
+        (1, Fraction(-5)),
+        (2, Fraction(-2, 3)),
+        (7, Fraction(1, 4)),
+        (30030, Fraction(-3, 11)),  # 2*3*5*7*11*13: six primes for the oracle to flip
+        (1000003, Fraction(5, 2)),  # a prime above 10**6
+    ],
+)
+def test_one_term_inverse_matches_conjugate_product(d, q):
+    # 1/(q*sqrt(d)) = sqrt(d)/(q*d), one term again
+    x = RadExpr.sqrt(d) * q
+    inv = x.inverse()
+    assert inv == conjugate_product_inverse(x)
+    assert inv.terms() == {d: 1 / (q * d)}
+    assert x * inv == RadExpr.of(1)
+
+
 def test_zero_has_the_empty_term_map():
     x = RadExpr.of(1) + RadExpr.sqrt(2) * Fraction(3, 4)
     zeros = [

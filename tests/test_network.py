@@ -3,7 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geonet import network
 from geonet.circle import INFINITY, TAU, CirclePoint
 from geonet.errors import (
     DuplicateEdge,
@@ -14,11 +17,14 @@ from geonet.errors import (
 )
 from geonet.exact import RadExpr
 from geonet.network import (
+    DEFAULT_TOL,
     InteriorEdge,
     Network,
+    ValidationReport,
     Vertex,
     canonical_key,
     crossing_pairs,
+    exterior_balance,
     invariant_report,
     is_admissible,
     is_stationary,
@@ -26,12 +32,14 @@ from geonet.network import (
     stationarity_residual,
 )
 from helpers import (
+    admissible_fan_rectangles,
     boundary_trace,
     float_line_network,
     golden_triangle,
     line_network,
     point_mul,
     pt,
+    radexpr_exterior_balance,
     rebuilt_canonical_key,
     rectangle_network,
     reflect_point,
@@ -203,6 +211,113 @@ def test_invariant_report_odd_parity():
         [Vertex(pt(0), 2), Vertex(pt(INFINITY), 1)], [InteriorEdge(0, 1, 1)]
     )
     assert invariant_report(net).exterior_parity == "odd"
+
+
+def test_invariant_report_exact_mass_gap():
+    # four unit rays and four unit sides of length sqrt(2)
+    rep = invariant_report(square_network())
+    assert rep.exact
+    assert rep.mass_gap == 4 - 4 * RadExpr.sqrt(2)
+    assert rep.exterior_balance == (RadExpr(), RadExpr())
+
+
+ray_tan_halves = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    st.builds(
+        lambda a, b: RadExpr.of(a) + RadExpr.sqrt(2) * b,
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    ),
+    st.just(INFINITY),
+)
+
+
+@given(rays=st.lists(st.tuples(ray_tan_halves, st.integers(1, 20)), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_exterior_balance_matches_the_radexpr_sum(rays):
+    # rational, Q(sqrt2) and pi rays, alone and mixed, and no ray at all
+    rays = [(CirclePoint.from_tan_half(t), m) for t, m in rays]
+    got = exterior_balance(rays)
+    assert all(isinstance(c, RadExpr) for c in got)
+    assert got == radexpr_exterior_balance(rays)
+    assert exterior_balance(iter(rays)) == got
+
+
+def test_exterior_balance_edge_cases():
+    assert exterior_balance([]) == (RadExpr(), RadExpr())
+    assert exterior_balance([(pt(INFINITY), 3)]) == (RadExpr.of(-3), RadExpr())
+    # a rational ray first, then a radical one: the Fraction sum turns RadExpr
+    mixed = [(pt(0), 2), (CirclePoint.from_tan_half(RadExpr.sqrt(2) - 1), 2)]
+    assert exterior_balance(mixed) == (2 + RadExpr.sqrt(2), RadExpr.sqrt(2))
+    with pytest.raises(InexactPosition):
+        exterior_balance([(pt(0), 1), (CirclePoint.from_angle(1.0), 1)])
+
+
+def test_is_admissible_computes_each_chord_tangent_once(monkeypatch):
+    # one tangent per edge, negated at its other end; the network module's
+    # binding is the one it calls
+    calls = []
+    real = network.tangent_components_exact
+
+    def counted(v, w):
+        calls.append((v, w))
+        return real(v, w)
+
+    monkeypatch.setattr(network, "tangent_components_exact", counted)
+    for net in (golden_triangle(), rectangle_network(), *admissible_fan_rectangles()[:8]):
+        calls.clear()
+        assert is_admissible(net, mode="exact").admissible
+        assert len(calls) == net.n_edges
+    calls.clear()
+    assert is_admissible(square_network(), mode="float").crossings == []
+    assert calls == []
+
+
+def mixed_network() -> Network:
+    """Exact and float positions.  Vertex 0 has only exact neighbours with
+    rational squared chord lengths; vertex 1's chord to the radical vertex 2
+    has an irrational squared length, and vertex 3 is a float point."""
+    root2 = RadExpr.sqrt(2)
+    return make_network(
+        [
+            Vertex(pt(0), 2),
+            Vertex(pt(Fraction(3, 4)), 1),
+            Vertex(CirclePoint.from_tan_half(root2), 3),
+            Vertex(CirclePoint.from_angle(2.5), 1),
+            Vertex(pt(Fraction(-3, 4)), 2),
+        ],
+        [
+            InteriorEdge(0, 1, 1),
+            InteriorEdge(0, 2, 2),
+            InteriorEdge(0, 4, 1),
+            InteriorEdge(1, 2, 1),
+            InteriorEdge(2, 3, 1),
+            InteriorEdge(3, 4, 2),
+        ],
+    )
+
+
+def test_auto_mode_falls_back_vertex_by_vertex():
+    # is_admissible shares one tangent per chord between its vertices; the
+    # report is the one that stationarity_residual gives vertex by vertex
+    net = mixed_network()
+    residuals = [stationarity_residual(net, i) for i in range(net.n_vertices)]
+    exact = [isinstance(x, RadExpr) for x, _ in residuals]
+    assert exact == [True, False, False, False, False]
+    norms = [math.hypot(float(x), float(y)) for x, y in residuals]
+    ok = [
+        x.is_zero() and y.is_zero() if e else n <= DEFAULT_TOL * (
+            net.vertices[i].exterior_mult + sum(m for _, m in net.neighbors(i))
+        )
+        for i, ((x, y), e, n) in enumerate(zip(residuals, exact, norms))
+    ]
+    violations = [f"vertex {i}: residual norm {n:.3g}" for i, n in enumerate(norms) if not ok[i]]
+    assert violations
+    want = ValidationReport(all(ok), max(norms), [], violations)
+    assert is_admissible(net) == want
+    assert is_admissible(net, mode="auto") == want
+    with pytest.raises(InexactPosition):
+        is_admissible(net, mode="exact")
 
 
 def test_boundary_trace_parity_even():

@@ -21,11 +21,10 @@ from geonet.replace import (
 )
 from geonet.solver import build_system, peel_solve, positive_integer_solutions, solve
 from helpers import (
-    RECTANGLE_TANS,
+    admissible_fan_rectangles,
     axis_point_angles,
     diameter_sides,
     evaluate_angle,
-    fan_chords,
     golden_triangle,
     in_balance_cone,
     irrational_chord_pairs,
@@ -33,7 +32,6 @@ from helpers import (
     pt,
     rectangle_network,
     seeded_rng,
-    sorted_by_angle,
     square_network,
     unpruned_replacement_feasible,
 )
@@ -383,22 +381,8 @@ def test_rejected_structures_have_no_positive_solution(problem):
 
 # --- the peel solve against the rref path -----------------------------------
 
-def admissible_fan_rectangles(count: int) -> list:
-    """A seeded sample of the admissible fan-triangulated inscribed rectangles
-    t, 1/t, -t, -1/t with every multiplicity in [1, 20]."""
-    nets = []
-    for t in RECTANGLE_TANS:
-        points = [pt(x) for x in sorted_by_angle([t, 1 / t, -t, -1 / t])]
-        chords = fan_chords(4)
-        result = solve(build_system(points, ChordSet(4, chords)))
-        for x in positive_integer_solutions(result, 20):
-            vertices = [Vertex(pp, m) for pp, m in zip(points, x[:4])]
-            edges = [InteriorEdge(i, j, m) for (i, j), m in zip(chords, x[4:])]
-            nets.append(make_network(vertices, edges))
-    return seeded_rng(salt=6).sample(nets, count)
-
-
-FAN_RECTANGLES = admissible_fan_rectangles(6)
+# a seeded sample of the admissible fan rectangles
+FAN_RECTANGLES = seeded_rng(salt=6).sample(admissible_fan_rectangles(), 6)
 
 
 def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
