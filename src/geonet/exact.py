@@ -165,13 +165,10 @@ class RadExpr:
     __rmul__ = __mul__
 
     def inverse(self) -> "RadExpr":
-        """1/self: one term by term_inverse, more one prime at a time, times
-        the conjugate that flips sqrt(p), so the denominator loses p;
-        conjugates of a nonzero value are nonzero."""
+        """1/self, one prime at a time: times the conjugate that flips sqrt(p),
+        the denominator loses p; conjugates of a nonzero value are nonzero."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
-        if len(self._terms) == 1:
-            return RadExpr(dict([term_inverse(term(self))]))
         num, den = RadExpr.of(1), self
         while not den.is_rational():
             p = _least_prime(max(den._terms))
