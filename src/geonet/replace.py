@@ -305,13 +305,15 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     which some vertex has left the balance cone (_balance_cone), and solves
     each remaining structure with the rays' multiplicities fixed by
     solver.peel_solve, on chord lookups (w - v, |w - v|) memoized per
-    problem.
-    Both tests drop only structures without a solution, so the order of the
-    rest is that of the uncut search.  The first structure with a
-    positive-integer solution is certified by an independent re-solve
-    (build_system, solve, positive_integer_solutions) and by the exact
-    admissibility check, and its network is returned; None when the bounded
-    search is exhausted.
+    problem.  No cut reads the bound: the peel forces a structure's
+    multiplicities, and a structure is skipped when the largest exceeds the
+    bound, the one comparison with it.
+    Both cuts drop only structures without a solution, so the order of the
+    rest is that of the uncut search.  The first structure with a solution
+    within the bound is certified by an independent re-solve (build_system,
+    solve, positive_integer_solutions up to its largest multiplicity) and by
+    the exact admissibility check, and its network is returned; None when
+    the search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
@@ -329,11 +331,11 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         vertex_ok=_balance_cone(positions),
     )
     for cs in structures:
-        edge_mults = peel_solve(positions, mults, cs.chords, chord, bound)
-        if edge_mults is None:
+        edge_mults = peel_solve(positions, mults, cs.chords, chord)
+        if edge_mults is None or max(edge_mults) > bound:
             continue
         certificate = positive_integer_solutions(
-            solve(build_system(positions, cs, mults)), bound
+            solve(build_system(positions, cs, mults)), max(edge_mults)
         )
         if certificate != [edge_mults]:  # pragma: no cover - the peel is exact
             raise ArithmeticError("peel solve disagrees with the stationarity system")

@@ -290,12 +290,12 @@ def positive_integer_solutions(
 
 # --- fixed-exterior structures by peeling ---------------------------------
 
-def _multiplicity(y: ExactScalar, length: ExactScalar, bound: int) -> int | None:
-    """x = y * length when it is an integer in [1, bound], else None."""
+def _multiplicity(y: ExactScalar, length: ExactScalar) -> int | None:
+    """x = y * length when it is a positive integer, else None."""
     x = simplify(y * length)
     if isinstance(x, RadExpr):
         return None
-    return int(x) if x.denominator == 1 and 1 <= x <= bound else None
+    return int(x) if x.denominator == 1 and x >= 1 else None
 
 
 def peel_solve(
@@ -303,21 +303,21 @@ def peel_solve(
     exterior_mults: Sequence[int],
     chords: Sequence[tuple[int, int]],
     chord: Callable[[int, int], tuple[ExactScalar, ExactScalar, ExactScalar]],
-    bound: int,
 ) -> tuple[int, ...] | None:
     """The edge multiplicities of one fixed-exterior structure, by peeling.
 
     Solves m_v * v + sum_w m_vw * (w - v)/|w - v| = 0 at every vertex for
     the chords' multiplicities, in chord order, and returns them when they
-    are integers in [1, bound]; None otherwise.  positions are the exact
-    vertices, and chord(i, j) gives (dx, dy, length), the exact w - v from
-    vertex i to vertex j (i < j) and its length, as circle._chord does.
+    are positive integers; None otherwise.  They are forced, so a caller's
+    bound is one comparison with them.  positions are the exact vertices,
+    and chord(i, j) gives (dx, dy, length), the exact w - v from vertex i
+    to vertex j (i < j) and its length, as circle._chord does.
     Every chord is looked up before any is solved, so a lookup that raises
     InexactPosition does so on the same structures as build_system.
 
     The unknowns are y = m_vw/|w - v| on the chords w - v, so rational
     positions keep every residual and every solve rational; only the test
-    m_vw = y * |w - v| in [1, bound] meets the length's radical.
+    that m_vw = y * |w - v| is a positive integer meets the length's radical.
 
     Non-crossing chords on a circle form an outerplanar graph, and every
     subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
@@ -368,7 +368,7 @@ def peel_solve(
             if ax * ry - ay * rx:
                 return None
             y = -(rx * ax + ry * ay) / (length * length)
-            x = _multiplicity(y, length, bound)
+            x = _multiplicity(y, length)
             if x is None:
                 return None
             solved = [(y, x)]
@@ -376,11 +376,11 @@ def peel_solve(
             (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
             det = ax * by - ay * bx
             ya = (ry * bx - rx * by) / det
-            xa = _multiplicity(ya, dirs[ks[0]][2], bound)
+            xa = _multiplicity(ya, dirs[ks[0]][2])
             if xa is None:
                 return None
             yb = (ay * rx - ax * ry) / det
-            xb = _multiplicity(yb, dirs[ks[1]][2], bound)
+            xb = _multiplicity(yb, dirs[ks[1]][2])
             if xb is None:
                 return None
             solved = [(ya, xa), (yb, xb)]

@@ -379,6 +379,27 @@ def test_rejected_structures_have_no_positive_solution(problem):
     assert rejected > 0
 
 
+# --- the bound: one comparison with the forced multiplicities ---------------
+
+BOUND_CASES = [
+    ("golden", ray_problem(GOLDEN_RAYS), (35, 75, 35)),
+    # turned by a quarter of pi: radical rays, rational squared chords
+    ("golden-turned", ray_problem([(tan_half_add(t, SQRT2 - 1), m) for t, m in GOLDEN_RAYS]), (35, 75, 35)),
+    ("line", ReplacementProblem((pt(0), pt(INFINITY)), (3, 3)), (3,)),
+]
+
+
+@pytest.mark.parametrize(
+    "problem, want", [c[1:] for c in BOUND_CASES], ids=[c[0] for c in BOUND_CASES]
+)
+def test_bound_refuses_only_above_the_forced_multiplicities(problem, want):
+    # the peel applies no bound; the largest forced value decides it
+    assert replacement_feasible(problem, max(want) - 1) is None
+    net = replacement_feasible(problem, max(want))
+    assert tuple(e.mult for e in net.edges) == want
+    assert replacement_feasible(problem, 10**18) == net
+
+
 # --- the peel solve against the rref path -----------------------------------
 
 # a seeded sample of the admissible fan rectangles
@@ -387,7 +408,9 @@ FAN_RECTANGLES = seeded_rng(salt=6).sample(admissible_fan_rectangles(), 6)
 
 def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
     """Peel every in-cone structure and re-solve it through build_system,
-    solve and positive_integer_solutions; returns the solved structures."""
+    solve and positive_integer_solutions at the bound, which must give the
+    peel's forced values when none exceeds the bound, and nothing otherwise;
+    returns the structures solved within the bound."""
     side = diameter_sides(problem.positions)
     n = len(problem.positions)
 
@@ -402,7 +425,9 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
         # fixed-exterior systems of non-crossing chords have nullity 0
         assert result.nullity == 0
         expected = positive_integer_solutions(result, bound)
-        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, chord, bound)
+        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, chord)
+        if peeled is not None and max(peeled) > bound:
+            peeled = None
         assert expected == ([] if peeled is None else [peeled])
         if peeled is not None:
             solved.append((cs.chords, peeled))

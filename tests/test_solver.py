@@ -542,11 +542,11 @@ def test_closed_form_signs():
         assert all(RadExpr.of(x).sign() > 0 for x in forms.exterior_vector)
 
 
-def peel(points, mults, chords, bound):
+def peel(points, mults, chords):
     def chord(i, j):
         return _chord(points[i], points[j])
 
-    return peel_solve(points, mults, chords, chord, bound)
+    return peel_solve(points, mults, chords, chord)
 
 
 def rotated(tans, turn=RadExpr.sqrt(2) - 1):
@@ -558,13 +558,11 @@ def rotated(tans, turn=RadExpr.sqrt(2) - 1):
 def test_peel_solves_fixed_exterior_structures():
     golden = [pt(0), pt(Fraction(4, 3)), pt(Fraction(-24, 7))]
     triangle = ((0, 1), (0, 2), (1, 2))
-    assert peel(golden, (100, 56, 100), triangle, 100) == (35, 75, 35)
-    assert peel(golden, (100, 56, 100), triangle, 74) is None
-    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 5) == (3,)
-    assert peel([pt(0), pt(INFINITY)], (3, 4), ((0, 1),), 5) is None
-    # the first vertex's one chord needs 3, which is above the bound
-    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 2) is None
-    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),), 3) == (3,)
+    # the peel applies no bound: it returns the forced values, and the bound
+    # refusals are replacement_feasible's (tests/test_replace.py)
+    assert peel(golden, (100, 56, 100), triangle) == (35, 75, 35)
+    assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),)) == (3,)
+    assert peel([pt(0), pt(INFINITY)], (3, 4), ((0, 1),)) is None
 
 
 def test_peel_checks_every_single_chord_vertex():
@@ -575,7 +573,7 @@ def test_peel_checks_every_single_chord_vertex():
     chords = ((0, 1), (1, 2))
     result = solve(build_system(points, ChordSet(3, chords), (25, 17, 1)))
     assert positive_integer_solutions(result, 50) == []
-    assert peel(points, (25, 17, 1), chords, 50) is None
+    assert peel(points, (25, 17, 1), chords) is None
 
 
 def test_peel_on_radical_positions():
@@ -588,31 +586,32 @@ def test_peel_on_radical_positions():
         looked_up.append(_chord(golden[i], golden[j]))
         return looked_up[-1]
 
-    assert peel_solve(golden, (100, 56, 100), triangle, chord, 100) == (35, 75, 35)
+    assert peel_solve(golden, (100, 56, 100), triangle, chord) == (35, 75, 35)
     assert all(isinstance(x, RadExpr) and not x.is_rational() for c in looked_up for x in c[:2])
-    assert peel(golden, (100, 56, 100), triangle, 74) is None
     line = rotated([Fraction(0), INFINITY])
-    assert peel(line, (3, 3), ((0, 1),), 5) == (3,)
-    assert peel(line, (3, 4), ((0, 1),), 5) is None
+    assert peel(line, (3, 3), ((0, 1),)) == (3,)
+    assert peel(line, (3, 4), ((0, 1),)) is None
     # the turned axis square with unit rays needs sqrt2/2 on each side of
     # length sqrt2: y = 1/2 is rational, and x = y*sqrt2 is refused
     square = rotated([Fraction(0), Fraction(1), INFINITY, Fraction(-1)])
     sides = ((0, 1), (0, 3), (1, 2), (2, 3))
     result = solve(build_system(square, ChordSet(4, sides), (1, 1, 1, 1)))
     assert result.particular == (RadExpr.sqrt(2) * HALF,) * 4
-    assert peel(square, (1, 1, 1, 1), sides, 50) is None
+    assert peel(square, (1, 1, 1, 1), sides) is None
 
 
 def test_multiplicity_needs_an_integer_product():
     root2 = RadExpr.sqrt(2)
-    assert solver._multiplicity(Fraction(3, 2), Fraction(2), 10) == 3
-    assert solver._multiplicity(root2 * HALF, root2, 10) == 1
+    assert solver._multiplicity(Fraction(3, 2), Fraction(2)) == 3
+    assert solver._multiplicity(root2 * HALF, root2) == 1
+    # no upper limit: the bound is replacement_feasible's one comparison
+    assert solver._multiplicity(Fraction(10**18), Fraction(1)) == 10**18
     # 2 + 2*sqrt2: the rational term alone would pass
-    assert solver._multiplicity(1 + root2, Fraction(2), 10) is None
-    assert solver._multiplicity(Fraction(1), root2, 10) is None
-    assert solver._multiplicity(Fraction(1, 3), Fraction(1), 10) is None
-    assert solver._multiplicity(Fraction(3), Fraction(1), 2) is None
-    assert solver._multiplicity(Fraction(-3), Fraction(1), 10) is None
+    assert solver._multiplicity(1 + root2, Fraction(2)) is None
+    assert solver._multiplicity(Fraction(1), root2) is None
+    assert solver._multiplicity(Fraction(1, 3), Fraction(1)) is None
+    assert solver._multiplicity(Fraction(0), Fraction(1)) is None
+    assert solver._multiplicity(Fraction(-3), Fraction(1)) is None
 
 
 # --- the column-scaled system against the unit-direction oracle -------------
