@@ -43,6 +43,7 @@ from .circle import (
     INFINITY,
     TanHalf,
     _chord,
+    _half,
     angle_order,
     tan_half_add,
 )
@@ -418,13 +419,6 @@ def half_cos_sin(u: TanHalf) -> tuple[ExactScalar, ExactScalar]:
     return c, s
 
 
-def _tan_sign(u: TanHalf) -> int:
-    if u is INFINITY:
-        return 0  # boundary marker: the angle equals pi
-    x = RadExpr.of(u)
-    return 0 if x.is_zero() else x.sign()
-
-
 @dataclass(frozen=True)
 class N3ClosedForm:
     """Proportionality data for the triangle system.
@@ -454,12 +448,13 @@ def n3_closed_forms(alpha12: CirclePoint, alpha23: CirclePoint) -> N3ClosedForm:
     u23 = alpha23.tan_half
     if u12 is None or u23 is None:
         raise InexactPosition("closed forms need exact angle differences")
-    if _tan_sign(u12) <= 0:
+    # circle._half: 0 on [0, pi), 1 at pi, 2 on (pi, 2pi)
+    if _half(u12) != 0 or u12 == 0:
         raise DomainError("first angle difference must lie strictly in (0, pi)")
-    if _tan_sign(u23) <= 0:
+    if _half(u23) != 0 or u23 == 0:
         raise DomainError("second angle difference must lie strictly in (0, pi)")
     u13 = tan_half_add(u12, u23)
-    if _tan_sign(u13) >= 0:
+    if _half(u13) != 2:
         raise DomainError("the angle sum must lie strictly in (pi, 2pi)")
     c12, s12 = half_cos_sin(u12)
     c23, s23 = half_cos_sin(u23)
