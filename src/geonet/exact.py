@@ -234,6 +234,9 @@ class RadExpr:
         return self._terms == other._terms
 
     def __hash__(self):
+        # equal to a Fraction or int, so hashed as one when rational
+        if self.is_rational():
+            return hash(self.rational_value())
         return hash(tuple(sorted(self._terms.items())))
 
     def __repr__(self):

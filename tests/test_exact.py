@@ -222,6 +222,19 @@ def test_zero_has_the_empty_term_map():
         assert hash(z) == hash(RadExpr())
 
 
+@given(x=st.one_of(st.just(0), st.integers(), rationals))
+def test_equal_exact_scalars_hash_alike(x):
+    # a rational RadExpr equals its int or Fraction, so sets and dicts must
+    # find one by the other
+    r = RadExpr.of(x)
+    assert r == x and hash(r) == hash(x)
+    assert r in {x} and x in {r}
+    assert {r: 1}.get(x) == 1 and {x: 1}.get(r) == 1
+    assert {r, x, Fraction(x)} == {x}
+    # the irrational values equal no rational
+    assert r + RadExpr.sqrt(2) not in {x, r}
+
+
 def test_inverse_of_zero():
     with pytest.raises(ZeroDivisionError):
         RadExpr.of(0).inverse()
