@@ -35,7 +35,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return d, k
 
 
-@lru_cache(maxsize=None)
 def _least_prime(d: int, p: int = 2) -> int:
     """The least prime factor of d > 1, trial-dividing from p (2, or odd and no
     larger than any prime factor of d); the one trial division of the package."""
