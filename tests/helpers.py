@@ -301,7 +301,18 @@ def normalized_solve(positions, edges, fixed_exterior=None) -> SolveResult:
 
 
 def _prime_divisors(d: int) -> set[int]:
-    return {p for p in range(2, d + 1) if d % p == 0 and all(p % q for q in range(2, p))}
+    """The primes dividing d >= 1, by trial division up to sqrt(d), apart
+    from geonet.exact's own factoring."""
+    primes, p = set(), 2
+    while p * p <= d:
+        if d % p == 0:
+            primes.add(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        primes.add(d)
+    return primes
 
 
 def conjugate_product_inverse(x: RadExpr) -> RadExpr:

@@ -178,6 +178,7 @@ def one_plus_roots(k: int) -> RadExpr:
             (2, Fraction(-2, 3)),
             (7, Fraction(1, 4)),
             (30030, Fraction(-3, 11)),  # 2*3*5*7*11*13: six primes to flip
+            (510510, Fraction(7, 5)),  # times 17: seven primes
             (1000003, Fraction(5, 2)),  # a prime above 10**6
         ]
     ],
