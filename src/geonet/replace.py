@@ -305,15 +305,13 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     which some vertex has left the balance cone (_balance_cone), and solves
     each remaining structure with the rays' multiplicities fixed by
     solver.peel_solve, on chord lookups (w - v, |w - v|) memoized per
-    problem.  No cut reads the bound: the peel forces a structure's
-    multiplicities, and a structure is skipped when the largest exceeds the
-    bound, the one comparison with it.
-    Both cuts drop only structures without a solution, so the order of the
-    rest is that of the uncut search.  The first structure with a solution
-    within the bound is certified by an independent re-solve (build_system,
-    solve, positive_integer_solutions up to its largest multiplicity) and by
-    the exact admissibility check, and its network is returned; None when
-    the search is exhausted.
+    problem.  No cut reads the bound; a structure whose largest forced
+    multiplicity exceeds it is skipped.  Both cuts drop only structures
+    without a solution, so the order of the rest is that of the uncut
+    search.  The first structure left is certified by an independent
+    re-solve (build_system, solve, positive_integer_solutions up to its
+    largest multiplicity) and the exact admissibility check, and its
+    network is returned; None when the search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
