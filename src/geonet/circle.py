@@ -16,7 +16,7 @@ from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .errors import DuplicateVertexAngle, InexactPosition, is_int
-from .exact import RadExpr, simplify, term, term_inverse, times_term
+from .exact import RadExpr, simplify, squarefree_decompose, term, term_inverse, times_term
 
 TAU = math.tau
 
@@ -237,14 +237,40 @@ def chord_square(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScal
     return dx, dy, simplify(dx * dx + dy * dy)
 
 
+def norm_parts(t: TanHalf | None) -> tuple[int, int, int, int] | None:
+    """(a, b, d, k) with t = a/b in lowest terms, INFINITY as 1/0, and the
+    norm a^2 + b^2 = d*k^2, d squarefree; None for a radical or missing
+    tan-half.  The point is ((b^2 - a^2)/N, 2ab/N), N the norm."""
+    if t is INFINITY:
+        a, b = 1, 0
+    elif isinstance(t, Fraction):
+        a, b = t.numerator, t.denominator
+    else:
+        return None
+    return a, b, *squarefree_decompose(a * a + b * b)
+
+
 def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, ExactScalar]:
     """(w - v) componentwise and |w - v|, exact; needs a rational squared length.
 
-    Each value is a Fraction when it is rational, as in chord_square."""
-    dx, dy, sq = chord_square(v, w)
-    if isinstance(sq, RadExpr):
-        raise InexactPosition("chord direction is not a representable radical")
-    return dx, dy, simplify(RadExpr.sqrt(sq))
+    Each value is a Fraction when it is rational, as in chord_square.  For
+    rational tan-halves a/b and c/e, |w - v| = 2|ae - cb|/sqrt(N_v*N_w), so
+    only the two norms are factored (norm_parts): with N = d*k^2 and
+    g = gcd(d_v, d_w), the length is 2|ae - cb|*sqrt(D)/(k_v*k_w*g*D), where
+    D = d_v*d_w/g^2.  A radical tan-half takes the square root of
+    chord_square's |w - v|^2."""
+    s, t = norm_parts(v.tan_half), norm_parts(w.tan_half)
+    if s is None or t is None:
+        dx, dy, sq = chord_square(v, w)
+        if isinstance(sq, RadExpr):
+            raise InexactPosition("chord direction is not a representable radical")
+        return dx, dy, simplify(RadExpr.sqrt(sq))
+    (a, b, dv, kv), (c, e, dw, kw) = s, t
+    (vx, vy), (wx, wy) = v.exact_xy(), w.exact_xy()
+    g = math.gcd(dv, dw)
+    big_d = (dv // g) * (dw // g)
+    length = Fraction(2 * abs(a * e - c * b), kv * kw * g * big_d)
+    return wx - vx, wy - vy, length if big_d == 1 else times_term(length, (big_d, 1))
 
 
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:

@@ -12,7 +12,6 @@ is not.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -21,8 +20,8 @@ from .chords import enumerate_chord_sets
 from .circle import (
     CirclePoint,
     _chord,
-    chord_square,
     diameter_side,
+    norm_parts,
     point_div,
     tangent_point,
 )
@@ -267,15 +266,9 @@ def _balance_cone(positions: Sequence[CirclePoint]) -> Callable[[int, int], bool
     return ok
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    """q >= 0 is the square of a rational; q is in lowest terms."""
-    num, den = q.numerator, q.denominator
-    return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
-
-
 def _one_length_class(positions: Sequence[CirclePoint]) -> bool:
-    """False when every ray has rational coordinates and some chord length
-    between two rays is irrational; True otherwise.
+    """False when every ray is rational and the rays' norms fall in two or
+    more squarefree classes; True otherwise.
 
     A ray pair of irrational chord length carries no chord in any solution:
     with the rays' multiplicities fixed, the peel's unknowns y = m/|w - v|
@@ -283,35 +276,37 @@ def _one_length_class(positions: Sequence[CirclePoint]) -> bool:
     chord of positive integer multiplicity m has the rational length m/y.
     A structure in the balance cone is connected and spans every ray
     (_balance_cone), so it has such a pair unless every pair is rational.
-    Between rays at tan-halves s and t, |w - v|^2 = 4(s - t)^2/((1 + s^2)
-    (1 + t^2)), or 4/(1 + t^2) from the point at pi, so a rational length
-    is an equivalence (1 + s^2 agree up to a rational square factor), and
-    the chords from ray 0 decide every pair.  Radical rays widen the field
-    the lengths must lie in, and nothing is decided.
+    Between rays at tan-halves a/b and c/e, |w - v| = 2|ae - cb|/sqrt(N_v*N_w)
+    with the norms N = a^2 + b^2 (circle._chord), rational exactly when the
+    two norms have the same squarefree part (circle.norm_parts); one part
+    for every ray decides every pair.  Radical rays widen the field the
+    lengths must lie in, and nothing is decided.
     """
-    if not all(isinstance(c, Fraction) for p in positions for c in p.exact_xy()):
+    parts = [norm_parts(p.tan_half) for p in positions]
+    if None in parts:
         return True
-    first = positions[0]
-    return all(_is_rational_square(chord_square(first, p)[2]) for p in positions[1:])
+    return len({d for _, _, d, _ in parts}) == 1
 
 
 def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | None:
     """Search the problem's admissible networks with multiplicities <= bound.
 
-    Returns None at once when the rays do not balance, or when they are
-    rational and some chord length between them is irrational
-    (_one_length_class).  Otherwise enumerates non-crossing chord structures
-    in deterministic order, cutting every subtree of the enumeration in
-    which some vertex has left the balance cone (_balance_cone), and solves
-    each remaining structure with the rays' multiplicities fixed by
-    solver.peel_solve, on chord lookups (w - v, |w - v|) memoized per
-    problem.  No cut reads the bound; a structure whose largest forced
-    multiplicity exceeds it is skipped.  Both cuts drop only structures
-    without a solution, so the order of the rest is that of the uncut
-    search.  The first structure left is certified by an independent
-    re-solve (build_system, solve, positive_integer_solutions up to its
-    largest multiplicity) and the exact admissibility check, and its
-    network is returned; None when the search is exhausted.
+    Returns None at once when the rays are rational and their norms fall in
+    two or more length classes (_one_length_class, one cached factorization
+    per norm), and next when the rays do not balance (exterior_balance).
+    Both are conditions on the whole problem, so their order changes no
+    answer; the cheap one goes first.  Otherwise enumerates non-crossing
+    chord structures in deterministic order, cutting every subtree of the
+    enumeration in which some vertex has left the balance cone
+    (_balance_cone), and solves each remaining structure with the rays'
+    multiplicities fixed by solver.peel_solve, on chord lookups
+    (w - v, |w - v|) memoized per problem.  No cut reads the bound; a
+    structure whose largest forced multiplicity exceeds it is skipped.  Both
+    cuts drop only structures without a solution, so the order of the rest
+    is that of the uncut search.  The first structure left is certified by
+    an independent re-solve (build_system, solve, positive_integer_solutions
+    up to its largest multiplicity) and the exact admissibility check, and
+    its network is returned; None when the search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
@@ -319,8 +314,10 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     if not problem.is_exact:
         raise InexactPosition("feasibility search needs exact ray directions")
     positions, mults = problem.positions, problem.exterior_mults
+    if not _one_length_class(positions):
+        return None
     bx, by = exterior_balance(zip(positions, mults))
-    if not (bx.is_zero() and by.is_zero()) or not _one_length_class(positions):
+    if not (bx.is_zero() and by.is_zero()):
         return None
     chord = functools.cache(lambda i, j: _chord(positions[i], positions[j]))
     structures = enumerate_chord_sets(

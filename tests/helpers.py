@@ -13,6 +13,7 @@ from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
     CirclePoint,
+    chord_square,
     diameter_side,
     point_div,
     tan_half_add,
@@ -20,7 +21,7 @@ from geonet.circle import (
     tangent_components_exact,
 )
 from geonet.errors import DomainError, NonConvergence
-from geonet.exact import RadExpr
+from geonet.exact import RadExpr, simplify
 from geonet.linalg import kernel_from_rref, particular_from_rref, rref
 from geonet.network import (
     _point_key,
@@ -433,6 +434,17 @@ def naive_is_maximal(cs: ChordSet, allow_adjacent: bool = True) -> bool:
             if (i, j) not in have and all(not chords_cross((i, j), q) for q in cs.chords):
                 return False
     return True
+
+
+def chord_by_square(v: CirclePoint, w: CirclePoint) -> tuple:
+    """(w - v) componentwise and |w - v| as the square root of chord_square's
+    |w - v|^2, a Fraction when rational.
+
+    Independent oracle for circle._chord, which takes the length between
+    rational points from their norms a^2 + b^2; this factors the squared
+    chord itself."""
+    dx, dy, sq = chord_square(v, w)
+    return dx, dy, simplify(RadExpr.sqrt(sq))
 
 
 def diameter_sides(positions) -> list[list[int]]:

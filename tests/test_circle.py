@@ -27,7 +27,14 @@ from geonet.circle import (
 )
 from geonet.errors import InexactPosition
 from geonet.exact import RadExpr
-from helpers import point_mul, reflect_point
+from helpers import (
+    RECTANGLE_TANS,
+    TAN_GRID,
+    chord_by_square,
+    point_mul,
+    pt,
+    reflect_point,
+)
 
 tan_halves = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -236,6 +243,29 @@ def test_chord_length_exact_edge_cases():
         _chord(v, w)
     with pytest.raises(InexactPosition, match="chord direction"):
         tangent_components_exact(v, w)
+
+
+def same_exact(x, y) -> bool:
+    """Equal, of the same type, and a RadExpr only with a single term."""
+    return type(x) is type(y) and x == y and (
+        isinstance(x, Fraction) or len(x.terms()) == 1
+    )
+
+
+# criterion 04's grid with the rectangle tan-halves, 0 and the point at pi
+NORM_POINTS = [pt(t) for t in (0, INFINITY, *sorted({*TAN_GRID, *RECTANGLE_TANS}))]
+LARGE = pt(Fraction(10000019, 3))
+
+
+def test_chord_lengths_from_norms_match_the_squared_chord():
+    pairs = [(v, w) for i, v in enumerate(NORM_POINTS) for w in NORM_POINTS[i:]]
+    # the oracle factors |w - v|^2, slow from 0 to LARGE but not from these
+    pairs += [(LARGE, w) for w in (LARGE, pt(INFINITY), pt(Fraction(1, 7)), pt(Fraction(-3, 10000019)))]
+    for v, w in pairs:
+        got, want = _chord(v, w), chord_by_square(v, w)
+        assert all(same_exact(x, y) for x, y in zip(got, want)), (v, w)
+    # coincident points: length Fraction(0)
+    assert all(same_exact(_chord(v, v)[2], Fraction(0)) for v in (*NORM_POINTS, LARGE))
 
 
 @given(a=tan_halves, b=tan_halves)

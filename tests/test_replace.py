@@ -2,13 +2,22 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geonet import replace
+from geonet import circle, exact, replace
 from geonet.chords import ChordSet, enumerate_chord_sets
-from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add
+from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add, tan_half_neg
 from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
 from geonet.exact import RadExpr
-from geonet.network import InteriorEdge, Vertex, canonical_key, make_network
+from geonet.network import (
+    InteriorEdge,
+    Network,
+    Vertex,
+    canonical_key,
+    exterior_balance,
+    make_network,
+)
 from geonet.replace import (
     AngleExpr,
     ReplacementProblem,
@@ -21,6 +30,7 @@ from geonet.replace import (
 )
 from geonet.solver import build_system, peel_solve, positive_integer_solutions, solve
 from helpers import (
+    TAN_GRID,
     admissible_fan_rectangles,
     axis_point_angles,
     diameter_sides,
@@ -625,3 +635,108 @@ def test_length_cut_needs_rational_rays():
     # the diagonals' coordinates are +-sqrt(2)/2; their side chords have the
     # irrational length sqrt(2), which lies in the rays' field, so nothing is cut
     assert replace._one_length_class([CirclePoint.from_tan_half(t) for t in DIAGONALS])
+
+
+# 1 + t^2 is 5 times a square at 1/2 and 2, the first two rays in angle order,
+# and at -2 and -1/2; it is 10 times a square at 3 and -1/3
+LATE_CLASS = ray_problem(antipodal(zip((Fraction(1, 2), Fraction(2), Fraction(3)), (1, 2, 3))))
+
+
+def test_length_class_is_decided_before_the_balance(monkeypatch):
+    balanced = []
+
+    def counting(rays):
+        balanced.append(rays)
+        return exterior_balance(rays)
+
+    monkeypatch.setattr(replace, "exterior_balance", counting)
+    # two or more classes: refuted with no ray summed
+    for problem in (SEVEN_PAIRS, LATE_CLASS):
+        assert replacement_feasible(problem, 50) is None
+    assert balanced == []
+    # one class that does not balance: the balance refutes it
+    unbalanced = ReplacementProblem((pt(0), pt(INFINITY)), (1, 2))
+    assert replace._one_length_class(unbalanced.positions)
+    assert replacement_feasible(unbalanced, 50) is None
+    assert len(balanced) == 1
+
+
+# --- only norms are factored ------------------------------------------------
+
+LARGE_TAN = Fraction(10000019, 3)
+
+
+def factored(monkeypatch) -> list[int]:
+    """Every integer passed to squarefree_decompose from now on, through each
+    module that calls it."""
+    seen = []
+    original = exact.squarefree_decompose
+
+    def recording(n):
+        seen.append(n)
+        return original(n)
+
+    for module in (exact, circle):
+        monkeypatch.setattr(module, "squarefree_decompose", recording)
+    return seen
+
+
+def norms(tans) -> set[int]:
+    """a^2 + b^2 of each tan-half a/b, INFINITY as 1/0."""
+    return {1 if t is INFINITY else t.numerator**2 + t.denominator**2 for t in tans}
+
+
+def test_chords_factor_only_the_norms(monkeypatch):
+    # |w - v|^2 from LARGE_TAN carries (s - t)^2, a product of large primes
+    tans = (Fraction(0), LARGE_TAN, INFINITY, Fraction(-1, 2))
+    seen = factored(monkeypatch)
+    build_system([pt(t) for t in tans], ChordSet(4, ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))))
+    # a one-class pair, solved and certified; two classes, refuted at once
+    pair = antipodal([(LARGE_TAN, 2)])
+    assert replacement_feasible(ray_problem(pair), 5) is not None
+    assert replacement_feasible(ray_problem([*pair, (Fraction(0), 1), (INFINITY, 1)]), 5) is None
+    assert seen and set(seen) <= norms([*tans, -1 / LARGE_TAN])
+
+
+# --- generated problems: the fan rectangles' boundary data ------------------
+
+
+def rectangle_rays(net: Network, turn: Fraction, mirror: bool, k: int) -> list:
+    """The network's exterior rays as (tan-half, multiplicity) pairs: turned
+    by the tan-half turn, mirrored t -> -t when asked, multiplicities times k."""
+    rays = []
+    for v in net.vertices:
+        t = tan_half_add(v.position.tan_half, turn)
+        rays.append((tan_half_neg(t) if mirror else t, k * v.exterior_mult))
+    return rays
+
+
+@given(
+    net=st.sampled_from(admissible_fan_rectangles()),
+    turn=st.fractions(min_value=-10, max_value=10, max_denominator=10),
+    mirror=st.booleans(),
+    k=st.integers(1, 3),
+    ray=st.integers(0, 3),
+    step=st.sampled_from((1, -1)),
+    pair=st.none() | st.sampled_from(TAN_GRID),
+)
+@settings(max_examples=5, deadline=None)
+def test_generated_problems_match_the_unpruned_search(net, turn, mirror, k, ray, step, pair):
+    rays = rectangle_rays(net, turn, mirror, k)
+    bound = k * max(e.mult for e in net.edges)
+    # feasible: the turned, mirrored and scaled rectangle is a solution
+    problem = ray_problem(rays)
+    found = replacement_feasible(problem, bound)
+    assert found is not None and found == unpruned_replacement_feasible(problem, bound)
+    assert max(e.mult for e in found.edges) <= bound
+    # one multiplicity off by one: one length class, refuted by the balance
+    t, m = rays[ray]
+    off = ray_problem([*rays[:ray], (t, m + step or m + 1), *rays[ray + 1 :]])
+    assert replace._one_length_class(off.positions)
+    assert not all(c.is_zero() for c in exterior_balance(zip(off.positions, off.exterior_mults)))
+    assert replacement_feasible(off, bound) is unpruned_replacement_feasible(off, bound) is None
+    # an antipodal pair of another class: refuted by the length class
+    if pair is not None and irrational_chord_pairs([pt(pair), problem.positions[0]]):
+        wider = ray_problem([*rays, *antipodal([(pair, k)])])
+        assert not replace._one_length_class(wider.positions)
+        assert replacement_feasible(wider, bound) is unpruned_replacement_feasible(wider, bound) is None
