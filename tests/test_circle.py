@@ -260,7 +260,8 @@ LARGE = pt(Fraction(10000019, 3))
 def test_chord_lengths_from_norms_match_the_squared_chord():
     pairs = [(v, w) for i, v in enumerate(NORM_POINTS) for w in NORM_POINTS[i:]]
     # the oracle factors |w - v|^2, slow from 0 to LARGE but not from these
-    pairs += [(LARGE, w) for w in (LARGE, pt(INFINITY), pt(Fraction(1, 7)), pt(Fraction(-3, 10000019)))]
+    others = (LARGE, pt(INFINITY), pt(Fraction(1, 7)), pt(Fraction(-3, 10000019)))
+    pairs += [(LARGE, w) for w in others]
     for v, w in pairs:
         got, want = _chord(v, w), chord_by_square(v, w)
         assert all(same_exact(x, y) for x, y in zip(got, want)), (v, w)

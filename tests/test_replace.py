@@ -734,9 +734,11 @@ def test_generated_problems_match_the_unpruned_search(net, turn, mirror, k, ray,
     off = ray_problem([*rays[:ray], (t, m + step or m + 1), *rays[ray + 1 :]])
     assert replace._one_length_class(off.positions)
     assert not all(c.is_zero() for c in exterior_balance(zip(off.positions, off.exterior_mults)))
-    assert replacement_feasible(off, bound) is unpruned_replacement_feasible(off, bound) is None
+    assert replacement_feasible(off, bound) is None
+    assert unpruned_replacement_feasible(off, bound) is None
     # an antipodal pair of another class: refuted by the length class
     if pair is not None and irrational_chord_pairs([pt(pair), problem.positions[0]]):
         wider = ray_problem([*rays, *antipodal([(pair, k)])])
         assert not replace._one_length_class(wider.positions)
-        assert replacement_feasible(wider, bound) is unpruned_replacement_feasible(wider, bound) is None
+        assert replacement_feasible(wider, bound) is None
+        assert unpruned_replacement_feasible(wider, bound) is None
