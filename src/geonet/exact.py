@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
 Term = tuple[int, Fraction]  # one term q*sqrt(d) as (d, q), d squarefree
@@ -289,6 +289,17 @@ def times_term_map(y: Rational | RadExpr, t: Term) -> dict[int, Fraction]:
 def times_term(y: Rational | RadExpr, t: Term) -> RadExpr:
     """y * t from its term map, with no RadExpr product."""
     return RadExpr(times_term_map(y, t))
+
+
+def combination(pairs: Iterable[tuple[Rational, Fraction | RadExpr]]) -> RadExpr:
+    """sum of c*x over the (c, x) pairs, c rational and x a Fraction or
+    RadExpr, added term by term into one map with no RadExpr product; a
+    coefficient that cancels is dropped, so the map is canonical."""
+    out: dict[int, Fraction] = {}
+    for c, x in pairs:
+        for d, q in x._terms.items() if isinstance(x, RadExpr) else ((1, x),):
+            out[d] = out[d] + c * q if d in out else c * q
+    return RadExpr({d: q for d, q in out.items() if q})
 
 
 def simplify(x: Rational | RadExpr) -> Rational | RadExpr:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .chords import crossing_index_pairs
@@ -35,7 +36,7 @@ from .errors import (
     is_index,
     is_positive_int,
 )
-from .exact import RadExpr
+from .exact import RadExpr, combination
 
 DEFAULT_TOL = 1e-9
 
@@ -150,15 +151,24 @@ def _chord_tangents(net: Network):
     return tangent
 
 
+def _resultant(vectors: Iterable[tuple[int, tuple]]) -> tuple[RadExpr, RadExpr]:
+    """sum of m * (x, y) over (m, (x, y)), one exact.combination per component."""
+    vectors = list(vectors)
+    return (
+        combination((m, x) for m, (x, _) in vectors),
+        combination((m, y) for m, (_, y) in vectors),
+    )
+
+
 def _residual_exact(net: Network, i: int, tangent) -> tuple[RadExpr, RadExpr]:
+    """m_v * v plus m_vw times the unit tangent toward each neighbour w,
+    summed as one weighted sum per component (_resultant)."""
     nbrs = net.neighbors(i)  # checks i before vertices[i] is read
     v = net.vertices[i]
-    rx, ry = exterior_balance([(v.position, v.exterior_mult)])
-    for j, mult in nbrs:
-        tx, ty = tangent(i, j)
-        rx = rx + mult * tx
-        ry = ry + mult * ty
-    return rx, ry
+    return _resultant(
+        [(v.exterior_mult, v.position.exact_xy())]
+        + [(mult, tangent(i, j)) for j, mult in nbrs]
+    )
 
 
 def _residual_float(net: Network, i: int) -> tuple[float, float]:
@@ -256,16 +266,9 @@ class InvariantReport:
 
 
 def exterior_balance(rays: Iterable[tuple[CirclePoint, int]]) -> tuple:
-    """The exact ray resultant, sum of m * p over (p, m); needs exact points.
-
-    Rational coordinates sum as Fractions; a radical one makes the running
-    sum a RadExpr (through RadExpr.__radd__), so one loop serves both."""
-    bx = by = 0
-    for p, m in rays:
-        px, py = p.exact_xy()
-        bx += m * px
-        by += m * py
-    return RadExpr.of(bx), RadExpr.of(by)
+    """The exact ray resultant, sum of m * p over (p, m), as a RadExpr pair;
+    needs exact points.  Each component is one weighted sum (_resultant)."""
+    return _resultant((m, p.exact_xy()) for p, m in rays)
 
 
 def invariant_report(net: Network) -> InvariantReport:
@@ -274,7 +277,10 @@ def invariant_report(net: Network) -> InvariantReport:
     For a stationary network the balance is (0, 0) (sum the per-vertex
     conditions: chord tangents cancel in opposite pairs) and the mass gap is 0
     (dot each condition with its vertex and sum; v.(w-v)/|w-v| pairs add up to
-    -|w-v| per edge while v.v = 1).
+    -|w-v| per edge while v.v = 1).  On exact data the balance and the mass
+    gap, total exterior multiplicity minus sum m_e * |w - v|, are each one
+    exact.combination, as the residual is: the three sums never read the
+    solver's matrix.
     """
     total_ext = sum(v.exterior_mult for v in net.vertices)
     parity = "even" if total_ext % 2 == 0 else "odd"
@@ -282,11 +288,10 @@ def invariant_report(net: Network) -> InvariantReport:
         try:
             rays = ((v.position, v.exterior_mult) for v in net.vertices)
             balance = exterior_balance(rays)
-            mass = total_ext - sum(
-                e.mult * _chord(net.vertices[e.i].position, net.vertices[e.j].position)[2]
-                for e in net.edges
-            )
-            return InvariantReport(balance, RadExpr.of(mass), parity, True)
+            ps = [v.position for v in net.vertices]
+            lengths = ((-e.mult, _chord(ps[e.i], ps[e.j])[2]) for e in net.edges)
+            mass = combination([(total_ext, Fraction(1)), *lengths])
+            return InvariantReport(balance, mass, parity, True)
         except InexactPosition:
             pass
     bx = by = 0.0

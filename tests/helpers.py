@@ -447,6 +447,35 @@ def chord_by_square(v: CirclePoint, w: CirclePoint) -> tuple:
     return dx, dy, simplify(RadExpr.sqrt(sq))
 
 
+def fraction_xy_of_tan(t) -> tuple:
+    """(1 - t^2)/(1 + t^2) and 2t/(1 + t^2) for a rational tan-half t, in
+    Fraction operations, and (-1, 0) at INFINITY.
+
+    Independent oracle for circle.exact_xy_of_tan, which builds a rational
+    point from the integers a, b and a^2 + b^2 of t = a/b."""
+    if t is INFINITY:
+        return Fraction(-1), Fraction(0)
+    t = Fraction(t)
+    one_plus = 1 + t * t
+    return (1 - t * t) / one_plus, (2 * t) / one_plus
+
+
+def product_chain_residual(net: Network, i: int) -> tuple:
+    """The exact residual at vertex i as a chain of RadExpr products and
+    sums: m_v * v, then m_vw times each tangent_components_exact(v, w).
+
+    Independent oracle for network._residual_exact, which adds the same
+    terms into one term map (exact.combination)."""
+    v = net.vertices[i]
+    px, py = v.position.exact_xy()
+    rx, ry = RadExpr.of(v.exterior_mult * px), RadExpr.of(v.exterior_mult * py)
+    for j, mult in net.neighbors(i):
+        tx, ty = tangent_components_exact(v.position, net.vertices[j].position)
+        rx = rx + mult * tx
+        ry = ry + mult * ty
+    return rx, ry
+
+
 def diameter_sides(positions) -> list[list[int]]:
     """side[v][w] = circle.diameter_side(positions[v], positions[w]), exact."""
     n = len(positions)
@@ -489,8 +518,8 @@ def radexpr_exterior_balance(rays) -> tuple:
     """The ray resultant with every coordinate wrapped in a RadExpr and every
     sum a RadExpr sum.
 
-    Independent oracle for network.exterior_balance, which sums rational
-    coordinates as Fractions and wraps each total once."""
+    Independent oracle for network.exterior_balance, which adds m * p's
+    coordinates into one term map per component (exact.combination)."""
     bx = by = RadExpr.of(0)
     for p, m in rays:
         px, py = p.exact_xy()

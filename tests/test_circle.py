@@ -31,6 +31,7 @@ from helpers import (
     RECTANGLE_TANS,
     TAN_GRID,
     chord_by_square,
+    fraction_xy_of_tan,
     point_mul,
     pt,
     reflect_point,
@@ -79,6 +80,19 @@ def test_exact_xy_on_unit_circle(t):
 
 def test_exact_xy_at_infinity():
     assert exact_xy_of_tan(INFINITY) == (Fraction(-1), Fraction(0))
+
+
+def test_point_from_norms_matches_the_fraction_formula():
+    # criterion 04's grid, 0, the point at pi, a large and a negative tan-half
+    for t in (*TAN_GRID, Fraction(0), INFINITY, Fraction(10000019, 3), Fraction(-7, 3)):
+        got = exact_xy_of_tan(t)
+        assert got == fraction_xy_of_tan(t), t
+        assert all(type(c) is Fraction for c in got), t
+    # a radical tan-half keeps the RadExpr formula: 1 + sqrt2 is 3pi/8
+    half_root2 = RadExpr.sqrt(2) / 2
+    got = exact_xy_of_tan(1 + RadExpr.sqrt(2))
+    assert got == (-half_root2, half_root2)
+    assert all(type(c) is RadExpr for c in got)
 
 
 def test_point_round_trip():

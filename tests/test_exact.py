@@ -12,6 +12,7 @@ import geonet
 from geonet import exact
 from geonet.exact import (
     RadExpr,
+    combination,
     simplify,
     squarefree_decompose,
     term,
@@ -340,6 +341,24 @@ def test_term_helpers_match_the_ring_operations(pairs, d, q):
     ]:
         assert got == want
         assert float(got) == pytest.approx(approx, rel=1e-9, abs=1e-9)
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-5, 5), st.one_of(three_prime_radicals, rationals)),
+        max_size=6,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_combination_matches_the_ring_sum(pairs):
+    # a zero coefficient left in the map would break equality, so the
+    # cancelling sum must come back with the empty map
+    want = sum((c * RadExpr.of(x) for c, x in pairs), RadExpr())
+    got = combination(pairs)
+    assert got == want and got.terms() == want.terms()
+    assert all(q for q in got.terms().values())
+    zero = combination(pairs + [(-c, x) for c, x in pairs])
+    assert zero.is_zero() and zero.terms() == {}
 
 
 def _term_map_uses(path: Path) -> list[str]:

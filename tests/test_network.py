@@ -38,6 +38,7 @@ from helpers import (
     golden_triangle,
     line_network,
     point_mul,
+    product_chain_residual,
     pt,
     radexpr_exterior_balance,
     rebuilt_canonical_key,
@@ -136,6 +137,20 @@ def test_golden_triangle_admissible():
 
 def test_rectangle_admissible():
     assert is_admissible(rectangle_network(), mode="exact").admissible
+
+
+def test_residual_matches_the_product_chain():
+    # every vertex of the stationary fixtures, and of each with one more unit
+    # on every edge, whose residuals are not zero
+    nets = [golden_triangle(), line_network(), rectangle_network(), *admissible_fan_rectangles()]
+    for net in nets:
+        edges = tuple(InteriorEdge(e.i, e.j, e.mult + 1) for e in net.edges)
+        heavier = Network(net.vertices, edges)
+        for n in (net, heavier):
+            for i in range(n.n_vertices):
+                got = stationarity_residual(n, i, mode="exact")
+                assert got == product_chain_residual(n, i)
+                assert (n is heavier) != (got[0].terms() == got[1].terms() == {})
 
 
 def test_admissibility_needs_a_point():
