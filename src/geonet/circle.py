@@ -100,30 +100,22 @@ def tan_half_neg(a: TanHalf) -> TanHalf:
     return simplify(-a)
 
 
-def _lowest_terms(t: TanHalf | None) -> tuple[int, int] | None:
-    """(a, b) with t = a/b in lowest terms, INFINITY as 1/0; None for a
-    radical or missing tan-half."""
-    if t is INFINITY:
-        return 1, 0
-    if isinstance(t, Fraction):
-        return t.numerator, t.denominator
-    return None
-
-
 def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
     """The exact point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)).
 
-    For rational t = a/b (INFINITY as 1/0) it is ((b^2 - a^2)/N, 2ab/N) with
-    the norm N = a^2 + b^2, two Fractions built from integers.  A radical t
-    takes the formula in RadExpr arithmetic."""
+    For rational t = a/b in lowest terms it is ((b^2 - a^2)/N, 2ab/N) with
+    the norm N = a^2 + b^2 (norm_parts), two Fractions built from integers;
+    INFINITY gives (-1, 0).  A radical t takes the formula in RadExpr
+    arithmetic."""
     t = as_tan_half(t)
-    ab = _lowest_terms(t)
-    if ab is None:
-        one_plus = 1 + t * t
-        return simplify((1 - t * t) / one_plus), simplify((2 * t) / one_plus)
-    a, b = ab
-    n = a * a + b * b
-    return Fraction(b * b - a * a, n), Fraction(2 * a * b, n)
+    if t is INFINITY:
+        return Fraction(-1), Fraction(0)
+    if isinstance(t, Fraction):
+        a, b = t.numerator, t.denominator
+        n = a * a + b * b
+        return Fraction(b * b - a * a, n), Fraction(2 * a * b, n)
+    one_plus = 1 + t * t
+    return simplify((1 - t * t) / one_plus), simplify((2 * t) / one_plus)
 
 
 def normalize_angle(angle: float) -> float:
@@ -258,11 +250,13 @@ def chord_square(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScal
 def norm_parts(t: TanHalf | None) -> tuple[int, int, int, int] | None:
     """(a, b, d, k) with t = a/b in lowest terms, INFINITY as 1/0, and the
     norm a^2 + b^2 = d*k^2, d squarefree; None for a radical or missing
-    tan-half.  The point is ((b^2 - a^2)/N, 2ab/N), N the norm (exact_xy_of_tan)."""
-    ab = _lowest_terms(t)
-    if ab is None:
+    tan-half.  The point is ((b^2 - a^2)/N, 2ab/N), N the norm."""
+    if t is INFINITY:
+        a, b = 1, 0
+    elif isinstance(t, Fraction):
+        a, b = t.numerator, t.denominator
+    else:
         return None
-    a, b = ab
     return a, b, *squarefree_decompose(a * a + b * b)
 
 
