@@ -4,7 +4,9 @@ A point at angle theta is stored with its half-angle tangent t = tan(theta/2)
 when that value is known exactly (a Fraction, a RadExpr, or INFINITY for the
 angle pi).  Rational t gives rational coordinates ((1-t^2)/(1+t^2), 2t/(1+t^2)),
 and angle sums and differences become field operations on t, so rotations and
-chord directions can be computed without any floating error.
+chord directions can be computed without any floating error.  The point
+formulas and the angle sum read t as a ratio p/q with INFINITY as 1/0;
+elsewhere the angle pi is the test t is INFINITY.
 """
 
 from __future__ import annotations
@@ -45,12 +47,6 @@ ExactScalar = Union[Fraction, RadExpr]
 TanHalf = Union[Fraction, RadExpr, _InfinityType]
 
 
-def _recip(x: ExactScalar) -> TanHalf:
-    if not x:
-        return INFINITY
-    return simplify(1 / x)
-
-
 def as_tan_half(x) -> TanHalf:
     """Coerce an int, Fraction or RadExpr (or INFINITY) to a canonical tan-half.
 
@@ -68,23 +64,36 @@ def as_tan_half(x) -> TanHalf:
     raise ValueError(f"tan_half must be an int, Fraction, RadExpr or INFINITY, got {x!r}")
 
 
+def _ratio(t: TanHalf) -> tuple:
+    """A canonical tan-half as a ratio (p, q): a Fraction's numerator and
+    denominator, INFINITY as 1/0, a radical over 1."""
+    if t is INFINITY:
+        return 1, 0
+    if isinstance(t, Fraction):
+        return t.numerator, t.denominator
+    return t, 1
+
+
+def _quotient(p, q) -> TanHalf:
+    """The tan-half p/q: INFINITY when q is zero, a Fraction for two ints,
+    and simplify(p / q) otherwise."""
+    if not q:
+        return INFINITY
+    if isinstance(p, int) and isinstance(q, int):
+        return Fraction(p, q)
+    return simplify(p / q)
+
+
 def tan_half_add(a: TanHalf, b: TanHalf) -> TanHalf:
     """tan((alpha+beta)/2) from the two half-angle tangents.
 
-    Each argument goes through as_tan_half, here and in the other tan-half
-    helpers: an int is taken as a Fraction, a float raises ValueError."""
-    a, b = as_tan_half(a), as_tan_half(b)
-    ainf = a is INFINITY
-    binf = b is INFINITY
-    if ainf and binf:
-        return Fraction(0)
-    if ainf or binf:
-        # tan((alpha + pi)/2) = -1/tan(alpha/2)
-        return tan_half_neg(_recip(a if binf else b))
-    denom = 1 - a * b
-    if not denom:
-        return INFINITY
-    return simplify((a + b) / denom)
+    With a = p/q and b = r/s (_ratio, INFINITY as 1/0) it is
+    (ps + qr)/(qs - pr), the product (q + ip)(s + ir) read as a ratio, so the
+    point at pi takes no case of its own.  Each argument goes through
+    as_tan_half, here and in the other tan-half helpers: an int is taken as a
+    Fraction, a float raises ValueError."""
+    (p, q), (r, s) = _ratio(as_tan_half(a)), _ratio(as_tan_half(b))
+    return _quotient(p * s + q * r, q * s - p * r)
 
 
 def tan_half_sub(a: TanHalf, b: TanHalf) -> TanHalf:
@@ -101,21 +110,17 @@ def tan_half_neg(a: TanHalf) -> TanHalf:
 
 
 def exact_xy_of_tan(t: TanHalf) -> tuple[ExactScalar, ExactScalar]:
-    """The exact point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)).
+    """The exact point ((q^2 - p^2)/N, 2pq/N) of t = p/q, N = p^2 + q^2.
 
-    For rational t = a/b in lowest terms it is ((b^2 - a^2)/N, 2ab/N) with
-    the norm N = a^2 + b^2 (norm_parts), two Fractions built from integers;
-    INFINITY gives (-1, 0).  A radical t takes the formula in RadExpr
-    arithmetic."""
-    t = as_tan_half(t)
-    if t is INFINITY:
-        return Fraction(-1), Fraction(0)
-    if isinstance(t, Fraction):
-        a, b = t.numerator, t.denominator
-        n = a * a + b * b
-        return Fraction(b * b - a * a, n), Fraction(2 * a * b, n)
-    one_plus = 1 + t * t
-    return simplify((1 - t * t) / one_plus), simplify((2 * t) / one_plus)
+    Rational t in lowest terms and INFINITY as 1/0 (the point (-1, 0)) give
+    two Fractions built from integers, as in norm_parts; a radical t is t/1,
+    and both coordinates share one inverse of N."""
+    p, q = _ratio(as_tan_half(t))
+    n = p * p + q * q
+    if isinstance(n, int):
+        return Fraction(q * q - p * p, n), Fraction(2 * p * q, n)
+    inv = n.inverse()
+    return simplify((q * q - p * p) * inv), simplify(2 * q * p * inv)
 
 
 def normalize_angle(angle: float) -> float:
@@ -312,7 +317,7 @@ def tangent_point(v: CirclePoint, w: CirclePoint) -> CirclePoint:
 
     Exact whenever both endpoints are exact with a rational squared chord
     length; the direction components then live in Q adjoined one square root,
-    and its own tan-half is recovered from t = y/(1+x).
+    and its own tan-half is the ratio y/(1 + x), INFINITY when x = -1.
     """
     if v.tan_half is not None and w.tan_half is not None:
         try:
@@ -320,9 +325,7 @@ def tangent_point(v: CirclePoint, w: CirclePoint) -> CirclePoint:
         except InexactPosition:
             pass
         else:
-            if (ux + 1).is_zero():
-                return CirclePoint.from_tan_half(INFINITY)
-            return CirclePoint.from_tan_half(uy / (ux + 1))
+            return CirclePoint.from_tan_half(_quotient(uy, ux + 1))
     vx, vy = v.xy()
     wx, wy = w.xy()
     return CirclePoint.from_angle(math.atan2(wy - vy, wx - vx))

@@ -35,7 +35,7 @@ from .network import (
     is_admissible,
     make_network,
 )
-from .solver import build_system, peel_solve, positive_integer_solutions, solve
+from .solver import build_system, peel_solve, solve
 
 MAX_AUDIT_DEPTH = 4
 MAX_AUDIT_BOUND = 50
@@ -304,9 +304,10 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     structure whose largest forced multiplicity exceeds it is skipped.  Both
     cuts drop only structures without a solution, so the order of the rest
     is that of the uncut search.  The first structure left is certified by
-    an independent re-solve (build_system, solve, positive_integer_solutions
-    up to its largest multiplicity) and the exact admissibility check, and
-    its network is returned; None when the search is exhausted.
+    an independent re-solve (build_system, solve), which must have nullity 0
+    and the peel's multiplicities as its particular solution, and by the
+    exact admissibility check; its network is returned, and None when the
+    search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
@@ -329,10 +330,8 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         edge_mults = peel_solve(positions, mults, cs.chords, chord)
         if edge_mults is None or max(edge_mults) > bound:
             continue
-        certificate = positive_integer_solutions(
-            solve(build_system(positions, cs, mults)), max(edge_mults)
-        )
-        if certificate != [edge_mults]:  # pragma: no cover - the peel is exact
+        certificate = solve(build_system(positions, cs, mults))
+        if certificate.nullity or certificate.particular != edge_mults:
             raise ArithmeticError("peel solve disagrees with the stationarity system")
         vertices = [Vertex(p, m) for p, m in zip(positions, mults)]
         edges = [

@@ -40,10 +40,10 @@ from .chords import ChordSet
 from .circle import (
     CirclePoint,
     ExactScalar,
-    INFINITY,
     TanHalf,
     _chord,
     _half,
+    _ratio,
     angle_order,
     tan_half_add,
 )
@@ -403,20 +403,17 @@ def peel_solve(
 def half_cos_sin(u: TanHalf) -> tuple[ExactScalar, ExactScalar]:
     """(cos(a/2), sin(a/2)) from u = tan(a/2), for a in (0, 2pi).
 
-    There sin(a/2) > 0 while cos(a/2) carries the sign of u; u = INFINITY
-    means a = pi and gives (0, 1)."""
-    if u is INFINITY:
-        return Fraction(0), Fraction(1)
-    uu = RadExpr.of(u)
-    sq = 1 + uu * uu
-    if not sq.is_rational():
+    There sin(a/2) > 0 while cos(a/2) carries the sign of u: with u = p/q
+    (circle._ratio, q > 0, INFINITY as 1/0) they are (+-q, |p|)/sqrt(N) with
+    the norm N = p^2 + q^2, so u = INFINITY (a = pi) gives (0, 1).  Only N is
+    factored; a radical u needs a rational N."""
+    p, q = _ratio(u)
+    norm = RadExpr.of(p * p + q * q)
+    if not norm.is_rational():
         raise InexactPosition("half-angle norm is not a representable radical")
-    root = RadExpr.sqrt(sq.rational_value())
-    c = root.inverse()
-    s = abs(uu) * c
-    if uu.sign() < 0:
-        c = -c
-    return c, s
+    inv = term_inverse(term(RadExpr.sqrt(norm)))
+    c, s = (-q, -p) if RadExpr.of(p).sign() < 0 else (q, p)
+    return times_term(c, inv), times_term(s, inv)
 
 
 @dataclass(frozen=True)
@@ -469,10 +466,7 @@ def n3_closed_forms(alpha12: CirclePoint, alpha23: CirclePoint) -> N3ClosedForm:
         -(RadExpr.of(c13) * RadExpr.of(s13)),
         RadExpr.of(c12) * RadExpr.of(s12),
     )
-    rational = all(
-        u is not INFINITY and RadExpr.of(u).is_rational()
-        for u in (u12, u23, u13)
-    )
+    rational = all(isinstance(u, Fraction) for u in (u12, u23, u13))
     return N3ClosedForm(u12, u23, u13, edge, exterior, rational)
 
 

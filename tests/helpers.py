@@ -10,9 +10,11 @@ from functools import cache, partial
 import numpy as np
 
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
+from geonet import circle, exact
 from geonet.circle import (
     INFINITY,
     CirclePoint,
+    as_tan_half,
     chord_square,
     diameter_side,
     point_div,
@@ -20,7 +22,7 @@ from geonet.circle import (
     tan_half_neg,
     tangent_components_exact,
 )
-from geonet.errors import DomainError, NonConvergence
+from geonet.errors import DomainError, InexactPosition, NonConvergence
 from geonet.exact import RadExpr, simplify
 from geonet.linalg import kernel_from_rref, particular_from_rref, rref
 from geonet.network import (
@@ -458,6 +460,81 @@ def fraction_xy_of_tan(t) -> tuple:
     t = Fraction(t)
     one_plus = 1 + t * t
     return (1 - t * t) / one_plus, (2 * t) / one_plus
+
+
+def two_division_xy_of_tan(t) -> tuple:
+    """(1 - t^2)/(1 + t^2) and 2t/(1 + t^2) for a radical tan-half t, as two
+    RadExpr divisions by the same 1 + t^2.
+
+    Oracle for circle.exact_xy_of_tan, which inverts the norm once."""
+    one_plus = 1 + t * t
+    return simplify((1 - t * t) / one_plus), simplify((2 * t) / one_plus)
+
+
+def _recip(x):
+    if not x:
+        return INFINITY
+    return simplify(1 / x)
+
+
+def cased_tan_half_add(a, b):
+    """tan((alpha+beta)/2) with the point at pi as cases of its own: -1/t
+    (through a reciprocal) when one argument is INFINITY, 0 when both are,
+    and (a + b)/(1 - ab) otherwise.
+
+    Oracle for circle.tan_half_add, which reads both arguments as ratios."""
+    a, b = as_tan_half(a), as_tan_half(b)
+    ainf = a is INFINITY
+    binf = b is INFINITY
+    if ainf and binf:
+        return Fraction(0)
+    if ainf or binf:
+        # tan((alpha + pi)/2) = -1/tan(alpha/2)
+        return tan_half_neg(_recip(a if binf else b))
+    denom = 1 - a * b
+    if not denom:
+        return INFINITY
+    return simplify((a + b) / denom)
+
+
+def cased_half_cos_sin(u) -> tuple:
+    """(cos(a/2), sin(a/2)) from u = tan(a/2): (0, 1) for INFINITY, else
+    the inverse of the root of 1 + u^2 and |u| times it, signed as u.
+
+    Oracle for solver.half_cos_sin, which factors the norm p^2 + q^2 of
+    u = p/q."""
+    if u is INFINITY:
+        return Fraction(0), Fraction(1)
+    uu = RadExpr.of(u)
+    sq = 1 + uu * uu
+    if not sq.is_rational():
+        raise InexactPosition("half-angle norm is not a representable radical")
+    root = RadExpr.sqrt(sq.rational_value())
+    c = root.inverse()
+    s = abs(uu) * c
+    if uu.sign() < 0:
+        c = -c
+    return c, s
+
+
+def factored(monkeypatch) -> list[int]:
+    """Every integer passed to squarefree_decompose from now on, through each
+    module that calls it."""
+    seen = []
+    original = exact.squarefree_decompose
+
+    def recording(n):
+        seen.append(n)
+        return original(n)
+
+    for module in (exact, circle):
+        monkeypatch.setattr(module, "squarefree_decompose", recording)
+    return seen
+
+
+def norm(t) -> int:
+    """a^2 + b^2 of a rational tan-half a/b, INFINITY as 1/0."""
+    return 1 if t is INFINITY else t.numerator**2 + t.denominator**2
 
 
 def product_chain_residual(net: Network, i: int) -> tuple:

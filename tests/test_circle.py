@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geonet.circle import (
@@ -30,11 +30,13 @@ from geonet.exact import RadExpr
 from helpers import (
     RECTANGLE_TANS,
     TAN_GRID,
+    cased_tan_half_add,
     chord_by_square,
     fraction_xy_of_tan,
     point_mul,
     pt,
     reflect_point,
+    two_division_xy_of_tan,
 )
 
 tan_halves = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -71,6 +73,43 @@ def test_projective_rules():
     assert tan_half_neg(Fraction(3)) == Fraction(-3)
 
 
+tan_halves_and_pi = st.one_of(tan_halves, st.just(Fraction(0)), st.just(INFINITY))
+
+
+@given(a=tan_halves_and_pi, b=tan_halves_and_pi)
+@example(a=Fraction(2), b=Fraction(1, 2))  # a zero denominator: pi
+@example(a=Fraction(2), b=Fraction(-1, 2))
+@settings(max_examples=300, deadline=None)
+def test_ratio_sum_matches_the_cased_sum(a, b):
+    for got, want in (
+        (tan_half_add(a, b), cased_tan_half_add(a, b)),
+        (tan_half_sub(a, b), cased_tan_half_add(a, tan_half_neg(b))),
+    ):
+        if want is INFINITY:
+            assert got is INFINITY
+        else:
+            assert type(got) is Fraction and got == want
+
+
+ROOT3 = RadExpr.sqrt(3)
+RADICAL_TANS = (ROOT3, 1 + RadExpr.sqrt(2), -ROOT3, -1 - RadExpr.sqrt(2))
+
+
+def test_ratio_sum_matches_the_cased_sum_on_radicals():
+    # each radical with each other, with 0 and with the point at pi, both
+    # ways round; sqrt3 and sqrt3/3 sum to pi
+    ends = (*RADICAL_TANS, Fraction(0), INFINITY)
+    pairs = [(r, s) for r in RADICAL_TANS for s in ends]
+    pairs += [(s, r) for r in RADICAL_TANS for s in ends[-2:]] + [(ROOT3, ROOT3 / 3)]
+    for a, b in pairs:
+        for got, want in (
+            (tan_half_add(a, b), cased_tan_half_add(a, b)),
+            (tan_half_sub(a, b), cased_tan_half_add(a, tan_half_neg(b))),
+        ):
+            assert got == want and type(got) is type(want), (a, b)
+    assert tan_half_add(ROOT3, ROOT3 / 3) is INFINITY
+
+
 @given(t=tan_halves)
 @settings(max_examples=100, deadline=None)
 def test_exact_xy_on_unit_circle(t):
@@ -93,6 +132,27 @@ def test_point_from_norms_matches_the_fraction_formula():
     got = exact_xy_of_tan(1 + RadExpr.sqrt(2))
     assert got == (-half_root2, half_root2)
     assert all(type(c) is RadExpr for c in got)
+    for t in (*RADICAL_TANS, ROOT3 / 3, RadExpr.sqrt(2) - 1):
+        assert exact_xy_of_tan(t) == two_division_xy_of_tan(t), t
+
+
+def test_radical_point_inverts_its_norm_once(monkeypatch):
+    t = 1 + RadExpr.sqrt(2)
+    calls = []
+    inverse = RadExpr.inverse
+
+    def counting(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(RadExpr, "inverse", counting)
+    got = exact_xy_of_tan(t)
+    assert len(calls) == 1
+    calls.clear()
+    assert CirclePoint.from_tan_half(t).exact_xy() == got
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == two_division_xy_of_tan(t)
 
 
 def test_point_round_trip():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonet import circle, exact, replace
+from geonet import replace
 from geonet.chords import ChordSet, enumerate_chord_sets
 from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add, tan_half_neg
 from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
@@ -35,10 +35,12 @@ from helpers import (
     axis_point_angles,
     diameter_sides,
     evaluate_angle,
+    factored,
     golden_triangle,
     in_balance_cone,
     irrational_chord_pairs,
     line_network,
+    norm,
     pt,
     rectangle_network,
     seeded_rng,
@@ -410,6 +412,17 @@ def test_bound_refuses_only_above_the_forced_multiplicities(problem, want):
     assert replacement_feasible(problem, 10**18) == net
 
 
+def test_certificate_refuses_a_peel_that_disagrees(monkeypatch):
+    # the solve is an independent check: one off in every value is caught
+    def off_by_one(*args):
+        mults = peel_solve(*args)
+        return None if mults is None else tuple(m - 1 for m in mults)
+
+    monkeypatch.setattr(replace, "peel_solve", off_by_one)
+    with pytest.raises(ArithmeticError, match="peel solve disagrees"):
+        replacement_feasible(ray_problem(GOLDEN_RAYS), 75)
+
+
 # --- the peel solve against the rref path -----------------------------------
 
 # a seeded sample of the admissible fan rectangles
@@ -666,26 +679,6 @@ def test_length_class_is_decided_before_the_balance(monkeypatch):
 LARGE_TAN = Fraction(10000019, 3)
 
 
-def factored(monkeypatch) -> list[int]:
-    """Every integer passed to squarefree_decompose from now on, through each
-    module that calls it."""
-    seen = []
-    original = exact.squarefree_decompose
-
-    def recording(n):
-        seen.append(n)
-        return original(n)
-
-    for module in (exact, circle):
-        monkeypatch.setattr(module, "squarefree_decompose", recording)
-    return seen
-
-
-def norms(tans) -> set[int]:
-    """a^2 + b^2 of each tan-half a/b, INFINITY as 1/0."""
-    return {1 if t is INFINITY else t.numerator**2 + t.denominator**2 for t in tans}
-
-
 def test_chords_factor_only_the_norms(monkeypatch):
     # |w - v|^2 from LARGE_TAN carries (s - t)^2, a product of large primes
     tans = (Fraction(0), LARGE_TAN, INFINITY, Fraction(-1, 2))
@@ -695,7 +688,7 @@ def test_chords_factor_only_the_norms(monkeypatch):
     pair = antipodal([(LARGE_TAN, 2)])
     assert replacement_feasible(ray_problem(pair), 5) is not None
     assert replacement_feasible(ray_problem([*pair, (Fraction(0), 1), (INFINITY, 1)]), 5) is None
-    assert seen and set(seen) <= norms([*tans, -1 / LARGE_TAN])
+    assert seen and set(seen) <= {norm(t) for t in (*tans, -1 / LARGE_TAN)}
 
 
 # --- generated problems: the fan rectangles' boundary data ------------------

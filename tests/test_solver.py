@@ -33,7 +33,10 @@ from helpers import (
     RECTANGLE_TANS,
     TAN_GRID,
     box_walk_solutions,
+    cased_half_cos_sin,
+    factored,
     fan_chords,
+    norm,
     normalized_solve,
     pt,
     random_domain_pair,
@@ -447,6 +450,27 @@ def test_half_cos_sin(u, cs):
     else:
         assert RadExpr.of(cs[0]) == RadExpr.of(c)
         assert RadExpr.of(cs[1]) == RadExpr.of(s)
+
+
+def test_half_cos_sin_matches_the_inverse_of_the_root():
+    root3 = RadExpr.sqrt(3)
+    for u in (*TAN_GRID, INFINITY, root3, -root3):
+        assert half_cos_sin(u) == cased_half_cos_sin(u), u
+    # the message of test_half_cos_sin_needs_a_rational_norm is the oracle's
+    with pytest.raises(InexactPosition, match="half-angle norm is not a representable radical"):
+        cased_half_cos_sin(1 + RadExpr.sqrt(2))
+
+
+def test_closed_forms_factor_only_the_norms(monkeypatch):
+    seen = factored(monkeypatch)
+    n3_closed_forms(*n3_points(Fraction(4, 3), Fraction(4, 3)))
+    assert seen == [25, 25, 625]
+    rng = seeded_rng(salt=9)  # criterion 03's pairs
+    for _ in range(200):
+        points = n3_points(*random_domain_pair(rng))
+        seen.clear()
+        forms = n3_closed_forms(*points)
+        assert seen == [norm(u) for u in (forms.tan12, forms.tan23, forms.tan13)]
 
 
 def test_golden_closed_forms():
