@@ -9,8 +9,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet import circle, exact
+from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
     CirclePoint,

@@ -76,15 +76,20 @@ def test_projective_rules():
 tan_halves_and_pi = st.one_of(tan_halves, st.just(Fraction(0)), st.just(INFINITY))
 
 
-@given(a=tan_halves_and_pi, b=tan_halves_and_pi)
-@example(a=Fraction(2), b=Fraction(1, 2))  # a zero denominator: pi
-@example(a=Fraction(2), b=Fraction(-1, 2))
-@settings(max_examples=300, deadline=None)
-def test_ratio_sum_matches_the_cased_sum(a, b):
-    for got, want in (
+def with_oracle(a, b) -> tuple:
+    """(tan_half_add, its oracle) and (tan_half_sub, its oracle) at a, b."""
+    return (
         (tan_half_add(a, b), cased_tan_half_add(a, b)),
         (tan_half_sub(a, b), cased_tan_half_add(a, tan_half_neg(b))),
-    ):
+    )
+
+
+@given(a=tan_halves_and_pi, b=tan_halves_and_pi)
+@example(a=Fraction(2), b=Fraction(1, 2))  # zero denominators: the sum is pi,
+@example(a=Fraction(2), b=Fraction(-1, 2))  # and here the difference
+@settings(max_examples=300, deadline=None)
+def test_ratio_sum_matches_the_cased_sum(a, b):
+    for got, want in with_oracle(a, b):
         if want is INFINITY:
             assert got is INFINITY
         else:
@@ -102,10 +107,7 @@ def test_ratio_sum_matches_the_cased_sum_on_radicals():
     pairs = [(r, s) for r in RADICAL_TANS for s in ends]
     pairs += [(s, r) for r in RADICAL_TANS for s in ends[-2:]] + [(ROOT3, ROOT3 / 3)]
     for a, b in pairs:
-        for got, want in (
-            (tan_half_add(a, b), cased_tan_half_add(a, b)),
-            (tan_half_sub(a, b), cased_tan_half_add(a, tan_half_neg(b))),
-        ):
+        for got, want in with_oracle(a, b):
             assert got == want and type(got) is type(want), (a, b)
     assert tan_half_add(ROOT3, ROOT3 / 3) is INFINITY
 
