@@ -288,6 +288,36 @@ def _chord(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScalar, Ex
     return wx - vx, wy - vy, length if big_d == 1 else times_term(length, (big_d, 1))
 
 
+def chord_direction(
+    v: CirclePoint, w: CirclePoint
+) -> tuple[int | ExactScalar, int | ExactScalar, ExactScalar]:
+    """(ux, uy, |u|) for a positive multiple u of w - v, exact; the solver's
+    chord columns.
+
+    For rational tan-halves a/b and c/e (INFINITY as 1/0), u is the pair of
+    ints sgn(cb - ae)*(-(ae + bc), be - ac): the product (b + ia)(e + ic)
+    turned by i, so w - v = (2|cb - ae|/(N_v*N_w))*u and |u|^2 = N_v*N_w
+    with the norms N = a^2 + b^2.  With N = d*k^2 (norm_parts) and
+    g = gcd(d_v, d_w), |u| = k_v*k_w*g*sqrt(D), D = d_v*d_w/g^2, one term
+    and a Fraction when D is 1.  A radical tan-half gives _chord's
+    (w - v, |w - v|).  Coincident points raise ValueError.
+    """
+    s, t = norm_parts(v.tan_half), norm_parts(w.tan_half)
+    if s is None or t is None:
+        return _chord(v, w)
+    (a, b, dv, kv), (c, e, dw, kw) = s, t
+    cross = c * b - a * e
+    if not cross:
+        raise ValueError("chord direction of coincident points")
+    ux, uy = -(a * e + b * c), b * e - a * c
+    if cross < 0:
+        ux, uy = -ux, -uy
+    g = math.gcd(dv, dw)
+    big_d = (dv // g) * (dw // g)
+    length = Fraction(kv * kw * g)
+    return ux, uy, length if big_d == 1 else times_term(length, (big_d, 1))
+
+
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
     """Side of w relative to the diameter through v, decided exactly.
 

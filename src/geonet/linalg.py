@@ -1,14 +1,17 @@
 """Exact Gaussian elimination over the field elements as they come.
 
-Entries are Fractions, or RadExprs where an entry is irrational; ints are
-taken as Fractions, so nothing here ever becomes a float.  The stationarity
-system scales each chord column by its length |w - v| (see solver), so for
-rational positions the whole system is rational, and RadExpr entries appear
-only for radical positions.  A rational system is eliminated on integer rows:
-each row is cleared of its denominators and kept primitive by its gcd, so no
-Fraction is built until the pivot rows are divided by their pivots at the
-end.  Any other system runs the field pass, reduced-row-echelon with exact
-field inverses, which is also the oracle the integer pass is tested against.
+Entries are ints, Fractions, or RadExprs where an entry is irrational, so
+nothing here ever becomes a float.  The stationarity system holds an integer
+multiple of each chord (see solver), so for rational positions the whole
+system is rational, and RadExpr entries appear only for radical positions.
+A rational system is eliminated on integer rows, fraction-free: each row is
+cleared of its denominators and kept primitive by its gcd, and the echelon
+is returned as those integer rows, each pivot row a multiple of the reduced
+row by its pivot.  Any other system runs the field pass, reduced-row-echelon
+with exact field inverses and pivots one, which is also the oracle the
+integer pass is tested against.  The readers, kernel_from_rref and
+particular_from_rref, read each pivot row over its pivot, so both echelons
+give the same Fractions; no other entry of an integer echelon is divided.
 Small dense systems only (a stationarity system is 2N x (N+E) with N <= 12).
 """
 
@@ -20,7 +23,7 @@ from typing import Union
 
 from .exact import RadExpr
 
-Scalar = Union[Fraction, RadExpr]
+Scalar = Union[int, Fraction, RadExpr]
 Matrix = list[list[Scalar]]
 Vector = list[Scalar]
 
@@ -33,9 +36,12 @@ def rref(rows, rhs=None) -> tuple[Matrix, list[int], Vector | None]:
     """Reduced row echelon form; returns (matrix, pivot columns, reduced rhs).
 
     The rhs rides along as a last column that the pivot loop never reaches.
-    Rows and rhs of ints and Fractions alone take the integer pass, any other
-    entry the field pass; both give the same Fractions, the rows below the
-    rank and their reduced rhs included.
+    Rows and rhs of ints and Fractions alone take the integer pass and come
+    back as ints, each pivot row the field pass's row times its pivot; any
+    other entry takes the field pass, whose pivots are one.  Read a pivot row
+    through kernel_from_rref and particular_from_rref, which divide by the
+    pivot.  Below the rank the coefficients are zero in both passes, and the
+    reduced rhs there is zero in one exactly when it is zero in the other.
     """
     rational = (int, Fraction)
     if all(isinstance(x, rational) for row in rows for x in row) and (
@@ -81,24 +87,22 @@ def _rref_integer(rows, rhs=None) -> tuple[Matrix, list[int], Vector | None]:
 
     Each row is cleared to integers over the lcm of its denominators, and an
     update with pivot p and factor f is p * x - f * y, divided by the gcd of
-    the row.  Every integer row is then a rational multiple num/den of the row
-    that the field pass holds in its place; the pair is kept, since a row
-    below the rank returns its rhs divided by it.  A pivot row returns over its
-    pivot, where the field pass holds a one.
+    the row.  Every integer row is then a nonzero rational multiple of the
+    row that the field pass holds in its place, and nothing is divided back:
+    a pivot row is read over its pivot, and below the rank only whether the
+    rhs is zero is ever read.  This is fraction-free elimination after
+    Bareiss (Math. Comp. 22, 1968), with a gcd in place of the exact
+    division by the previous pivot.
     """
     ncols = len(rows[0]) if rows else 0
     if rhs is not None:
         rows = [[*row, y] for row, y in zip(rows, rhs, strict=True)]
     m: list[list[int]] = []
-    scales: list[tuple[int, int]] = []
     for row in rows:
         den = lcm(*(x.denominator for x in row))
         ints = [x.numerator * (den // x.denominator) for x in row]
         g = gcd(*ints)
-        if g > 1:
-            ints = [x // g for x in ints]
-        m.append(ints)
-        scales.append((den, g))
+        m.append([x // g for x in ints] if g > 1 else ints)
     nrows = len(m)
     pivots: list[int] = []
     r = 0
@@ -107,7 +111,6 @@ def _rref_integer(rows, rhs=None) -> tuple[Matrix, list[int], Vector | None]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        scales[r], scales[pivot_row] = scales[pivot_row], scales[r]
         prow = m[r]
         p = prow[c]
         for rr in range(nrows):
@@ -115,27 +118,17 @@ def _rref_integer(rows, rhs=None) -> tuple[Matrix, list[int], Vector | None]:
             if rr != r and f:
                 row = [p * x - f * y for x, y in zip(m[rr], prow)]
                 g = gcd(*row)  # 0 only for a row that stays zero
-                if g > 1:
-                    row = [x // g for x in row]
-                m[rr] = row
-                num, den = scales[rr]
-                scales[rr] = (num * p, den * g)
+                m[rr] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
-    out: Matrix = []
-    for k, row in enumerate(m):
-        if k < r:
-            p = row[pivots[k]]
-            out.append([Fraction(x, p) if x else zero for x in row])
-        else:
-            # the coefficients vanish below the rank; the rhs need not
-            out.append([zero] * ncols)
-            if rhs is not None:
-                num, den = scales[k]
-                out[-1].append(Fraction(row[-1] * den, num) if row[-1] else zero)
-    b = [row.pop() for row in out] if rhs is not None else None
-    return out, pivots, b
+    b = [row.pop() for row in m] if rhs is not None else None
+    return m, pivots, b
+
+
+def _over(x: Scalar, pivot: Scalar) -> Scalar:
+    """An entry of a pivot row over its pivot: a Fraction for an integer
+    row, the entry itself for a field row, whose pivot is one."""
+    return Fraction(x, pivot) if isinstance(pivot, int) else x
 
 
 def kernel_from_rref(m: Matrix, pivots: list[int], ncols: int) -> list[Vector]:
@@ -146,7 +139,8 @@ def kernel_from_rref(m: Matrix, pivots: list[int], ncols: int) -> list[Vector]:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            vec[p] = -m[r][f]
+            if m[r][f]:
+                vec[p] = _over(-m[r][f], m[r][p])
         basis.append(vec)
     return basis
 
@@ -160,7 +154,8 @@ def particular_from_rref(
         return None
     vec = [Fraction(0)] * ncols
     for r, p in enumerate(pivots):
-        vec[p] = b[r]
+        if b[r]:
+            vec[p] = _over(b[r], m[r][p])
     return vec
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 from .chords import enumerate_chord_sets
 from .circle import (
     CirclePoint,
-    _chord,
+    chord_direction,
     diameter_side,
     norm_parts,
     point_div,
@@ -299,15 +299,16 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     chord structures in deterministic order, cutting every subtree of the
     enumeration in which some vertex has left the balance cone
     (_balance_cone), and solves each remaining structure with the rays'
-    multiplicities fixed by solver.peel_solve, on chord lookups
-    (w - v, |w - v|) memoized per problem.  No cut reads the bound; a
-    structure whose largest forced multiplicity exceeds it is skipped.  Both
-    cuts drop only structures without a solution, so the order of the rest
-    is that of the uncut search.  The first structure left is certified by
-    an independent re-solve (build_system, solve), which must have nullity 0
-    and the peel's multiplicities as its particular solution, and by the
-    exact admissibility check; its network is returned, and None when the
-    search is exhausted.
+    multiplicities fixed by solver.peel_solve, on chord lookups (u, |u|)
+    memoized per problem: u is the multiple of w - v that
+    circle.chord_direction gives, as in build_system's columns.  No cut
+    reads the bound; a structure whose largest forced multiplicity exceeds
+    it is skipped.  Both cuts drop only structures without a solution, so
+    the order of the rest is that of the uncut search.  The first structure
+    left is certified by an independent re-solve (build_system, solve),
+    which must have nullity 0 and the peel's multiplicities as its
+    particular solution, and by the exact admissibility check; its network
+    is returned, and None when the search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
@@ -320,7 +321,7 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     bx, by = exterior_balance(zip(positions, mults))
     if not (bx.is_zero() and by.is_zero()):
         return None
-    chord = functools.cache(lambda i, j: _chord(positions[i], positions[j]))
+    chord = functools.cache(lambda i, j: chord_direction(positions[i], positions[j]))
     structures = enumerate_chord_sets(
         len(positions),
         allow_adjacent=True,

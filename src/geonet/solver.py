@@ -5,17 +5,23 @@ interior edge multiplicities; each vertex contributes an x-row and a y-row
 
     m_v * v + sum_w m_vw * (w - v)/|w - v| = 0.
 
-The chord columns hold (w - v), not the unit direction: the unknown of a
-chord column is y = m_vw/|w - v|, and StationaritySystem.scale records the
-factor x = scale * y that maps it back (one for the m_v columns, |w - v| for
-the chords).  Scaling a column by a nonzero factor moves no pivot, so solve
-runs one elimination on the scaled matrix and maps its particular solution
-and kernel back exactly.  Each scale is one radical term, and exact's term
-helpers multiply by it without a RadExpr product, here and in the search.
-Rational positions give a rational matrix, which linalg.rref eliminates on
-integer rows; radical positions keep RadExpr entries and take its field
-pass.  Each kernel vector is reported divided by its lead, and as coprime
-integers when that leaves it rational.
+A chord column holds a positive multiple u of w - v, not the unit
+direction: circle.chord_direction gives u as two ints for rational
+positions, and w - v itself for radical ones.  The unknown of a chord
+column is y = m_vw/|u|, and StationaritySystem.scale records the factor
+x = scale * y that maps it back (one for the m_v columns, |u| for the
+chords, which is sqrt(N_v*N_w) for rational tan-halves with the norms
+N = a^2 + b^2).  Scaling a column by a nonzero factor moves no pivot, so
+solve runs one elimination on the scaled matrix and maps its particular
+solution and kernel back exactly.  Each scale is one radical term, and
+exact's term helpers multiply by it without a RadExpr product, here and in
+the search.  Rational positions give a matrix of ints and Fractions, which
+linalg.rref eliminates on integer rows and returns fraction-free; solve
+reads each pivot row over its pivot (kernel_from_rref,
+particular_from_rref), so only the solution's own entries become
+Fractions.  Radical positions keep RadExpr entries and take the field pass.
+Each kernel vector is reported divided by its lead, and as coprime integers
+when that leaves it rational.
 
 Integer solutions are searched on the rational part of the solution space.
 The search reads the scaled solution that solve keeps beside its output (the
@@ -41,10 +47,10 @@ from .circle import (
     CirclePoint,
     ExactScalar,
     TanHalf,
-    _chord,
     _half,
     _ratio,
     angle_order,
+    chord_direction,
     tan_half_add,
 )
 from .errors import DomainError, InexactPosition, check_int
@@ -58,9 +64,10 @@ SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dime
 class StationaritySystem:
     positions: tuple[CirclePoint, ...]
     edges: ChordSet
-    matrix: tuple[tuple[ExactScalar, ...], ...]
+    matrix: tuple[tuple[int | ExactScalar, ...], ...]
     rhs: tuple[ExactScalar, ...]
-    # x = scale * y per column: 1 for an m_v column, |w - v| for a chord
+    # x = scale * y per column: 1 for an m_v column, |u| for a chord column
+    # u (circle.chord_direction), sqrt(N_v*N_w) between rational tan-halves
     scale: tuple[ExactScalar, ...]
     fixed_exterior: tuple[int, ...] | None  # in angle order, as positions
 
@@ -99,8 +106,9 @@ def build_system(
     cyclic order matches vertex order; chords that cross after the remap raise
     CrossingEdges.  With fixed_exterior, which is permuted in angle order with
     the positions, the m_v columns move to the right-hand side and only edge
-    multiplicities remain unknown.  A chord's column holds (w - v) from
-    circle._chord, and its length goes to scale.
+    multiplicities remain unknown.  A chord's column holds the multiple u of
+    w - v from circle.chord_direction, ints for rational positions, and its
+    length |u| goes to scale.
     """
     n = len(positions)
     if edges.n != n:
@@ -139,11 +147,11 @@ def build_system(
             rhs[2 * k + 1] = -fixed[k] * py
     for col, (i, j) in enumerate(pairs):
         c = col if fixed is not None else n + col
-        dx, dy, scale[c] = _chord(pos[i], pos[j])
-        matrix[2 * i][c] = dx
-        matrix[2 * i + 1][c] = dy
-        matrix[2 * j][c] = -dx
-        matrix[2 * j + 1][c] = -dy
+        ux, uy, scale[c] = chord_direction(pos[i], pos[j])
+        matrix[2 * i][c] = ux
+        matrix[2 * i + 1][c] = uy
+        matrix[2 * j][c] = -ux
+        matrix[2 * j + 1][c] = -uy
 
     return StationaritySystem(
         positions=pos,
@@ -174,7 +182,8 @@ def solve(system: StationaritySystem) -> SolveResult:
     """Rank, kernel basis and a particular solution in the multiplicities x.
 
     One elimination on the scaled matrix gives them in y (on integer rows for
-    a rational matrix, see rref), and x = scale * y, each coordinate built by
+    a rational matrix, each pivot row read over its pivot, see rref), and
+    x = scale * y, each coordinate built by
     exact.times_term from y_i and the one term of scale_i.  Each kernel vector
     scale * y is normalized as it is: all its multiples normalize alike, so a
     rational kernel comes out as the coprime integers of the unit-direction
@@ -311,14 +320,16 @@ def peel_solve(
     the chords' multiplicities, in chord order, and returns them when they
     are positive integers; None otherwise.  They are forced, so a caller's
     bound is one comparison with them.  positions are the exact vertices,
-    and chord(i, j) gives (dx, dy, length), the exact w - v from vertex i
-    to vertex j (i < j) and its length, as circle._chord does.
+    and chord(i, j) gives (dx, dy, length), a positive multiple of the
+    exact w - v from vertex i to vertex j (i < j) and its length, as
+    circle.chord_direction and circle._chord do; the forced values do not
+    depend on the multiple.
     Every chord is looked up before any is solved, so a lookup that raises
     InexactPosition does so on the same structures as build_system.
 
-    The unknowns are y = m_vw/|w - v| on the chords w - v, so rational
+    The unknowns are y = m_vw/|u| on the chord multiples u, so rational
     positions keep every residual and every solve rational; only the test
-    that m_vw = y * |w - v| is a positive integer meets the length's radical.
+    that m_vw = y * |u| is a positive integer meets the length's radical.
 
     Non-crossing chords on a circle form an outerplanar graph, and every
     subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
@@ -493,8 +504,8 @@ def system_residual(system: StationaritySystem, vec: Sequence) -> list[RadExpr]:
     """The residual of the unit-direction system at the multiplicities vec,
     exactly; all zero iff vec solves the system.
 
-    That is matrix @ (vec / scale) - rhs: each chord column holds w - v, so
-    m_vw/|w - v| times it is m_vw times the unit direction.
+    That is matrix @ (vec / scale) - rhs: each chord column holds a multiple
+    u of w - v, so m_vw/|u| times it is m_vw times the unit direction.
     """
     prod = matvec(system.matrix, [RadExpr.of(x) / s for x, s in zip(vec, system.scale)])
     return [p - r for p, r in zip(prod, system.rhs)]

@@ -1,6 +1,7 @@
 """Shared builders, independent oracles and the small utilities that only
 the test suite uses."""
 
+import dataclasses
 import math
 import os
 import random
@@ -36,6 +37,7 @@ from geonet.network import (
 )
 from geonet.solver import (
     SolveResult,
+    StationaritySystem,
     build_system,
     normalize_vector,
     positive_integer_solutions,
@@ -258,6 +260,29 @@ def box_walk_solutions(result, bound: int) -> list[tuple[int, ...]]:
 
     rec(0, [RadExpr.of(x) for x in result.particular])
     return sorted(out)
+
+
+def difference_system(positions, edges, fixed_exterior=None) -> StationaritySystem:
+    """build_system with the chord columns of the earlier assembly: each
+    holds w - v and scales by |w - v|, both from circle._chord.
+
+    Oracle for the integer columns of circle.chord_direction, a positive
+    multiple u of w - v scaled by |u|: a column scaled by a nonzero factor
+    moves no pivot, so solve must give the same SolveResult on both.
+    """
+    system = build_system(positions, edges, fixed_exterior)
+    pos = system.positions
+    offset = 0 if system.fixed_exterior is not None else len(pos)
+    matrix = [list(row) for row in system.matrix]
+    scale = list(system.scale)
+    for col, (i, j) in enumerate(system.edges.chords):
+        c = offset + col
+        dx, dy, scale[c] = circle._chord(pos[i], pos[j])
+        matrix[2 * i][c], matrix[2 * i + 1][c] = dx, dy
+        matrix[2 * j][c], matrix[2 * j + 1][c] = -dx, -dy
+    return dataclasses.replace(
+        system, matrix=tuple(tuple(row) for row in matrix), scale=tuple(scale)
+    )
 
 
 def normalized_solve(positions, edges, fixed_exterior=None) -> SolveResult:

@@ -15,6 +15,7 @@ from geonet.circle import (
     angle_of_tan,
     angle_order,
     as_tan_half,
+    chord_direction,
     diameter_side,
     exact_xy_of_tan,
     normalize_angle,
@@ -26,13 +27,14 @@ from geonet.circle import (
     tangent_point,
 )
 from geonet.errors import InexactPosition
-from geonet.exact import RadExpr
+from geonet.exact import RadExpr, term
 from helpers import (
     RECTANGLE_TANS,
     TAN_GRID,
     cased_tan_half_add,
     chord_by_square,
     fraction_xy_of_tan,
+    norm,
     point_mul,
     pt,
     reflect_point,
@@ -343,6 +345,38 @@ def test_chord_lengths_from_norms_match_the_squared_chord():
         assert all(same_exact(x, y) for x, y in zip(got, want)), (v, w)
     # coincident points: length Fraction(0)
     assert all(same_exact(_chord(v, v)[2], Fraction(0)) for v in (*NORM_POINTS, LARGE))
+
+
+def test_chord_direction_is_a_positive_multiple_of_the_chord():
+    # u = sgn(cb - ae)*(-(ae + bc), be - ac) on criterion 04's grid, 0, pi
+    # and LARGE: ints along w - v, |u|^2 = N_v*N_w, and |u| one term
+    points = [pt(t) for t in (0, INFINITY, *TAN_GRID)] + [LARGE]
+    for i, v in enumerate(points):
+        for w in points[i + 1 :]:
+            ux, uy, length = chord_direction(v, w)
+            dx, dy, _ = _chord(v, w)
+            assert type(ux) is int and type(uy) is int
+            assert dx * uy == dy * ux and dx * ux + dy * uy > 0, (v, w)
+            n = norm(v.tan_half) * norm(w.tan_half)
+            assert ux * ux + uy * uy == n
+            d, q = term(length)
+            assert q > 0 and q * q * d == n
+            assert type(length) is (Fraction if d == 1 else RadExpr)
+            assert chord_direction(w, v) == (-ux, -uy, length)
+
+
+def test_chord_direction_on_radical_points_is_the_chord():
+    # the axis points turned by a quarter of pi: radical tan-halves, rational
+    # squared chords, and a rational point beside them
+    turn = RadExpr.sqrt(2) - 1
+    turned = [CirclePoint.from_tan_half(tan_half_add(t, turn)) for t in (0, 1, INFINITY, -1)]
+    for i, v in enumerate(turned):
+        for w in turned[i + 1 :]:
+            assert chord_direction(v, w) == _chord(v, w)
+    with pytest.raises(InexactPosition):
+        chord_direction(turned[0], pt(0))
+    with pytest.raises(ValueError, match="coincident"):
+        chord_direction(pt(Fraction(2, 3)), pt(Fraction(2, 3)))
 
 
 @given(a=tan_halves, b=tan_halves)

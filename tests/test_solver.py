@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from geonet.errors import (
     InexactPosition,
 )
 from geonet import linalg, solver
-from geonet.exact import RadExpr
+from geonet.exact import RadExpr, term
 from geonet.linalg import kernel_from_rref, matvec, particular_from_rref, rref
 from geonet.solver import (
     SolveResult,
@@ -34,6 +35,7 @@ from helpers import (
     TAN_GRID,
     box_walk_solutions,
     cased_half_cos_sin,
+    difference_system,
     factored,
     fan_chords,
     norm,
@@ -163,14 +165,20 @@ def test_particular_checks_every_zero_row():
     assert particular_from_rref(m, pivots, b, 2) == [RadExpr.of(1), RadExpr.of(0)]
 
 
-def test_rref_on_ints_returns_fractions():
+def test_rref_on_ints_returns_integer_rows():
+    # the integer echelon keeps each pivot row times its pivot, and the
+    # readers divide by it: x = (1, 0, 0) and the kernel (-3/2, 1/2, 1)
     m, pivots, b = rref([[2, 4, 1], [1, 3, 0], [3, 7, 1]], [2, 1, 3])
     assert pivots == [0, 1]
-    entries = [x for row in m for x in row] + b
-    entries += particular_from_rref(m, pivots, b, 3) + kernel_from_rref(m, pivots, 3)[0]
-    assert all(type(x) is Fraction for x in entries)
-    assert m == [[1, 0, Fraction(3, 2)], [0, 1, Fraction(-1, 2)], [0, 0, 0]]
-    assert b == [1, 0, 0]
+    assert all(type(x) is int for x in [*(x for row in m for x in row), *b])
+    assert m == [[2, 0, 3], [0, 2, -1], [0, 0, 0]]
+    assert b == [2, 0, 0]
+    x = particular_from_rref(m, pivots, b, 3)
+    k = kernel_from_rref(m, pivots, 3)[0]
+    assert all(type(v) is Fraction for v in x + k)
+    assert x == [1, 0, 0] and k == [Fraction(-3, 2), HALF, 1]
+    field = rref([[RadExpr.of(v) for v in row] for row in ([2, 4, 1], [1, 3, 0], [3, 7, 1])])
+    assert field[0] == [[1, 0, Fraction(3, 2)], [0, 1, Fraction(-1, 2)], [0, 0, 0]]
 
 
 def test_rref_on_mixed_rows():
@@ -193,12 +201,18 @@ def test_rref_without_rows():
 
 
 def test_rref_zero_row_with_nonzero_rhs():
-    # the rhs column is never a pivot column, even where the coefficients vanish
+    # the rhs column is never a pivot column, even where the coefficients
+    # vanish; below the rank the integer pass keeps the row primitive and
+    # does not scale it back, so the rhs 3 reads 1 there: only whether it is
+    # zero is read
     m, pivots, b = rref([[0, 0], [0, 1]], [3, 2])
     assert pivots == [1]
-    assert m == [[RadExpr.of(0), RadExpr.of(1)], [RadExpr.of(0), RadExpr.of(0)]]
-    assert b == [RadExpr.of(2), RadExpr.of(3)]
+    assert m == [[0, 1], [0, 0]] and b == [2, 1]
+    assert all(type(x) is int for x in [*m[0], *m[1], *b])
     assert particular_from_rref(m, pivots, b, 2) is None
+    zero, one = RadExpr.of(0), RadExpr.of(1)
+    field = rref([[zero, zero], [zero, one]], [RadExpr.of(3), RadExpr.of(2)])
+    assert field == ([[0, 1], [0, 0]], [1], [2, 3])
     m, pivots, b = rref([[0]], [1])
     assert pivots == [] and particular_from_rref(m, pivots, b, 1) is None
 
@@ -238,15 +252,31 @@ def rational_systems(draw):
 @given(system=rational_systems())
 @settings(max_examples=300, deadline=None)
 def test_integer_pass_matches_the_field_pass(system):
-    # rational rows take the integer pass, RadExpr copies the field pass; the
-    # rows below the rank and their reduced rhs agree too
+    # rational rows take the integer pass, RadExpr copies the field pass:
+    # the same pivots, each integer pivot row over its pivot the field row,
+    # the same readings, zero coefficients below the rank in both, and a
+    # zero rhs on the same rows there
     rows, rhs = system
-    got = rref(rows, rhs)
+    m, pivots, b = rref(rows, rhs)
     copies = [[RadExpr.of(x) for x in row] for row in rows]
-    assert got == rref(copies, None if rhs is None else [RadExpr.of(y) for y in rhs])
-    m, _, b = got
-    assert all(type(x) is Fraction for row in m for x in row)
-    assert all(type(y) is Fraction for y in b or ())
+    fm, fpivots, fb = rref(copies, None if rhs is None else [RadExpr.of(y) for y in rhs])
+    assert pivots == fpivots
+    assert all(type(x) is int for row in m for x in row)
+    assert all(type(y) is int for y in b or ())
+    rank, ncols = len(pivots), len(rows[0]) if rows else 0
+    for r, p in enumerate(pivots):
+        assert [Fraction(x, m[r][p]) for x in m[r]] == fm[r]
+        if rhs is not None:
+            assert Fraction(b[r], m[r][p]) == fb[r]
+    assert not any(x for row in m[rank:] + fm[rank:] for x in row)
+    kernel = kernel_from_rref(m, pivots, ncols)
+    assert kernel == kernel_from_rref(fm, fpivots, ncols)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+    if rhs is not None:
+        assert [bool(y) for y in b[rank:]] == [bool(y) for y in fb[rank:]]
+        x = particular_from_rref(m, pivots, b, ncols)
+        assert x == particular_from_rref(fm, fpivots, fb, ncols)
+        assert x is None or all(type(v) is Fraction for v in x)
 
 
 def test_build_system_rejects_inexact():
@@ -327,10 +357,15 @@ def fan_result(tans):
     return solve(build_system([pt(t) for t in tans], chords))
 
 
+def rectangle(t) -> list:
+    """The inscribed rectangle t, 1/t, -t, -1/t, whose fan triangulation
+    has a rational kernel."""
+    return [t, 1 / t, -t, -1 / t]
+
+
 def rectangle_results():
-    """Fan-triangulated inscribed rectangles t, 1/t, -t, -1/t: rational kernels."""
     for t in RECTANGLE_TANS:
-        yield f"rectangle-{t.numerator}-{t.denominator}", fan_result([t, 1 / t, -t, -1 / t])
+        yield f"rectangle-{t.numerator}-{t.denominator}", fan_result(rectangle(t))
 
 
 def offset_lattice_result():
@@ -358,31 +393,35 @@ def offset_lattice_result():
     )
 
 
+def solved(positions, chords, fixed=None) -> SolveResult:
+    return solve(build_system(positions, chords, fixed))
+
+
 def oracle_cases():
-    line = [pt(0), pt(INFINITY)]
-    square = [pt(0), pt(1), pt(INFINITY), pt(-1)]
-    yield "line", solve(build_system(line, ChordSet(2, ((0, 1),)))), 3
-    yield "square-fixed", solve(
-        build_system(square, ChordSet(4, ((0, 1), (1, 2), (2, 3), (0, 3))), [1, 1, 1, 1])
-    ), 50
-    yield "golden-fixed", solve(
+    """(name, build, bound), where build() gives the SolveResult to search.
+    Nothing is solved until a test calls build, so a fault in the solver
+    fails these cases by name and leaves the file's other tests running."""
+    line = partial(solved, [pt(0), pt(INFINITY)], ChordSet(2, ((0, 1),)))
+    square = partial(solved, [pt(0), pt(1), pt(INFINITY), pt(-1)],
+                     ChordSet(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    yield "line", line, 3
+    yield "square-fixed", partial(square, [1, 1, 1, 1]), 50
+    yield "golden-fixed", lambda: solve(
         triangle_system(Fraction(4, 3), Fraction(4, 3), fixed=[100, 56, 100])
     ), 100
-    yield "line-infeasible", solve(
-        build_system(line, ChordSet(2, ((0, 1),)), fixed_exterior=[1, 2])
-    ), 10
-    for name, result in rectangle_results():
-        yield name, result, 20
+    yield "line-infeasible", partial(line, [1, 2]), 10
+    for t in RECTANGLE_TANS:
+        yield f"rectangle-{t.numerator}-{t.denominator}", partial(fan_result, rectangle(t)), 20
     rng = seeded_rng(salt=11)
     for n, bound, count in ((4, 8, 6), (5, 4, 4)):
         for k in range(count):
             tans = [Fraction(0)] + rng.sample(TAN_GRID, n - 1)
-            yield f"fan-{n}-{k}", fan_result(tans), bound
-    yield "offset-lattice", offset_lattice_result(), 10
+            yield f"fan-{n}-{k}", partial(fan_result, tans), bound
+    yield "offset-lattice", offset_lattice_result, 10
     # the turned cases put radical scales and radical y through the search; at
     # bound 6 the free rectangles, plain and turned, have a solution each
     for name, positions, chords, fixed in SCALED_CASES:
-        yield f"scaled-{name}", solve(build_system(positions, chords, fixed)), 6
+        yield f"scaled-{name}", partial(solved, positions, chords, fixed), 6
 
 
 def test_positive_solutions_on_offset_lattice():
@@ -640,6 +679,16 @@ def test_multiplicity_needs_an_integer_product():
 
 # --- the column-scaled system against the unit-direction oracle -------------
 
+# the two least exteriors of the first four rectangles' solutions within
+# bound 20 (test_rectangle_exteriors_are_the_least_solutions)
+RECTANGLE_EXTERIORS = {
+    Fraction(1, 2): ((6, 5, 6, 5), (7, 5, 7, 5)),
+    Fraction(1, 3): ((6, 5, 6, 5), (7, 5, 7, 5)),
+    Fraction(2, 3): ((14, 13, 14, 13), (15, 13, 15, 13)),
+    Fraction(1, 4): ((18, 17, 18, 17), (19, 17, 19, 17)),
+}
+
+
 def scaled_oracle_cases():
     """(name, positions, chords, fixed exterior): free-exterior grid triangles,
     fan quads and pentagons; fan rectangles, free and fixed; and the same
@@ -647,19 +696,15 @@ def scaled_oracle_cases():
     rng = seeded_rng(salt=12)
     golden = [Fraction(0), Fraction(4, 3), Fraction(-24, 7)]
     cases = [("golden", golden, None)]
-    fan_rect = ChordSet(4, fan_chords(4))
     for k in range(8):
         cases.append((f"triangle-{k}", [Fraction(0)] + rng.sample(TAN_GRID, 2), None))
     for n in (4, 5):
         for k in range(4):
             cases.append((f"fan-{n}-{k}", [Fraction(0)] + rng.sample(TAN_GRID, n - 1), None))
-    for t in RECTANGLE_TANS[:4]:
-        tans = [t, 1 / t, -t, -1 / t]
-        result = solve(build_system([pt(x) for x in sorted_by_angle(tans)], fan_rect))
-        exteriors = {x[:4] for x in positive_integer_solutions(result, 20)}
+    for t, exteriors in RECTANGLE_EXTERIORS.items():
         odd = tuple(rng.randint(1, 9) for _ in range(4))
-        for ext in [None, *sorted(exteriors)[:2], odd]:
-            cases.append((f"rectangle-{t}-{ext}", tans, ext))
+        for ext in [None, *exteriors, odd]:
+            cases.append((f"rectangle-{t}-{ext}", rectangle(t), ext))
     for name, tans, fixed in cases:
         tans = sorted_by_angle(tans)
         chords = ChordSet(len(tans), fan_chords(len(tans)))
@@ -671,14 +716,41 @@ def scaled_oracle_cases():
 SCALED_CASES = list(scaled_oracle_cases())
 
 
+def test_rectangle_exteriors_are_the_least_solutions():
+    assert list(RECTANGLE_EXTERIORS) == list(RECTANGLE_TANS[:4])
+    for t, exteriors in RECTANGLE_EXTERIORS.items():
+        solutions = positive_integer_solutions(fan_result(rectangle(t)), 20)
+        assert tuple(sorted({x[:4] for x in solutions})[:2]) == exteriors
+
+
+def pool_sample():
+    """(name, positions, chords): a seeded sample of every solve_grid pool
+    kind, free exteriors and fan chords on angle-ordered points: criterion
+    04's anchored triangles, quads, pentagons and hexagons on its grid, and
+    the inscribed rectangles."""
+    rng = seeded_rng(salt=29)
+    sizes = {"triangle": (3, 12), "quad": (4, 4), "pentagon": (5, 3), "hexagon": (6, 2)}
+    for kind, (n, count) in sizes.items():
+        for k in range(count):
+            tans = sorted_by_angle([Fraction(0)] + rng.sample(TAN_GRID, n - 1))
+            yield f"{kind}-{k}", [pt(t) for t in tans], ChordSet(n, fan_chords(n))
+    for t in RECTANGLE_TANS:
+        tans = sorted_by_angle(rectangle(t))
+        yield f"rectangle-{t}", [pt(x) for x in tans], ChordSet(4, fan_chords(4))
+
+
 @pytest.mark.parametrize(
-    "positions, chords, fixed", [pytest.param(*c[1:], id=c[0]) for c in SCALED_CASES]
+    "positions, chords, fixed",
+    [pytest.param(*c[1:], id=c[0]) for c in SCALED_CASES]
+    + [pytest.param(p, c, None, id=f"pool-{name}") for name, p, c in pool_sample()],
 )
 def test_scaled_solve_matches_unit_directions(positions, chords, fixed):
+    # the integer columns u, the (w - v, |w - v|) columns and the unit
+    # directions give the same rank, kernel and particular solution
     system = build_system(positions, chords, fixed)
     result = solve(system)
     want = normalized_solve(positions, chords, fixed)
-    assert result == want
+    assert result == solve(difference_system(positions, chords, fixed)) == want
     # coprime integers stay ints and radicals RadExprs
     assert [type(x) for v in result.kernel_basis for x in v] == [
         type(x) for v in want.kernel_basis for x in v
@@ -727,9 +799,10 @@ def test_scaled_cases_cover_every_kind():
 
 
 @pytest.mark.parametrize(
-    "result,bound", [pytest.param(r, b, id=name) for name, r, b in oracle_cases()]
+    "build,bound", [pytest.param(f, b, id=name) for name, f, b in oracle_cases()]
 )
-def test_positive_solutions_match_box_walk(result, bound):
+def test_positive_solutions_match_box_walk(build, bound):
+    result = build()
     assert positive_integer_solutions(result, bound) == box_walk_solutions(result, bound)
 
 
@@ -761,7 +834,26 @@ def test_rational_kernel_with_irrational_column_scale():
     [pytest.param(*c[1:], id=c[0]) for c in SCALED_CASES if not c[0].startswith("turned")],
 )
 def test_build_system_on_rational_tan_halves_is_rational(positions, chords, fixed):
+    # the m_v columns and the rhs hold Fractions at scale one; a chord column
+    # holds the ints u, a positive multiple of w - v, at its endpoints' rows
+    # and scales by |u|, with |u|^2 = N_v*N_w for the norms N = a^2 + b^2
     system = build_system(positions, chords, fixed)
-    assert all(type(x) is Fraction for row in system.matrix for x in row)
+    n = len(system.positions)
+    offset = 0 if fixed is not None else n
+    assert all(type(x) is Fraction for row in system.matrix for x in row[:offset])
+    assert all(type(x) is int for row in system.matrix for x in row[offset:] if x)
     assert all(type(x) is Fraction for x in system.rhs)
+    assert system.scale[:offset] == (1,) * offset
+    pos = system.positions
+    for col, (i, j) in enumerate(system.edges.chords):
+        c = offset + col
+        ux, uy = system.matrix[2 * i][c], system.matrix[2 * i + 1][c]
+        assert (system.matrix[2 * j][c], system.matrix[2 * j + 1][c]) == (-ux, -uy)
+        assert not any(system.matrix[r][c] for r in range(2 * n) if r // 2 not in (i, j))
+        dx, dy, _ = _chord(pos[i], pos[j])
+        assert dx * uy == dy * ux and dx * ux + dy * uy > 0
+        d, q = term(system.scale[c])
+        assert q > 0 and q * q * d == ux * ux + uy * uy == norm(pos[i].tan_half) * norm(
+            pos[j].tan_half
+        )
 
