@@ -25,6 +25,7 @@ from .network import (
 from .io import read_network, write_network
 from .replace import (
     AngleExpr,
+    AuditEffort,
     AuditVerdict,
     ReplacementProblem,
     certify_no_good_n3,

@@ -11,8 +11,9 @@ is not.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -144,12 +145,29 @@ def n3_angle_map(
 
 
 @dataclass(frozen=True)
+class AuditEffort:
+    """The work behind an audit verdict, read from the audit's tables.
+
+    networks, problems and searches count the distinct networks keyed, vertex
+    problems built and replacement searches run; hits counts the lookups the
+    three tables answered without running their function again.
+    """
+
+    networks: int
+    problems: int
+    searches: int
+    hits: int
+
+
+@dataclass(frozen=True)
 class AuditVerdict:
     status: str  # "good-to-depth-<k>" | "refuted-at-depth-<d>" | "inconclusive"
     depth: int
     witness: object = None
     detail: str = ""
     bound: int | None = None
+    # set on the verdict good_network_audit returns; no part of its value
+    effort: AuditEffort | None = field(default=None, compare=False, repr=False)
 
     @property
     def refuted(self) -> bool:
@@ -349,7 +367,8 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
 def good_network_audit(
     net: Network, depth: int = MAX_AUDIT_DEPTH, bound: int = MAX_AUDIT_BOUND
 ) -> AuditVerdict:
-    """Iterated-replacement search, breadth-first over vertices.
+    """Iterated-replacement search, depth-first: a vertex's replacement is
+    explored to the full depth before the next vertex is replaced.
 
     Refutes as soon as some vertex of some reachable network admits no
     replacement within the multiplicity bound, with that vertex's
@@ -358,6 +377,15 @@ def good_network_audit(
     searched is admissible (the input is checked, and replacement_feasible
     returns only exactly admissible networks), so no vertex is isolated: a
     vertex without chords would need m_v * v = 0.
+
+    Verdicts are memoized by (canonical_key, levels remaining).  Besides,
+    each call builds three tables over the module's functions, keyed by
+    exact inputs and dropped on return: canonical_key by network,
+    replacement_problem by network and vertex, and replacement_feasible at
+    this bound by problem.  So each distinct network is keyed, each distinct
+    vertex problem built and each distinct problem searched once per audit;
+    the diameter, which replaces into itself, is searched once at any depth.
+    The returned verdict carries their counts as its effort (AuditEffort).
     """
     check_int("depth", depth)
     check_int("bound", bound)
@@ -368,20 +396,23 @@ def good_network_audit(
     if not is_admissible(net).admissible:
         raise ValueError("audit is defined for admissible networks only")
 
+    key_of = functools.cache(canonical_key)
+    problem_at = functools.cache(replacement_problem)
+    search = functools.cache(lambda problem: replacement_feasible(problem, bound))
     memo: dict[tuple, AuditVerdict] = {}
 
     def explore(current: Network, remaining: int) -> AuditVerdict:
         if remaining == 0:
             return AuditVerdict("good-to-depth-0", 0, bound=bound)
-        key = (canonical_key(current), remaining)
+        key = (key_of(current), remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit
         level = depth + 1 - remaining
         verdict = AuditVerdict(f"good-to-depth-{remaining}", remaining, bound=bound)
         for i in range(current.n_vertices):
-            problem = replacement_problem(current, i)
-            replacement = replacement_feasible(problem, bound)
+            problem = problem_at(current, i)
+            replacement = search(problem)
             if replacement is None:
                 verdict = AuditVerdict(
                     f"refuted-at-depth-{level}",
@@ -399,4 +430,10 @@ def good_network_audit(
         memo[key] = verdict
         return verdict
 
-    return explore(net, depth)
+    verdict = explore(net, depth)
+    keys, problems, searches = (t.cache_info() for t in (key_of, problem_at, search))
+    effort = AuditEffort(
+        keys.misses, problems.misses, searches.misses, keys.hits + problems.hits + searches.hits
+    )
+    # memo verdicts are shared between branches; only the returned copy is stamped
+    return dataclasses.replace(verdict, effort=effort)

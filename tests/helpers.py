@@ -10,7 +10,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from geonet import circle, exact
+from geonet import circle, exact, replace
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
@@ -656,6 +656,49 @@ def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
         assert is_admissible(net, mode="exact").admissible
         return net
     return None
+
+
+def uncached_good_network_audit(net: Network, depth: int, bound: int):
+    """replace.good_network_audit without its per-audit tables.
+
+    The same depth-first search and (canonical_key, remaining) memo, but
+    every vertex problem is built, searched and keyed again wherever the
+    search meets it, through the replace module's own bindings, so a
+    counting wrapper patched over one of them sees every call.  Independent
+    oracle for the tables, which must change no verdict.  Takes admissible
+    input within the audit's limits; the argument checks are the library's.
+    """
+    memo = {}
+
+    def explore(current, remaining):
+        if remaining == 0:
+            return replace.AuditVerdict("good-to-depth-0", 0, bound=bound)
+        key = (replace.canonical_key(current), remaining)
+        if key in memo:
+            return memo[key]
+        level = depth + 1 - remaining
+        verdict = replace.AuditVerdict(f"good-to-depth-{remaining}", remaining, bound=bound)
+        for i in range(current.n_vertices):
+            problem = replace.replacement_problem(current, i)
+            replacement = replace.replacement_feasible(problem, bound)
+            if replacement is None:
+                verdict = replace.AuditVerdict(
+                    f"refuted-at-depth-{level}",
+                    level,
+                    witness=problem,
+                    detail=f"vertex {i} admits no replacement with "
+                    f"multiplicities <= {bound}",
+                    bound=bound,
+                )
+                break
+            sub = explore(replacement, remaining - 1)
+            if sub.refuted:
+                verdict = sub
+                break
+        memo[key] = verdict
+        return verdict
+
+    return explore(net, depth)
 
 
 def fan_chords(n: int) -> tuple[tuple[int, int], ...]:

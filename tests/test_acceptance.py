@@ -30,6 +30,7 @@ from geonet.replace import certify_no_good_n3, good_network_audit
 from geonet.solver import (
     build_system,
     half_cos_sin,
+    n3_closed_forms,
     n3_imaginary_kernel,
     normalize_vector,
     positive_integer_solutions,
@@ -90,6 +91,7 @@ def test_criterion_02_recursion_matches_closed_form():
 def test_criterion_03_three_vertex_kernel():
     def inner():
         rng = seeded_rng(salt=9)
+        triangle = ChordSet(3, ((0, 1), (0, 2), (1, 2)))
         for _ in range(200):
             u12, u23 = random_domain_pair(rng)
             a12 = CirclePoint.from_tan_half(u12)
@@ -101,7 +103,18 @@ def test_criterion_03_three_vertex_kernel():
             want = normalize_vector((c13 * c23, -(c12 * c23), c12 * c13))
             neg = tuple(-RadExpr.of(x) for x in want)
             assert kernel == want or kernel == neg, (u12, u23)
-        return "200 random exact instances: elimination kernel equals the closed-form vector up to sign"
+            # the same triangle through the solver's own rational path: the
+            # free-exterior system at 0, u12, u12 + u23 (integer chord
+            # columns, fraction-free echelon) has the closed forms as kernel
+            forms = n3_closed_forms(a12, a23)
+            positions = [pt(0), a12, CirclePoint.from_tan_half(forms.tan13)]
+            solved = solve(build_system(positions, triangle, None))
+            closed = forms.exterior_vector + tuple(-x for x in forms.edge_vector)
+            assert solved.kernel_basis == (normalize_vector(closed),), (u12, u23)
+        return (
+            "200 random exact instances: elimination kernel equals the closed-form "
+            "vector up to sign, and the solved triangle's kernel equals the closed forms"
+        )
 
     _record(3, inner)
 

@@ -27,7 +27,9 @@ from geonet.network import (
     make_network,
 )
 from geonet.replace import (
+    MAX_AUDIT_DEPTH,
     AngleExpr,
+    AuditEffort,
     ReplacementProblem,
     certify_no_good_n3,
     good_network_audit,
@@ -53,6 +55,7 @@ from helpers import (
     rectangle_network,
     seeded_rng,
     square_network,
+    uncached_good_network_audit,
     unpruned_replacement_feasible,
 )
 
@@ -222,25 +225,91 @@ def test_audit_rejects_bad_inputs():
 
 
 def test_refutation_below_depth_one_is_passed_up(monkeypatch):
-    # the first replacement succeeds, so the refutation comes from the nested level
+    # the line's vertex problem is replaced by the rectangle, whose vertex
+    # problems differ from it and have no replacement; the stub's answer
+    # depends on its problem alone, so the refutation comes from the nested
+    # level
+    line_problem = replacement_problem(line_network(), 0)
     problems = []
 
-    def feasible_once(problem, bound):
+    def feasible_for_the_line(problem, bound):
         problems.append(problem)
-        return line_network() if len(problems) == 1 else None
+        return rectangle_network() if problem == line_problem else None
 
-    monkeypatch.setattr(replace, "replacement_feasible", feasible_once)
+    monkeypatch.setattr(replace, "replacement_feasible", feasible_for_the_line)
     verdict = good_network_audit(line_network(), depth=2)
     assert verdict.status == "refuted-at-depth-2"
     assert verdict.depth == 2
     assert len(problems) == 2
+    assert problems[0] == line_problem
     assert verdict.witness is problems[1]
+    assert verdict.witness == replacement_problem(rectangle_network(), 0)
 
 
 def test_depth_zero_is_vacuous():
     verdict = good_network_audit(rectangle_network(), depth=0)
     assert verdict.good
     assert verdict.status == "good-to-depth-0"
+    assert verdict.effort == AuditEffort(networks=0, problems=0, searches=0, hits=0)
+
+
+@pytest.mark.parametrize("bound", [20, 50])
+@pytest.mark.parametrize("depth", range(MAX_AUDIT_DEPTH + 1))
+def test_audit_matches_the_uncached_audit(depth, bound):
+    nets = (line_network(), golden_triangle(), rectangle_network()) + admissible_fan_rectangles()
+    for net in nets:
+        verdict = good_network_audit(net, depth=depth, bound=bound)
+        # status, depth, witness, detail and bound; effort is not compared
+        assert verdict == uncached_good_network_audit(net, depth, bound)
+        assert verdict.effort is not None
+
+
+def counted(monkeypatch, name: str) -> list:
+    """The arguments of every call to replace.<name>, through a wrapper that
+    delegates to the function."""
+    calls = []
+    function = getattr(replace, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(replace, name, wrapper)
+    return calls
+
+
+def test_line_audit_searches_and_keys_its_one_network_once(monkeypatch):
+    # replacing the diameter at either vertex gives it back, so one problem
+    # (both vertices' problems are equal) and one network are met throughout
+    names = ("canonical_key", "replacement_problem", "replacement_feasible")
+    keys, problems, searches = calls = [counted(monkeypatch, name) for name in names]
+    for depth in range(1, MAX_AUDIT_DEPTH + 1):
+        uncached = uncached_good_network_audit(line_network(), depth, 20)
+        assert [len(c) for c in calls] == [2 * depth - 1, 2 * depth, 2 * depth]
+        lookups = sum(len(c) for c in calls)
+        for c in calls:
+            c.clear()
+        # a fresh audit searches again: no table outlives the call before it
+        verdict = good_network_audit(line_network(), depth=depth, bound=20)
+        assert verdict == uncached
+        assert [len(c) for c in calls] == [1, 2, 1]
+        assert verdict.effort == AuditEffort(
+            networks=len(keys),
+            problems=len(problems),
+            searches=len(searches),
+            hits=lookups - len(keys) - len(problems) - len(searches),
+        )
+        for c in calls:
+            c.clear()
+
+
+def test_golden_triangle_refutation_is_one_search(monkeypatch):
+    searches = counted(monkeypatch, "replacement_feasible")
+    verdict = good_network_audit(golden_triangle(), depth=MAX_AUDIT_DEPTH, bound=50)
+    assert verdict.status == "refuted-at-depth-1"
+    assert len(searches) == 1
+    assert verdict.effort == AuditEffort(networks=1, problems=1, searches=1, hits=0)
+    assert "effort" not in repr(verdict)
 
 
 def test_problem_canonical_key_rotation_invariant():
