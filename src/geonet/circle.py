@@ -74,6 +74,11 @@ def _ratio(t: TanHalf) -> tuple:
     return t, 1
 
 
+def _is_ratio(t: TanHalf | None) -> bool:
+    """True when _ratio reads t as two ints: a Fraction or INFINITY."""
+    return t is INFINITY or isinstance(t, Fraction)
+
+
 def _quotient(p, q) -> TanHalf:
     """The tan-half p/q: INFINITY when q is zero, a Fraction for two ints,
     and simplify(p / q) otherwise."""
@@ -193,8 +198,12 @@ ANGLE_MARGIN = 1e-7
 
 
 def _half(t: TanHalf) -> int:
-    """0 for angles in [0, pi), 1 for pi itself, 2 for (pi, tau); exact."""
-    return 1 if t is INFINITY else 2 * (RadExpr.of(t).sign() < 0)
+    """0 for angles in [0, pi), 1 for pi itself, 2 for (pi, tau); exact.
+
+    A Fraction is decided by its own sign, a radical by RadExpr.sign."""
+    if t is INFINITY:
+        return 1
+    return 2 * (t < 0 if isinstance(t, Fraction) else RadExpr.of(t).sign() < 0)
 
 
 def _sort_angle(p: CirclePoint) -> float:
@@ -221,7 +230,11 @@ def angle_order(points: Sequence[CirclePoint]) -> list[int]:
             return (keys[i] > keys[j]) - (keys[i] < keys[j])
         # within a half the angle 2*atan(t) grows with t
         hs, ht = _half(s), _half(t)
-        return (hs > ht) - (hs < ht) or (0 if hs == 1 else RadExpr.of(s - t).sign())
+        if hs != ht or hs == 1:
+            return (hs > ht) - (hs < ht)
+        if isinstance(s, Fraction) and isinstance(t, Fraction):
+            return (s > t) - (s < t)
+        return RadExpr.of(s - t).sign()
 
     order = sorted(range(len(points)), key=cmp_to_key(compare))
     for i, j in zip(order, order[1:] + order[:1]):
@@ -321,10 +334,19 @@ def chord_direction(
 def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
     """Side of w relative to the diameter through v, decided exactly.
 
-    The sign of vx*wy - vy*wx: 1 when w lies less than a half turn
-    counterclockwise from v, -1 when clockwise, 0 when w is v or its antipode.
-    Works for radical tan-halves too; needs both points exact.
+    The sign of vx*wy - vy*wx = sin(theta_w - theta_v): 1 when w lies less
+    than a half turn counterclockwise from v, -1 when clockwise, 0 when w is
+    v or its antipode.  For rational tan-halves a/b and c/e (_ratio,
+    INFINITY as 1/0) it is 2(be + ac)(cb - ae)/(N_v*N_w) with the norms
+    N = a^2 + b^2, so the side is the sign of (cb - ae)(be + ac), two int
+    products.  A radical tan-half takes the sign of the RadExpr cross
+    product; both points must be exact.
     """
+    s, t = v.tan_half, w.tan_half
+    if _is_ratio(s) and _is_ratio(t):
+        (a, b), (c, e) = _ratio(s), _ratio(t)
+        side = (c * b - a * e) * (b * e + a * c)
+        return (side > 0) - (side < 0)
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
     return RadExpr.of(vx * wy - vy * wx).sign()

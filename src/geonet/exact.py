@@ -293,13 +293,26 @@ def times_term(y: Rational | RadExpr, t: Term) -> RadExpr:
 
 def combination(pairs: Iterable[tuple[Rational, Fraction | RadExpr]]) -> RadExpr:
     """sum of c*x over the (c, x) pairs, c rational and x a Fraction or
-    RadExpr, added term by term into one map with no RadExpr product; a
-    coefficient that cancels is dropped, so the map is canonical."""
-    out: dict[int, Fraction] = {}
+    RadExpr, added term by term with no RadExpr product.
+
+    The sum is kept as integer numerators per radicand over one running
+    denominator, the lcm of the terms' denominators so far: a term c*q adds
+    its numerator scaled to that denominator, and a term whose denominator
+    does not divide it first scales every numerator up to the new lcm.  One
+    Fraction is built per radicand at the end, and a radicand whose
+    numerator cancelled is dropped, so the map is canonical."""
+    nums: dict[int, int] = {}
+    den = 1
     for c, x in pairs:
+        cn, cd = c.numerator, c.denominator
         for d, q in x._terms.items() if isinstance(x, RadExpr) else ((1, x),):
-            out[d] = out[d] + c * q if d in out else c * q
-    return RadExpr({d: q for d, q in out.items() if q})
+            n, m = cn * q.numerator, cd * q.denominator
+            if den % m:
+                grow = m // math.gcd(den, m)
+                den *= grow
+                nums = {e: a * grow for e, a in nums.items()}
+            nums[d] = nums.get(d, 0) + n * (den // m)
+    return RadExpr({d: Fraction(n, den) for d, n in nums.items() if n})
 
 
 def simplify(x: Rational | RadExpr) -> Rational | RadExpr:

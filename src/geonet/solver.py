@@ -48,6 +48,7 @@ from .circle import (
     ExactScalar,
     TanHalf,
     _half,
+    _is_ratio,
     _ratio,
     angle_order,
     chord_direction,
@@ -312,7 +313,7 @@ def peel_solve(
     positions: Sequence[CirclePoint],
     exterior_mults: Sequence[int],
     chords: Sequence[tuple[int, int]],
-    chord: Callable[[int, int], tuple[ExactScalar, ExactScalar, ExactScalar]],
+    chord: Callable[[int, int], tuple[int | ExactScalar, int | ExactScalar, ExactScalar]],
 ) -> tuple[int, ...] | None:
     """The edge multiplicities of one fixed-exterior structure, by peeling.
 
@@ -327,9 +328,15 @@ def peel_solve(
     Every chord is looked up before any is solved, so a lookup that raises
     InexactPosition does so on the same structures as build_system.
 
-    The unknowns are y = m_vw/|u| on the chord multiples u, so rational
-    positions keep every residual and every solve rational; only the test
-    that m_vw = y * |u| is a positive integer meets the length's radical.
+    The unknowns are y = m_vw/|u| on the chord multiples u.  When every
+    lookup gives u as two ints, as circle.chord_direction does between
+    rational points, and every position is rational, the integer pass runs
+    (_peel_integer): residuals and values stay integers over one
+    denominator, and a multiplicity is tested without any RadExpr.  Any
+    other lookup, circle._chord's Fractions or a radical position's
+    RadExprs, takes the field pass (_peel_field), which is also the
+    integer pass's oracle, as linalg keeps _rref_field beside
+    _rref_integer.  Both give the same answer on the same structure.
 
     Non-crossing chords on a circle form an outerplanar graph, and every
     subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
@@ -341,6 +348,116 @@ def peel_solve(
     is forced, so the system has nullity 0 and this is its only solution.
     """
     dirs = [chord(i, j) for i, j in chords]
+    if all(type(dx) is int and type(dy) is int for dx, dy, _ in dirs) and all(
+        _is_ratio(p.tan_half) for p in positions
+    ):
+        return _peel_integer(positions, exterior_mults, chords, dirs)
+    return _peel_field(positions, exterior_mults, chords, dirs)
+
+
+def _peel_order(n: int, chords: Sequence[tuple[int, int]]):
+    """The peel's vertices in order, each with its open chords as a tuple.
+
+    The next vertex is one with the fewest open chords; once the caller
+    asks for it, the chords of the vertex before are closed at their other
+    ends.  More than two open chords raise ValueError."""
+    open_chords: list[list[int]] = [[] for _ in range(n)]
+    for k, (i, j) in enumerate(chords):
+        open_chords[i].append(k)
+        open_chords[j].append(k)
+    unsolved = set(range(n))
+    while unsolved:
+        v = min(unsolved, key=lambda u: len(open_chords[u]))
+        unsolved.remove(v)
+        ks = tuple(open_chords[v])
+        if len(ks) > 2:
+            raise ValueError("chords do not form an outerplanar graph")
+        yield v, ks
+        for k in ks:
+            i, j = chords[k]
+            open_chords[j if i == v else i].remove(k)
+
+
+def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
+    """peel_solve on integer chord multiples u between rational positions.
+
+    A residual is three ints (X, Y, D) for (X, Y)/D, started from
+    m * (q^2 - p^2, 2pq) over p^2 + q^2 for the tan-half p/q (circle._ratio,
+    INFINITY as 1/0).  Cramer's rule and the parallel check run on ints,
+    and m = y * |u| is the quotient of two ints, tested for an integer
+    >= 1.  An irrational |u| refutes the structure when its chord is
+    reached: y is rational, so y * |u| is no positive integer.  A solved
+    chord has y = m/|u| and adds y * u_w into its other end over the lcm of
+    the two denominators, so nothing is divided."""
+    # |u| as (num, den), or None when it is irrational
+    lengths = [
+        None if isinstance(s, RadExpr) else (s.numerator, s.denominator) for _, _, s in dirs
+    ]
+    residual: list[list[int] | None] = [None] * len(positions)
+
+    def rest(v: int) -> list[int]:
+        # m_v * v plus the solved chords at v, built on first use
+        r = residual[v]
+        if r is None:
+            (p, q), m = _ratio(positions[v].tan_half), exterior_mults[v]
+            r = residual[v] = [m * (q * q - p * p), 2 * m * p * q, p * p + q * q]
+        return r
+
+    def direction(k: int, v: int) -> tuple[int, int]:
+        dx, dy, _ = dirs[k]
+        return (dx, dy) if chords[k][0] == v else (-dx, -dy)
+
+    def multiplicity(num: int, den: int, k: int) -> int | None:
+        # m = (num/den) * |u_k| when it is a positive integer
+        if lengths[k] is None:
+            return None
+        ln, ld = lengths[k]
+        m, r = divmod(num * ln, den * ld)
+        return m if not r and m >= 1 else None
+
+    values: list[int] = [0] * len(chords)
+    for v, ks in _peel_order(len(positions), chords):
+        rx, ry, d = rest(v)
+        if not ks:
+            if rx or ry:
+                return None
+            continue
+        if len(ks) == 1:
+            ax, ay = direction(ks[0], v)
+            # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
+            if ax * ry - ay * rx:
+                return None
+            m = multiplicity(-(rx * ax + ry * ay), d * (ax * ax + ay * ay), ks[0])
+            if m is None:
+                return None
+            solved = [m]
+        else:
+            (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
+            det = d * (ax * by - ay * bx)
+            ma = multiplicity(ry * bx - rx * by, det, ks[0])
+            if ma is None:
+                return None
+            mb = multiplicity(ay * rx - ax * ry, det, ks[1])
+            if mb is None:
+                return None
+            solved = [ma, mb]
+        for k, m in zip(ks, solved):
+            values[k] = m
+            i, j = chords[k]
+            w = j if i == v else i
+            wx, wy = direction(k, w)
+            # y = m/|u| = m*ld/ln
+            ln, ld = lengths[k]
+            r = rest(w)
+            den = lcm(r[2], ln)
+            old, new = den // r[2], m * ld * (den // ln)
+            r[0], r[1], r[2] = r[0] * old + new * wx, r[1] * old + new * wy, den
+    return tuple(values)
+
+
+def _peel_field(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
+    """peel_solve in exact field arithmetic, for any lookup: Fraction or
+    RadExpr residuals and values, and _multiplicity's test."""
     residual: list[list[ExactScalar] | None] = [None] * len(positions)
 
     def rest(v: int) -> list[ExactScalar]:
@@ -352,24 +469,13 @@ def peel_solve(
             r = residual[v] = [m * x, m * y]
         return r
 
-    open_chords: list[list[int]] = [[] for _ in positions]
-    for k, (i, j) in enumerate(chords):
-        open_chords[i].append(k)
-        open_chords[j].append(k)
-    values: list[int] = [0] * len(chords)
-    unsolved = set(range(len(positions)))
-
     def direction(k: int, v: int) -> tuple[ExactScalar, ExactScalar]:
         dx, dy, _ = dirs[k]
         return (dx, dy) if chords[k][0] == v else (-dx, -dy)
 
-    while unsolved:
-        v = min(unsolved, key=lambda u: len(open_chords[u]))
-        unsolved.remove(v)
+    values: list[int] = [0] * len(chords)
+    for v, ks in _peel_order(len(positions), chords):
         rx, ry = rest(v)
-        ks = open_chords[v]
-        if len(ks) > 2:
-            raise ValueError("chords do not form an outerplanar graph")
         if not ks:
             if rx or ry:
                 return None
@@ -396,7 +502,7 @@ def peel_solve(
             if xb is None:
                 return None
             solved = [(ya, xa), (yb, xb)]
-        for k, (y, x) in zip(list(ks), solved):
+        for k, (y, x) in zip(ks, solved):
             values[k] = x
             i, j = chords[k]
             w = j if i == v else i
@@ -404,8 +510,6 @@ def peel_solve(
             r = rest(w)
             r[0] = r[0] + y * wx
             r[1] = r[1] + y * wy
-            open_chords[w].remove(k)
-        ks.clear()
     return tuple(values)
 
 

@@ -17,7 +17,6 @@ from geonet.circle import (
     CirclePoint,
     as_tan_half,
     chord_square,
-    diameter_side,
     point_div,
     tan_half_add,
     tan_half_neg,
@@ -578,13 +577,24 @@ def product_chain_residual(net: Network, i: int) -> tuple:
     return rx, ry
 
 
+def radexpr_diameter_side(v: CirclePoint, w: CirclePoint) -> int:
+    """The sign of the cross product vx*wy - vy*wx as one RadExpr.
+
+    Independent oracle for circle.diameter_side, which decides rational
+    points by the sign of (cb - ae)(be + ac) on their ratio integers."""
+    vx, vy = v.exact_xy()
+    wx, wy = w.exact_xy()
+    return RadExpr.of(vx * wy - vy * wx).sign()
+
+
 def diameter_sides(positions) -> list[list[int]]:
-    """side[v][w] = circle.diameter_side(positions[v], positions[w]), exact."""
+    """side[v][w], the side of positions[w] of the diameter through
+    positions[v], by the RadExpr cross product (radexpr_diameter_side)."""
     n = len(positions)
     side = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            side[i][j] = diameter_side(positions[i], positions[j])
+            side[i][j] = radexpr_diameter_side(positions[i], positions[j])
             side[j][i] = -side[i][j]
     return side
 

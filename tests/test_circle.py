@@ -37,6 +37,7 @@ from helpers import (
     norm,
     point_mul,
     pt,
+    radexpr_diameter_side,
     reflect_point,
     two_division_xy_of_tan,
 )
@@ -279,6 +280,22 @@ def test_diameter_side():
     assert diameter_side(r, CirclePoint.from_tan_half(-RadExpr.sqrt(2) - 1)) == 0
     assert diameter_side(CirclePoint.from_tan_half(INFINITY), r) == -1
     assert diameter_side(r, CirclePoint.from_tan_half(INFINITY)) == 1
+
+
+def test_diameter_side_matches_the_radexpr_cross_product():
+    # the ratio integers decide rational pairs; every ordered pair of the
+    # grid, the point itself and its antipode included, and the radical
+    # points above, on their own and against the grid
+    grid = {Fraction(s * p, q) for s in (1, -1) for p in range(1, 7) for q in range(1, 6)}
+    tans = [*sorted(grid), Fraction(0), INFINITY, RadExpr.sqrt(2) - 1, -RadExpr.sqrt(2) - 1]
+    points = [CirclePoint.from_tan_half(t) for t in tans]
+    sides = {-1: 0, 0: 0, 1: 0}
+    for v in points:
+        for w in points:
+            side = diameter_side(v, w)
+            assert side == radexpr_diameter_side(v, w), (v.tan_half, w.tan_half)
+            sides[side] += 1
+    assert len(points) == 46 and all(sides.values()), sides
 
 
 def test_angle_order_puts_tiny_negative_point_last():

@@ -343,22 +343,35 @@ def test_term_helpers_match_the_ring_operations(pairs, d, q):
         assert float(got) == pytest.approx(approx, rel=1e-9, abs=1e-9)
 
 
+coefficients = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+
+
 @given(
     pairs=st.lists(
-        st.tuples(st.integers(-5, 5), st.one_of(three_prime_radicals, rationals)),
+        st.tuples(coefficients, st.one_of(three_prime_radicals, rationals)),
         max_size=6,
-    )
+    ),
+    data=st.data(),
 )
-@settings(max_examples=100, deadline=None)
-def test_combination_matches_the_ring_sum(pairs):
-    # a zero coefficient left in the map would break equality, so the
-    # cancelling sum must come back with the empty map
-    want = sum((c * RadExpr.of(x) for c, x in pairs), RadExpr())
-    got = combination(pairs)
-    assert got == want and got.terms() == want.terms()
-    assert all(q for q in got.terms().values())
-    zero = combination(pairs + [(-c, x) for c, x in pairs])
-    assert zero.is_zero() and zero.terms() == {}
+@settings(max_examples=150, deadline=None)
+def test_combination_matches_the_ring_sum(pairs, data):
+    # int and Fraction coefficients, summed over one running denominator.
+    # Pairs undone by a (-c, x) inserted anywhere cancel whole radicands
+    # while others stay, and undoing every pair must give the empty map: a
+    # zero coefficient left in the map would break equality
+    undo = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    cases = [list(pairs), list(pairs), list(pairs)]
+    for case, extra in zip(cases[1:], (undo, pairs)):
+        for c, x in extra:
+            case.insert(data.draw(st.integers(0, len(case))), (-c, x))
+    for case in cases:
+        want = sum((RadExpr.of(c) * RadExpr.of(x) for c, x in case), RadExpr())
+        got = combination(case)
+        assert got == want and got.terms() == want.terms()
+        assert all(type(q) is Fraction and q for q in got.terms().values())
+    assert combination(cases[2]).terms() == {}
 
 
 def _term_map_uses(path: Path) -> list[str]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geonet import replace
+from geonet import replace, solver
 from geonet.chords import ChordSet, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
@@ -578,6 +578,52 @@ PEEL_SOLVED = {"rotated-golden": 1, "rotated-golden-2": 1, "rotated-golden-3": 1
 def test_peel_matches_solver(name, bound):
     problem = oracle_problem(name)
     assert len(compare_peel_with_solver(problem, bound)) == PEEL_SOLVED.get(name, 0)
+
+
+def test_peel_routes_integer_chords_to_the_integer_pass(monkeypatch):
+    # chord_direction's ints between rational rays take the integer pass,
+    # irrational lengths included (the vertex problems); _chord's Fractions
+    # and radical rays take the field pass.  So compare_peel_with_solver,
+    # which peels each structure with _chord and then with chord_direction,
+    # compares the field pass with the integer one
+    calls = []
+    for name in ("_peel_field", "_peel_integer"):
+        run = getattr(solver, name)
+        monkeypatch.setattr(solver, name, partial(lambda n, f, *a: calls.append(n) or f(*a), name, run))
+    for name, bound, *_ in ORACLE_CASES:
+        problem = oracle_problem(name)
+        compare_peel_with_solver(problem, bound)
+        second = "_peel_field" if name in RADICAL else "_peel_integer"
+        assert calls == ["_peel_field", second] * len(cone_only(problem)) and calls, name
+        calls.clear()
+
+
+def test_rational_search_makes_no_sign_call_and_no_peel_product(monkeypatch):
+    # the rays' sides, their order and the peel's arithmetic stay in ints;
+    # the radical problem shows that the counters see both kinds of call
+    signs, products, peels = [], [], []
+    sign, mul = RadExpr.sign, RadExpr.__mul__
+
+    def counting_mul(x, y):
+        if peels and peels[-1]:
+            products.append((x, y))
+        return mul(x, y)
+
+    def peel(*args):
+        peels.append(True)
+        try:
+            return peel_solve(*args)
+        finally:
+            peels[-1] = False
+
+    monkeypatch.setattr(RadExpr, "sign", lambda x: signs.append(x) or sign(x))
+    monkeypatch.setattr(RadExpr, "__mul__", counting_mul)
+    monkeypatch.setattr(RadExpr, "__rmul__", counting_mul)
+    monkeypatch.setattr(replace, "peel_solve", peel)
+    assert replacement_feasible(oracle_problem("rotated-golden"), 75) is not None
+    assert len(peels) == 1 and signs == [] and products == []
+    replacement_feasible(oracle_problem("radical-two-pairs"), 50)
+    assert len(peels) == 4 and signs and products
 
 
 @pytest.mark.parametrize("k", range(6))
