@@ -18,7 +18,7 @@ from functools import cmp_to_key
 from typing import Sequence, Union
 
 from .errors import DuplicateVertexAngle, InexactPosition, is_int
-from .exact import RadExpr, simplify, squarefree_decompose, term, term_inverse, times_term
+from .exact import RadExpr, sign, simplify, squarefree_decompose, term, term_inverse, times_term
 
 TAU = math.tau
 
@@ -198,12 +198,11 @@ ANGLE_MARGIN = 1e-7
 
 
 def _half(t: TanHalf) -> int:
-    """0 for angles in [0, pi), 1 for pi itself, 2 for (pi, tau); exact.
-
-    A Fraction is decided by its own sign, a radical by RadExpr.sign."""
+    """0 for angles in [0, pi), 1 for pi itself, 2 for (pi, tau), exactly:
+    INFINITY is pi, and exact.sign decides any other tan-half."""
     if t is INFINITY:
         return 1
-    return 2 * (t < 0 if isinstance(t, Fraction) else RadExpr.of(t).sign() < 0)
+    return 2 * (sign(t) < 0)
 
 
 def _sort_angle(p: CirclePoint) -> float:
@@ -232,9 +231,7 @@ def angle_order(points: Sequence[CirclePoint]) -> list[int]:
         hs, ht = _half(s), _half(t)
         if hs != ht or hs == 1:
             return (hs > ht) - (hs < ht)
-        if isinstance(s, Fraction) and isinstance(t, Fraction):
-            return (s > t) - (s < t)
-        return RadExpr.of(s - t).sign()
+        return sign(s - t)
 
     order = sorted(range(len(points)), key=cmp_to_key(compare))
     for i, j in zip(order, order[1:] + order[:1]):
@@ -266,15 +263,13 @@ def chord_square(v: CirclePoint, w: CirclePoint) -> tuple[ExactScalar, ExactScal
 
 
 def norm_parts(t: TanHalf | None) -> tuple[int, int, int, int] | None:
-    """(a, b, d, k) with t = a/b in lowest terms, INFINITY as 1/0, and the
-    norm a^2 + b^2 = d*k^2, d squarefree; None for a radical or missing
-    tan-half.  The point is ((b^2 - a^2)/N, 2ab/N), N the norm."""
-    if t is INFINITY:
-        a, b = 1, 0
-    elif isinstance(t, Fraction):
-        a, b = t.numerator, t.denominator
-    else:
+    """(a, b, d, k) with (a, b) = _ratio(t), t = a/b in lowest terms and
+    INFINITY as 1/0, and the norm a^2 + b^2 = d*k^2, d squarefree; None for
+    a radical or missing tan-half.  The point is ((b^2 - a^2)/N, 2ab/N), N
+    the norm."""
+    if not _is_ratio(t):
         return None
+    a, b = _ratio(t)
     return a, b, *squarefree_decompose(a * a + b * b)
 
 
@@ -339,17 +334,16 @@ def diameter_side(v: CirclePoint, w: CirclePoint) -> int:
     v or its antipode.  For rational tan-halves a/b and c/e (_ratio,
     INFINITY as 1/0) it is 2(be + ac)(cb - ae)/(N_v*N_w) with the norms
     N = a^2 + b^2, so the side is the sign of (cb - ae)(be + ac), two int
-    products.  A radical tan-half takes the sign of the RadExpr cross
-    product; both points must be exact.
+    products.  A radical tan-half takes the sign of the cross product
+    itself; both points must be exact.  Either sign is exact.sign's.
     """
     s, t = v.tan_half, w.tan_half
     if _is_ratio(s) and _is_ratio(t):
         (a, b), (c, e) = _ratio(s), _ratio(t)
-        side = (c * b - a * e) * (b * e + a * c)
-        return (side > 0) - (side < 0)
+        return sign((c * b - a * e) * (b * e + a * c))
     vx, vy = v.exact_xy()
     wx, wy = w.exact_xy()
-    return RadExpr.of(vx * wy - vy * wx).sign()
+    return sign(vx * wy - vy * wx)
 
 
 def tangent_components_exact(

@@ -321,3 +321,8 @@ def simplify(x: Rational | RadExpr) -> Rational | RadExpr:
     if isinstance(x, RadExpr) and x.is_rational():
         return x.rational_value()
     return x
+
+
+def sign(x: Rational | RadExpr) -> int:
+    """-1, 0 or 1: an int or Fraction by its numerator, a RadExpr by RadExpr.sign."""
+    return x.sign() if isinstance(x, RadExpr) else (x.numerator > 0) - (x.numerator < 0)

@@ -55,7 +55,16 @@ from .circle import (
     tan_half_add,
 )
 from .errors import DomainError, InexactPosition, check_int
-from .exact import RadExpr, simplify, term, term_inverse, term_product, times_term, times_term_map
+from .exact import (
+    RadExpr,
+    sign,
+    simplify,
+    term,
+    term_inverse,
+    term_product,
+    times_term,
+    times_term_map,
+)
 from .linalg import kernel_from_rref, matvec, particular_from_rref, rref
 
 SEARCH_BOX_CAP = 5_000_000  # guard on bound**r', r' the rational lattice's dimension
@@ -355,27 +364,32 @@ def peel_solve(
     return _peel_field(positions, exterior_mults, chords, dirs)
 
 
-def _peel_order(n: int, chords: Sequence[tuple[int, int]]):
-    """The peel's vertices in order, each with its open chords as a tuple.
+def _peel_order(n: int, chords: Sequence[tuple[int, int]], dirs: Sequence[tuple]):
+    """The peel's vertices in order, each with its open chords oriented: a
+    list of (k, w, (ax, ay, length)) per open chord k, with w its other end
+    and the lookup dirs[k], negated when v is chords[k][1], so that (ax, ay)
+    points from v toward w.
 
     The next vertex is one with the fewest open chords; once the caller
     asks for it, the chords of the vertex before are closed at their other
     ends.  More than two open chords raise ValueError."""
-    open_chords: list[list[int]] = [[] for _ in range(n)]
+    ends: list[dict[int, int]] = [{} for _ in range(n)]  # open chord -> other end
     for k, (i, j) in enumerate(chords):
-        open_chords[i].append(k)
-        open_chords[j].append(k)
+        ends[i][k] = j
+        ends[j][k] = i
     unsolved = set(range(n))
     while unsolved:
-        v = min(unsolved, key=lambda u: len(open_chords[u]))
+        v = min(unsolved, key=lambda u: len(ends[u]))
         unsolved.remove(v)
-        ks = tuple(open_chords[v])
-        if len(ks) > 2:
+        if len(ends[v]) > 2:
             raise ValueError("chords do not form an outerplanar graph")
-        yield v, ks
-        for k in ks:
-            i, j = chords[k]
-            open_chords[j if i == v else i].remove(k)
+        oriented = []
+        for k, w in ends[v].items():
+            dx, dy, length = dirs[k]
+            oriented.append((k, w, dirs[k] if chords[k][0] == v else (-dx, -dy, length)))
+        yield v, oriented
+        for k, w, _ in oriented:
+            del ends[w][k]
 
 
 def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
@@ -387,12 +401,9 @@ def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | 
     and m = y * |u| is the quotient of two ints, tested for an integer
     >= 1.  An irrational |u| refutes the structure when its chord is
     reached: y is rational, so y * |u| is no positive integer.  A solved
-    chord has y = m/|u| and adds y * u_w into its other end over the lcm of
-    the two denominators, so nothing is divided."""
-    # |u| as (num, den), or None when it is irrational
-    lengths = [
-        None if isinstance(s, RadExpr) else (s.numerator, s.denominator) for _, _, s in dirs
-    ]
+    chord has y = m/|u| and moves -y * a into its other end over the lcm of
+    the two denominators, so nothing is divided.  Each chord comes oriented
+    from _peel_order, so only the arithmetic is here."""
     residual: list[list[int] | None] = [None] * len(positions)
 
     def rest(v: int) -> list[int]:
@@ -403,61 +414,54 @@ def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | 
             r = residual[v] = [m * (q * q - p * p), 2 * m * p * q, p * p + q * q]
         return r
 
-    def direction(k: int, v: int) -> tuple[int, int]:
-        dx, dy, _ = dirs[k]
-        return (dx, dy) if chords[k][0] == v else (-dx, -dy)
-
-    def multiplicity(num: int, den: int, k: int) -> int | None:
-        # m = (num/den) * |u_k| when it is a positive integer
-        if lengths[k] is None:
+    def multiplicity(num: int, den: int, length: ExactScalar) -> int | None:
+        # m = (num/den) * |u| when it is a positive integer; never for a radical |u|
+        if isinstance(length, RadExpr):
             return None
-        ln, ld = lengths[k]
-        m, r = divmod(num * ln, den * ld)
+        m, r = divmod(num * length.numerator, den * length.denominator)
         return m if not r and m >= 1 else None
 
     values: list[int] = [0] * len(chords)
-    for v, ks in _peel_order(len(positions), chords):
+    for v, oriented in _peel_order(len(positions), chords, dirs):
         rx, ry, d = rest(v)
-        if not ks:
+        if not oriented:
             if rx or ry:
                 return None
             continue
-        if len(ks) == 1:
-            ax, ay = direction(ks[0], v)
+        if len(oriented) == 1:
+            ((_, _, (ax, ay, length)),) = oriented
             # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
             if ax * ry - ay * rx:
                 return None
-            m = multiplicity(-(rx * ax + ry * ay), d * (ax * ax + ay * ay), ks[0])
+            m = multiplicity(-(rx * ax + ry * ay), d * (ax * ax + ay * ay), length)
             if m is None:
                 return None
             solved = [m]
         else:
-            (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
+            (_, _, (ax, ay, la)), (_, _, (bx, by, lb)) = oriented
             det = d * (ax * by - ay * bx)
-            ma = multiplicity(ry * bx - rx * by, det, ks[0])
+            ma = multiplicity(ry * bx - rx * by, det, la)
             if ma is None:
                 return None
-            mb = multiplicity(ay * rx - ax * ry, det, ks[1])
+            mb = multiplicity(ay * rx - ax * ry, det, lb)
             if mb is None:
                 return None
             solved = [ma, mb]
-        for k, m in zip(ks, solved):
+        for (k, w, (ax, ay, length)), m in zip(oriented, solved):
             values[k] = m
-            i, j = chords[k]
-            w = j if i == v else i
-            wx, wy = direction(k, w)
             # y = m/|u| = m*ld/ln
-            ln, ld = lengths[k]
+            ln, ld = length.numerator, length.denominator
             r = rest(w)
             den = lcm(r[2], ln)
             old, new = den // r[2], m * ld * (den // ln)
-            r[0], r[1], r[2] = r[0] * old + new * wx, r[1] * old + new * wy, den
+            r[0], r[1], r[2] = r[0] * old - new * ax, r[1] * old - new * ay, den
     return tuple(values)
 
 
 def _peel_field(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
     """peel_solve in exact field arithmetic, for any lookup: Fraction or
-    RadExpr residuals and values, and _multiplicity's test."""
+    RadExpr residuals and values, and _multiplicity's test; each chord
+    comes oriented from _peel_order, so only the arithmetic is here."""
     residual: list[list[ExactScalar] | None] = [None] * len(positions)
 
     def rest(v: int) -> list[ExactScalar]:
@@ -469,19 +473,15 @@ def _peel_field(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | No
             r = residual[v] = [m * x, m * y]
         return r
 
-    def direction(k: int, v: int) -> tuple[ExactScalar, ExactScalar]:
-        dx, dy, _ = dirs[k]
-        return (dx, dy) if chords[k][0] == v else (-dx, -dy)
-
     values: list[int] = [0] * len(chords)
-    for v, ks in _peel_order(len(positions), chords):
+    for v, oriented in _peel_order(len(positions), chords, dirs):
         rx, ry = rest(v)
-        if not ks:
+        if not oriented:
             if rx or ry:
                 return None
             continue
-        if len(ks) == 1:
-            (ax, ay), length = direction(ks[0], v), dirs[ks[0]][2]
+        if len(oriented) == 1:
+            ((_, _, (ax, ay, length)),) = oriented
             # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
             if ax * ry - ay * rx:
                 return None
@@ -491,25 +491,22 @@ def _peel_field(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | No
                 return None
             solved = [(y, x)]
         else:
-            (ax, ay), (bx, by) = direction(ks[0], v), direction(ks[1], v)
+            (_, _, (ax, ay, la)), (_, _, (bx, by, lb)) = oriented
             det = ax * by - ay * bx
             ya = (ry * bx - rx * by) / det
-            xa = _multiplicity(ya, dirs[ks[0]][2])
+            xa = _multiplicity(ya, la)
             if xa is None:
                 return None
             yb = (ay * rx - ax * ry) / det
-            xb = _multiplicity(yb, dirs[ks[1]][2])
+            xb = _multiplicity(yb, lb)
             if xb is None:
                 return None
             solved = [(ya, xa), (yb, xb)]
-        for k, (y, x) in zip(ks, solved):
+        for (k, w, (ax, ay, _)), (y, x) in zip(oriented, solved):
             values[k] = x
-            i, j = chords[k]
-            w = j if i == v else i
-            wx, wy = direction(k, w)
             r = rest(w)
-            r[0] = r[0] + y * wx
-            r[1] = r[1] + y * wy
+            r[0] = r[0] - y * ax
+            r[1] = r[1] - y * ay
     return tuple(values)
 
 
@@ -521,13 +518,14 @@ def half_cos_sin(u: TanHalf) -> tuple[ExactScalar, ExactScalar]:
     There sin(a/2) > 0 while cos(a/2) carries the sign of u: with u = p/q
     (circle._ratio, q > 0, INFINITY as 1/0) they are (+-q, |p|)/sqrt(N) with
     the norm N = p^2 + q^2, so u = INFINITY (a = pi) gives (0, 1).  Only N is
-    factored; a radical u needs a rational N."""
+    factored; a radical u needs a rational N.  The sign of p is exact.sign's,
+    an int comparison for rational u."""
     p, q = _ratio(u)
     norm = RadExpr.of(p * p + q * q)
     if not norm.is_rational():
         raise InexactPosition("half-angle norm is not a representable radical")
     inv = term_inverse(term(RadExpr.sqrt(norm)))
-    c, s = (-q, -p) if RadExpr.of(p).sign() < 0 else (q, p)
+    c, s = (-q, -p) if sign(p) < 0 else (q, p)
     return times_term(c, inv), times_term(s, inv)
 
 

@@ -307,6 +307,18 @@ def test_angle_order_puts_tiny_negative_point_last():
     assert angle_order(points) == [1, 2, 0]
 
 
+def test_angle_order_decides_near_ties_exactly():
+    # float angles closer than ANGLE_MARGIN: the point at pi against one just
+    # below it is decided by their halves, and two radicals 10^-9 apart by the
+    # sign of their difference
+    below_pi = CirclePoint.from_tan_half(10**8)
+    assert angle_order([CirclePoint.from_tan_half(INFINITY), below_pi]) == [1, 0]
+    root = RadExpr.sqrt(2)
+    pair = [CirclePoint.from_tan_half(root + Fraction(1, 10**9)), CirclePoint.from_tan_half(root)]
+    assert isinstance(pair[0].tan_half, RadExpr)
+    assert angle_order(pair) == [1, 0]
+
+
 def test_reflect():
     p = CirclePoint.from_tan_half(Fraction(2, 5))
     assert reflect_point(p).tan_half == Fraction(-2, 5)

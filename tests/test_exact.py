@@ -13,6 +13,7 @@ from geonet import exact
 from geonet.exact import (
     RadExpr,
     combination,
+    sign,
     simplify,
     squarefree_decompose,
     term,
@@ -110,6 +111,21 @@ def test_sign_of_close_combination():
     assert x.sign() == -1
     assert (-x).sign() == 1
     assert RadExpr.of(0).sign() == 0
+
+
+def test_sign_reads_ints_and_fractions_without_radexpr(monkeypatch):
+    # exact.sign compares rational values itself and asks RadExpr.sign only
+    # for a RadExpr, a rational one included
+    calls = []
+    radexpr_sign = RadExpr.sign
+    monkeypatch.setattr(RadExpr, "sign", lambda x: calls.append(x) or radexpr_sign(x))
+    rational = (-3, 0, 7, Fraction(-1, 10**30), Fraction(0), Fraction(5, 2))
+    assert [sign(x) for x in rational] == [-1, 0, 1, -1, 0, 1]
+    assert calls == []
+    close = RadExpr.sqrt(2) + RadExpr.sqrt(3) - RadExpr.sqrt(10)
+    radical = (close, -close, RadExpr.of(Fraction(-1, 3)), RadExpr())
+    assert [sign(x) for x in radical] == [-1, 1, -1, 0]
+    assert calls == list(radical)
 
 
 def pell_gap(bits: int) -> RadExpr:
@@ -388,13 +404,33 @@ def _term_map_uses(path: Path) -> list[str]:
     return found
 
 
+def _sign_calls(path: Path) -> list[str]:
+    """Where a module calls a .sign() method."""
+    return [
+        f"{path.name}:{node.lineno} calls .sign()"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "sign"
+    ]
+
+
+def _found_outside_exact(scan) -> list[str]:
+    """What scan finds in the package's modules other than exact.py, after
+    checking that it finds something in exact.py itself."""
+    src = Path(geonet.__file__).parent
+    assert scan(src / "exact.py"), "the scan finds nothing"
+    others = (path for path in sorted(src.glob("*.py")) if path.name != "exact.py")
+    return [hit for path in others for hit in scan(path)]
+
+
+def test_only_exact_decides_a_sign():
+    # every other module decides a sign through exact.sign, so rational
+    # values never reach RadExpr.sign by way of RadExpr.of
+    assert _found_outside_exact(_sign_calls) == []
+
+
 def test_only_exact_knows_the_term_map():
     # the representation of a radical value is exact's alone: other modules
     # go through terms(), of, sqrt, the ring operations and the term helpers
-    src = Path(geonet.__file__).parent
-    assert _term_map_uses(src / "exact.py"), "the scan finds nothing"
-    found = []
-    for path in sorted(src.glob("*.py")):
-        if path.name != "exact.py":
-            found += _term_map_uses(path)
-    assert found == []
+    assert _found_outside_exact(_term_map_uses) == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geonet.chords import ChordSet
-from geonet.circle import INFINITY, CirclePoint, _chord, tan_half_add
+from geonet.circle import INFINITY, CirclePoint, _chord, chord_direction, tan_half_add
 from geonet.errors import (
     CrossingEdges,
     DomainError,
@@ -605,6 +605,19 @@ def test_closed_form_signs():
         assert all(RadExpr.of(x).sign() > 0 for x in forms.exterior_vector)
 
 
+def test_closed_forms_decide_rational_signs_without_radexpr(monkeypatch):
+    # the half-angle signs of rational tan-halves are int comparisons
+    # (exact.sign); a radical tan-half still asks RadExpr.sign
+    calls = []
+    sign = RadExpr.sign
+    monkeypatch.setattr(RadExpr, "sign", lambda x: calls.append(x) or sign(x))
+    four_thirds = CirclePoint.from_tan_half(Fraction(4, 3))
+    forms = n3_closed_forms(four_thirds, four_thirds)
+    assert forms.rational and calls == []
+    half_cos_sin(RadExpr.sqrt(3))
+    assert calls
+
+
 def peel(points, mults, chords):
     def chord(i, j):
         return _chord(points[i], points[j])
@@ -626,6 +639,22 @@ def test_peel_solves_fixed_exterior_structures():
     assert peel(golden, (100, 56, 100), triangle) == (35, 75, 35)
     assert peel([pt(0), pt(INFINITY)], (3, 3), ((0, 1),)) == (3,)
     assert peel([pt(0), pt(INFINITY)], (3, 4), ((0, 1),)) is None
+
+
+@pytest.mark.parametrize("lookup", [_chord, chord_direction])
+def test_peel_refutes_an_unbalanced_last_vertex(lookup):
+    # the rays at 0 and pi joined by their diameter: the first vertex fixes
+    # the chord at its own multiplicity, and the last vertex, with no open
+    # chord left, balances only when its multiplicity is the same; both
+    # lookups, so the field pass and the integer pass
+    line = [pt(0), pt(INFINITY)]
+
+    def chord(i, j):
+        return lookup(line[i], line[j])
+
+    assert peel_solve(line, (1, 2), ((0, 1),), chord) is None
+    assert peel_solve(line, (2, 1), ((0, 1),), chord) is None
+    assert peel_solve(line, (2, 2), ((0, 1),), chord) == (2,)
 
 
 def test_peel_checks_every_single_chord_vertex():
