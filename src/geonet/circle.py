@@ -146,6 +146,15 @@ def angle_of_tan(t: TanHalf) -> float:
     return normalize_angle(2.0 * math.atan(float(t)))
 
 
+def check_same_point(angle: float, xy: tuple) -> None:
+    """ValueError unless the float angle and the exact point xy agree within
+    1e-9 in each coordinate: the one test that an angle and a tan-half
+    describe the same point."""
+    ex, ey = xy
+    if abs(float(ex) - math.cos(angle)) > 1e-9 or abs(float(ey) - math.sin(angle)) > 1e-9:
+        raise ValueError("angle and tan_half describe different points")
+
+
 @dataclass(frozen=True)
 class CirclePoint:
     """A unit-circle point: float angle in [0, tau), optional exact tan-half."""
@@ -160,12 +169,9 @@ class CirclePoint:
             raise ValueError(f"angle {self.angle} not normalized to [0, tau)")
         if self.tan_half is not None:
             object.__setattr__(self, "tan_half", as_tan_half(self.tan_half))
-            ex, ey = exact_xy_of_tan(self.tan_half)
-            if abs(float(ex) - math.cos(self.angle)) > 1e-9 or abs(
-                float(ey) - math.sin(self.angle)
-            ) > 1e-9:
-                raise ValueError("angle and tan_half describe different points")
-            object.__setattr__(self, "_xy", (ex, ey))
+            xy = exact_xy_of_tan(self.tan_half)
+            check_same_point(self.angle, xy)
+            object.__setattr__(self, "_xy", xy)
 
     @classmethod
     def from_angle(cls, angle: float) -> "CirclePoint":
@@ -350,12 +356,37 @@ def tangent_components_exact(
     v: CirclePoint, w: CirclePoint
 ) -> tuple[RadExpr, RadExpr]:
     """(w - v)/|w - v| componentwise, exact; needs a rational squared length,
-    so the length is one term and its inverse is one term too."""
-    dx, dy, length = _chord(v, w)
-    if not length:
+    so each component is one term.  Coincident points raise ValueError.
+
+    For rational tan-halves a/b and c/e (norm_parts, INFINITY as 1/0) the
+    difference comes straight from the integers,
+    w - v = ((e^2 - c^2)N_v - (b^2 - a^2)N_w, 2(ce*N_v - ab*N_w))/(N_v*N_w),
+    and |w - v| = 2|ae - cb|/(k_v*k_w*g*sqrt(D)) as in _chord; with
+    N_v*N_w = (k_v*k_w*g)^2*D each component is one Fraction over
+    2|ae - cb|*k_v*k_w*g*D times sqrt(D).  It never reads chord_direction's
+    u, so the residual stays independent of the solver's columns.  A
+    radical tan-half divides _chord's (w - v) by its length.
+    """
+    s, t = norm_parts(v.tan_half), norm_parts(w.tan_half)
+    if s is None or t is None:
+        dx, dy, length = _chord(v, w)
+        if not length:
+            raise ValueError("tangent direction of coincident points")
+        inv = term_inverse(term(length))
+        return times_term(dx, inv), times_term(dy, inv)
+    (a, b, dv, kv), (c, e, dw, kw) = s, t
+    cross = a * e - c * b
+    if not cross:
         raise ValueError("tangent direction of coincident points")
-    inv = term_inverse(term(length))
-    return times_term(dx, inv), times_term(dy, inv)
+    nv, nw = a * a + b * b, c * c + e * e
+    g = math.gcd(dv, dw)
+    big_d = (dv // g) * (dw // g)
+    den = 2 * abs(cross) * kv * kw * g * big_d
+    root = (big_d, 1)
+    return (
+        times_term(Fraction((e * e - c * c) * nv - (b * b - a * a) * nw, den), root),
+        times_term(Fraction(2 * (c * e * nv - a * b * nw), den), root),
+    )
 
 
 def tangent_point(v: CirclePoint, w: CirclePoint) -> CirclePoint:

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .circle import INFINITY, CirclePoint, normalize_angle
+from .circle import INFINITY, CirclePoint, check_same_point, normalize_angle
 from .errors import ParseError, VersionError, is_int
 from .exact import RadExpr, simplify
 from .network import InteriorEdge, Network, Vertex, make_network
@@ -76,6 +76,11 @@ def _finite_float(x) -> float | None:
 
 
 def _point_from_json(rec: dict, where: str) -> CirclePoint:
+    """The point of a vertex record: from its angle alone when tan_half is
+    null, else CirclePoint.from_tan_half, built once, whose exact (x, y) must
+    agree with the file's angle (circle.check_same_point, the test every
+    CirclePoint makes of its own angle).  Any fault is a ParseError naming
+    where."""
     if "angle" not in rec:
         raise ParseError(f"{where}: missing 'angle'")
     angle = _finite_float(rec["angle"])
@@ -96,12 +101,13 @@ def _point_from_json(rec: dict, where: str) -> CirclePoint:
         raise ParseError(f"{where}: zero denominator in 'tan_half'")
     else:
         t = Fraction(t[0], t[1])
+    # the angle computed from tan_half is kept, so files round-trip unchanged
+    p = CirclePoint.from_tan_half(t)
     try:
-        CirclePoint(normalize_angle(angle), t)
+        check_same_point(normalize_angle(angle), p.exact_xy())
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
-    # the angle computed from tan_half is kept, so files round-trip unchanged
-    return CirclePoint.from_tan_half(t)
+    return p
 
 
 def network_from_dict(data: dict) -> Network:

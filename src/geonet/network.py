@@ -26,6 +26,7 @@ from .circle import (
     _chord,
     angle_order,
     point_div,
+    tan_half_sub,
     tangent_components_exact,
 )
 from .errors import (
@@ -307,13 +308,16 @@ def invariant_report(net: Network) -> InvariantReport:
     return InvariantReport((bx, by), mass, parity, False)
 
 
-def _point_key(p: CirclePoint) -> tuple:
-    """Exact points by the terms of their tan-half, others by rounded angle."""
-    if p.tan_half is None:
-        return (0, round(p.angle, 12) % TAU)
-    if p.tan_half is INFINITY:
+def _gap_key(p: CirclePoint, q: CirclePoint) -> tuple:
+    """The gap from q to p: for exact ends, the terms of tan_half_sub of their
+    tan-halves (INFINITY apart), with no point built; otherwise the rounded
+    angle of point_div."""
+    if p.tan_half is None or q.tan_half is None:
+        return (0, round(point_div(p, q).angle, 12) % TAU)
+    t = tan_half_sub(p.tan_half, q.tan_half)
+    if t is INFINITY:
         return (2, ())
-    return (1, tuple(sorted(RadExpr.of(p.tan_half).terms().items())))
+    return (1, tuple(sorted(RadExpr.of(t).terms().items())))
 
 
 def canonical_key(net: Network) -> tuple:
@@ -323,10 +327,12 @@ def canonical_key(net: Network) -> tuple:
     and direction s: gap keys, exterior multiplicities and renumbered edges.
     Rotations keep the cyclic order and reflections reverse it; read backwards,
     the gap after v is gaps[v - 1], as conj(p[v-1] / p[v]) = p[v] / p[v-1].
+    A gap between exact points is read off the two tan-halves (_gap_key), so
+    an exact network is keyed without building a CirclePoint.
     """
     n = net.n_vertices
     ps = [v.position for v in net.vertices]
-    gaps = [_point_key(point_div(ps[(k + 1) % n], ps[k])) for k in range(n)]
+    gaps = [_gap_key(ps[(k + 1) % n], ps[k]) for k in range(n)]
 
     def reading(a: int, s: int) -> tuple:
         order = [(a + s * j) % n for j in range(n)]

@@ -150,7 +150,9 @@ class AuditEffort:
 
     networks, problems and searches count the distinct networks keyed, vertex
     problems built and replacement searches run; hits counts the lookups the
-    three tables answered without running their function again.
+    three tables answered without running their function again.  The audited
+    network itself is never keyed, so networks counts replacements only: 0
+    at depth 1, and 0 for an audit refuted at depth 1.
     """
 
     networks: int
@@ -378,14 +380,16 @@ def good_network_audit(
     returns only exactly admissible networks), so no vertex is isolated: a
     vertex without chords would need m_v * v = 0.
 
-    Verdicts are memoized by (canonical_key, levels remaining).  Besides,
-    each call builds three tables over the module's functions, keyed by
-    exact inputs and dropped on return: canonical_key by network,
-    replacement_problem by network and vertex, and replacement_feasible at
-    this bound by problem.  So each distinct network is keyed, each distinct
-    vertex problem built and each distinct problem searched once per audit;
-    the diameter, which replaces into itself, is searched once at any depth.
-    The returned verdict carries their counts as its effort (AuditEffort).
+    Verdicts are memoized by (canonical_key, levels remaining).  Only the
+    input has depth levels left, so its entry could never be read, and it is
+    not keyed: only replacements are.  Besides, each call builds three
+    tables over the module's functions, keyed by exact inputs and dropped on
+    return: canonical_key by network, replacement_problem by network and
+    vertex, and replacement_feasible at this bound by problem.  So each
+    distinct replacement is keyed, each distinct vertex problem built and
+    each distinct problem searched once per audit; the diameter, which
+    replaces into itself, is searched once at any depth.  The returned
+    verdict carries their counts as its effort (AuditEffort).
     """
     check_int("depth", depth)
     check_int("bound", bound)
@@ -404,10 +408,11 @@ def good_network_audit(
     def explore(current: Network, remaining: int) -> AuditVerdict:
         if remaining == 0:
             return AuditVerdict("good-to-depth-0", 0, bound=bound)
-        key = (key_of(current), remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        key = None
+        if remaining < depth:  # only the root has depth levels left: never looked up
+            key = (key_of(current), remaining)
+            if key in memo:
+                return memo[key]
         level = depth + 1 - remaining
         verdict = AuditVerdict(f"good-to-depth-{remaining}", remaining, bound=bound)
         for i in range(current.n_vertices):
@@ -427,7 +432,8 @@ def good_network_audit(
             if sub.refuted:
                 verdict = sub
                 break
-        memo[key] = verdict
+        if key is not None:
+            memo[key] = verdict
         return verdict
 
     verdict = explore(net, depth)

@@ -14,7 +14,9 @@ from geonet import circle, exact, replace
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
+    TAU,
     CirclePoint,
+    _chord,
     as_tan_half,
     chord_square,
     point_div,
@@ -23,10 +25,9 @@ from geonet.circle import (
     tangent_components_exact,
 )
 from geonet.errors import DomainError, InexactPosition, NonConvergence
-from geonet.exact import RadExpr, simplify
+from geonet.exact import RadExpr, simplify, term, term_inverse, times_term
 from geonet.linalg import kernel_from_rref, particular_from_rref, rref
 from geonet.network import (
-    _point_key,
     InteriorEdge,
     Network,
     Vertex,
@@ -394,6 +395,15 @@ def norm_sign(x: RadExpr) -> int:
     return sa * norm_sign(a * a - p * b * b)
 
 
+def _point_key(p: CirclePoint) -> tuple:
+    """Exact points by the terms of their tan-half, others by rounded angle."""
+    if p.tan_half is None:
+        return (0, round(p.angle, 12) % TAU)
+    if p.tan_half is INFINITY:
+        return (2, ())
+    return (1, tuple(sorted(RadExpr.of(p.tan_half).terms().items())))
+
+
 def rebuilt_canonical_key(net: Network) -> tuple:
     """The least signature over all 2N rotated and reflected images of net.
 
@@ -575,6 +585,33 @@ def product_chain_residual(net: Network, i: int) -> tuple:
         rx = rx + mult * tx
         ry = ry + mult * ty
     return rx, ry
+
+
+def chord_tangent_components(v: CirclePoint, w: CirclePoint) -> tuple:
+    """(w - v)/|w - v| as _chord's exact (w - v) times the inverse of its
+    one-term length, for rational and radical points alike.
+
+    Independent oracle for circle.tangent_components_exact, which builds a
+    rational pair's components from the tan-halves' integers."""
+    dx, dy, length = _chord(v, w)
+    if not length:
+        raise ValueError("tangent direction of coincident points")
+    inv = term_inverse(term(length))
+    return times_term(dx, inv), times_term(dy, inv)
+
+
+def counted(monkeypatch, owner, name: str) -> list:
+    """The arguments of every call to owner.<name> (a module's function or a
+    class's method), through a wrapper that delegates to the function."""
+    calls = []
+    function = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 def radexpr_diameter_side(v: CirclePoint, w: CirclePoint) -> int:

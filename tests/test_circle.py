@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geonet import circle
 from geonet.circle import (
     INFINITY,
     CirclePoint,
@@ -18,6 +19,7 @@ from geonet.circle import (
     chord_direction,
     diameter_side,
     exact_xy_of_tan,
+    norm_parts,
     normalize_angle,
     point_div,
     tan_half_add,
@@ -33,6 +35,8 @@ from helpers import (
     TAN_GRID,
     cased_tan_half_add,
     chord_by_square,
+    chord_tangent_components,
+    counted,
     fraction_xy_of_tan,
     norm,
     point_mul,
@@ -406,6 +410,60 @@ def test_chord_direction_on_radical_points_is_the_chord():
         chord_direction(turned[0], pt(0))
     with pytest.raises(ValueError, match="coincident"):
         chord_direction(pt(Fraction(2, 3)), pt(Fraction(2, 3)))
+
+
+# 0, +-p/q with p, q <= 6 and the point at pi: norms in several length classes
+SMALL_GRID = [pt(0), pt(INFINITY)] + [
+    pt(t)
+    for t in sorted({Fraction(s * p, q) for s in (1, -1) for p in range(1, 7) for q in range(1, 7)})
+]
+
+
+def test_tangent_components_from_integers_match_the_chord(monkeypatch):
+    chords = counted(monkeypatch, circle, "_chord")
+    assert len({norm_parts(p.tan_half)[2] for p in SMALL_GRID}) > 1
+    for v in SMALL_GRID:
+        for w in SMALL_GRID:
+            if v is w:
+                continue
+            got, want = tangent_components_exact(v, w), chord_tangent_components(v, w)
+            # equal as values, and as term maps: one term each, on the same root
+            assert got == want and [x.terms() for x in got] == [x.terms() for x in want], (v, w)
+        with pytest.raises(ValueError, match="coincident"):
+            tangent_components_exact(v, pt(v.tan_half))
+    # a rational pair never builds the chord
+    assert chords == []
+
+
+def test_tangent_components_of_radical_points_take_the_chord(monkeypatch):
+    # the axis points turned by a quarter of pi, and points at multiples of
+    # pi/6: radical tan-halves; a pair of rational squared length compares
+    # with the oracle, and any other raises InexactPosition in both
+    chords = counted(monkeypatch, circle, "_chord")
+    turn = RadExpr.sqrt(2) - 1
+    turned = [CirclePoint.from_tan_half(tan_half_add(t, turn)) for t in (0, 1, INFINITY, -1)]
+    sixth = RadExpr.sqrt(3) * Fraction(1, 3)  # tan(pi/6), a turn by pi/3
+    sixths = [CirclePoint.from_tan_half(tan_half_add(t, sixth)) for t in (0, 1, INFINITY, -1)]
+    points = turned + sixths + [pt(0), pt(1)]
+    compared = raised = 0
+    for v in points:
+        for w in points:
+            if v is w:
+                continue
+            try:
+                want = chord_tangent_components(v, w)
+            except InexactPosition:
+                with pytest.raises(InexactPosition):
+                    tangent_components_exact(v, w)
+                raised += 1
+                continue
+            assert tangent_components_exact(v, w) == want, (v, w)
+            compared += 1
+    assert compared and raised
+    assert len(chords) == compared + raised - 2  # pt(0) to pt(1) and back are rational
+    for v in turned + sixths:
+        with pytest.raises(ValueError, match="coincident"):
+            tangent_components_exact(v, CirclePoint.from_tan_half(v.tan_half))
 
 
 @given(a=tan_halves, b=tan_halves)

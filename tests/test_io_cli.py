@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import geonet
-from geonet.circle import INFINITY, tangent_point
+from geonet.circle import INFINITY, CirclePoint, tangent_point
 from geonet.cli import _emit, dispatch, main
 from geonet.errors import ParseError, VersionError
 from geonet.exact import RadExpr
@@ -23,6 +23,7 @@ from geonet.io import (
 from geonet.network import InteriorEdge, Vertex, canonical_key, is_admissible, make_network
 from geonet.sweep import SphereConfig, minmax_closed_form
 from helpers import (
+    counted,
     fan_chords,
     golden_triangle,
     line_network,
@@ -171,6 +172,21 @@ def test_angle_contradicting_tan_half_rejected(tmp_path, capsys, tan_half):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "vertex 0" in captured.err
+
+
+def test_reading_an_exact_file_builds_one_point_per_vertex(tmp_path, monkeypatch):
+    net = golden_triangle()
+    path = write_fixture(net, tmp_path)
+    built = counted(monkeypatch, CirclePoint, "__post_init__")
+    back = read_network(path)
+    assert len(built) == net.n_vertices
+    assert back == net
+    # the file's angle is still checked against the point: same message
+    data = network_to_dict(net)
+    data["vertices"][1]["angle"] = 1.0
+    with pytest.raises(ParseError) as info:
+        network_from_dict(data)
+    assert str(info.value) == "vertex 1: angle and tan_half describe different points"
 
 
 def test_angle_near_tan_half_keeps_exact_angle():

@@ -34,6 +34,7 @@ from geonet.network import (
 from helpers import (
     admissible_fan_rectangles,
     boundary_trace,
+    counted,
     float_line_network,
     golden_triangle,
     line_network,
@@ -441,3 +442,40 @@ def test_canonical_key_partition_matches_rebuilt_images(pool, count):
     # each base shares its class with its copies, and most bases differ
     assert all(len(set(keys[i : i + 4])) == 1 for i in range(0, len(nets), 4))
     assert len(set(keys)) > count // 2
+
+
+def _float_twins(net) -> list:
+    """net with every point at its float angle alone, the same mirrored, and
+    net with its first point exact and the others float."""
+
+    def twin(angle_of, keep_first):
+        points = [CirclePoint.from_angle(angle_of(v)) for v in net.vertices]
+        if keep_first:
+            points[0] = net.vertices[0].position
+        vertices = [Vertex(p, v.exterior_mult) for p, v in zip(points, net.vertices)]
+        return make_network(vertices, net.edges)
+
+    return [
+        twin(lambda v: v.position.angle, False),
+        twin(lambda v: -v.position.angle, False),
+        twin(lambda v: v.position.angle, True),
+    ]
+
+
+def test_canonical_key_of_an_exact_network_builds_no_point(monkeypatch):
+    radical = _congruent_copies(seeded_rng(salt=92), RADICAL_POOL, 3)
+    exact = [line_network(), golden_triangle(), rectangle_network(), *admissible_fan_rectangles()]
+    inexact = [float_line_network()] + [t for net in exact[:3] for t in _float_twins(net)]
+    nets = exact + radical + inexact
+    keys = [canonical_key(net) for net in nets]
+    # the keys partition exact, radical and float-positioned networks as the
+    # rebuilt images do
+    assert _mismatched_pairs(keys, [rebuilt_canonical_key(net) for net in nets]) == 0
+    assert len(set(keys)) < len(keys)  # the float mirrors share their twins' keys
+    built = counted(monkeypatch, CirclePoint, "__post_init__")
+    for net in exact + radical:
+        canonical_key(net)
+    assert built == []
+    # a gap with an inexact end is still read through point_div, one point each
+    canonical_key(inexact[0])
+    assert len(built) == 2

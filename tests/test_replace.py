@@ -43,6 +43,7 @@ from helpers import (
     TAN_GRID,
     admissible_fan_rectangles,
     axis_point_angles,
+    counted,
     diameter_sides,
     evaluate_angle,
     factored,
@@ -264,35 +265,23 @@ def test_audit_matches_the_uncached_audit(depth, bound):
         assert verdict.effort is not None
 
 
-def counted(monkeypatch, name: str) -> list:
-    """The arguments of every call to replace.<name>, through a wrapper that
-    delegates to the function."""
-    calls = []
-    function = getattr(replace, name)
-
-    def wrapper(*args):
-        calls.append(args)
-        return function(*args)
-
-    monkeypatch.setattr(replace, name, wrapper)
-    return calls
-
-
 def test_line_audit_searches_and_keys_its_one_network_once(monkeypatch):
     # replacing the diameter at either vertex gives it back, so one problem
-    # (both vertices' problems are equal) and one network are met throughout
+    # (both vertices' problems are equal) and one network are met throughout;
+    # the audited line itself is not keyed, so depth 1 keys nothing
     names = ("canonical_key", "replacement_problem", "replacement_feasible")
-    keys, problems, searches = calls = [counted(monkeypatch, name) for name in names]
+    keys, problems, searches = calls = [counted(monkeypatch, replace, name) for name in names]
     for depth in range(1, MAX_AUDIT_DEPTH + 1):
         uncached = uncached_good_network_audit(line_network(), depth, 20)
         assert [len(c) for c in calls] == [2 * depth - 1, 2 * depth, 2 * depth]
-        lookups = sum(len(c) for c in calls)
+        # the uncached audit keys its root once; the audit does not look it up
+        lookups = sum(len(c) for c in calls) - 1
         for c in calls:
             c.clear()
         # a fresh audit searches again: no table outlives the call before it
         verdict = good_network_audit(line_network(), depth=depth, bound=20)
         assert verdict == uncached
-        assert [len(c) for c in calls] == [1, 2, 1]
+        assert [len(c) for c in calls] == [min(1, depth - 1), 2, 1]
         assert verdict.effort == AuditEffort(
             networks=len(keys),
             problems=len(problems),
@@ -304,12 +293,27 @@ def test_line_audit_searches_and_keys_its_one_network_once(monkeypatch):
 
 
 def test_golden_triangle_refutation_is_one_search(monkeypatch):
-    searches = counted(monkeypatch, "replacement_feasible")
+    searches = counted(monkeypatch, replace, "replacement_feasible")
     verdict = good_network_audit(golden_triangle(), depth=MAX_AUDIT_DEPTH, bound=50)
     assert verdict.status == "refuted-at-depth-1"
     assert len(searches) == 1
-    assert verdict.effort == AuditEffort(networks=1, problems=1, searches=1, hits=0)
+    assert verdict.effort == AuditEffort(networks=0, problems=1, searches=1, hits=0)
     assert "effort" not in repr(verdict)
+
+
+def test_audit_never_keys_its_root(monkeypatch):
+    # the root's memo entry, (key, depth), could never be read: only the root
+    # has depth levels left.  A replacement equal to the root is still keyed.
+    keys = counted(monkeypatch, replace, "canonical_key")
+    nets = (line_network(), golden_triangle(), rectangle_network()) + admissible_fan_rectangles()
+    for net in nets:
+        for depth in range(1, MAX_AUDIT_DEPTH + 1):
+            verdict = good_network_audit(net, depth=depth, bound=20)
+            assert all(args[0] is not net for args in keys)
+            assert verdict.effort.networks == len(keys)
+            if depth == 1:
+                assert keys == []
+            keys.clear()
 
 
 def test_problem_canonical_key_rotation_invariant():
