@@ -143,7 +143,10 @@ def normalize_angle(angle: float) -> float:
 def angle_of_tan(t: TanHalf) -> float:
     if t is INFINITY:
         return math.pi
-    return normalize_angle(2.0 * math.atan(float(t)))
+    try:
+        return normalize_angle(2.0 * math.atan(float(t)))
+    except OverflowError:  # |t| >= 2**1024, where 2*atan(t) rounds to +-pi
+        return math.pi
 
 
 def check_same_point(angle: float, xy: tuple) -> None:

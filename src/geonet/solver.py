@@ -310,21 +310,13 @@ def positive_integer_solutions(
 
 # --- fixed-exterior structures by peeling ---------------------------------
 
-def _multiplicity(y: ExactScalar, length: ExactScalar) -> int | None:
-    """x = y * length when it is a positive integer, else None."""
-    x = simplify(y * length)
-    if isinstance(x, RadExpr):
-        return None
-    return int(x) if x.denominator == 1 and x >= 1 else None
-
-
 def peel_solve(
     positions: Sequence[CirclePoint],
     exterior_mults: Sequence[int],
     chords: Sequence[tuple[int, int]],
     chord: Callable[[int, int], tuple[int | ExactScalar, int | ExactScalar, ExactScalar]],
 ) -> tuple[int, ...] | None:
-    """The edge multiplicities of one fixed-exterior structure, by peeling.
+    """The edge multiplicities of one fixed-exterior structure.
 
     Solves m_v * v + sum_w m_vw * (w - v)/|w - v| = 0 at every vertex for
     the chords' multiplicities, in chord order, and returns them when they
@@ -337,31 +329,33 @@ def peel_solve(
     Every chord is looked up before any is solved, so a lookup that raises
     InexactPosition does so on the same structures as build_system.
 
-    The unknowns are y = m_vw/|u| on the chord multiples u.  When every
-    lookup gives u as two ints, as circle.chord_direction does between
-    rational points, and every position is rational, the integer pass runs
-    (_peel_integer): residuals and values stay integers over one
-    denominator, and a multiplicity is tested without any RadExpr.  Any
-    other lookup, circle._chord's Fractions or a radical position's
-    RadExprs, takes the field pass (_peel_field), which is also the
-    integer pass's oracle, as linalg keeps _rref_field beside
-    _rref_integer.  Both give the same answer on the same structure.
-
-    Non-crossing chords on a circle form an outerplanar graph, and every
-    subgraph of one has a vertex of degree <= 2 (Chartrand-Harary), so some
-    unsolved vertex always has at most two unsolved chords.  Its 2x2
-    equation fixes them: Cramer's rule for two (two chords from v to
-    distinct circle points are never parallel), a parallel check and then
-    the value for one, a zero residual for none.  Each value is tested at once
-    and y * (v - w) is moved into its other endpoint's residual.  Every value
-    is forced, so the system has nullity 0 and this is its only solution.
+    When every lookup gives u as two ints, as circle.chord_direction does
+    between rational points, and every position is rational, the structure
+    is peeled (_peel_integer): residuals and values stay integers over one
+    denominator, and a multiplicity is tested without any RadExpr.  Every
+    other structure, on circle._chord's Fractions or at radical positions,
+    is solved by the system itself, solve(build_system(...)), whose
+    particular solution holds the forced values: the peel's walk
+    (_peel_order) shows that every non-crossing fixed-exterior structure
+    has nullity 0.  The tests compare both routes with a peel in field
+    arithmetic (field_peel).
     """
     dirs = [chord(i, j) for i, j in chords]
     if all(type(dx) is int and type(dy) is int for dx, dy, _ in dirs) and all(
         _is_ratio(p.tan_half) for p in positions
     ):
         return _peel_integer(positions, exterior_mults, chords, dirs)
-    return _peel_field(positions, exterior_mults, chords, dirs)
+    system = build_system(positions, ChordSet(len(positions), tuple(chords)), exterior_mults)
+    particular = solve(system).particular
+    if particular is None:
+        return None
+    # build_system puts the positions in angle order and sorts the chords
+    rank = [system.positions.index(p) for p in positions]
+    value = dict(zip(system.edges.chords, particular))
+    forced = [simplify(value[tuple(sorted((rank[i], rank[j])))]) for i, j in chords]
+    if all(isinstance(x, Fraction) and x.denominator == 1 and x >= 1 for x in forced):
+        return tuple(int(x) for x in forced)
+    return None
 
 
 def _peel_order(n: int, chords: Sequence[tuple[int, int]], dirs: Sequence[tuple]):
@@ -372,7 +366,14 @@ def _peel_order(n: int, chords: Sequence[tuple[int, int]], dirs: Sequence[tuple]
 
     The next vertex is one with the fewest open chords; once the caller
     asks for it, the chords of the vertex before are closed at their other
-    ends.  More than two open chords raise ValueError."""
+    ends.  More than two open chords raise ValueError, which non-crossing
+    chords never do: they form an outerplanar graph on the circle, and
+    every subgraph of one has a vertex of degree <= 2 (Chartrand-Harary).
+    That vertex's 2x2 equation fixes its open chords: Cramer's rule for two
+    (two chords from v to distinct circle points are never parallel), a
+    parallel check and then the value for one, a zero residual for none.
+    So every value is forced, and a fixed-exterior system of non-crossing
+    chords has nullity 0, which peel_solve's system route relies on."""
     ends: list[dict[int, int]] = [{} for _ in range(n)]  # open chord -> other end
     for k, (i, j) in enumerate(chords):
         ends[i][k] = j
@@ -393,7 +394,8 @@ def _peel_order(n: int, chords: Sequence[tuple[int, int]], dirs: Sequence[tuple]
 
 
 def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
-    """peel_solve on integer chord multiples u between rational positions.
+    """The library's one peel: peel_solve on integer chord multiples u
+    between rational positions, walked by _peel_order.
 
     A residual is three ints (X, Y, D) for (X, Y)/D, started from
     m * (q^2 - p^2, 2pq) over p^2 + q^2 for the tan-half p/q (circle._ratio,
@@ -403,7 +405,8 @@ def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | 
     reached: y is rational, so y * |u| is no positive integer.  A solved
     chord has y = m/|u| and moves -y * a into its other end over the lcm of
     the two denominators, so nothing is divided.  Each chord comes oriented
-    from _peel_order, so only the arithmetic is here."""
+    from _peel_order, so only the arithmetic is here; the tests' field_peel
+    runs the same walk in field arithmetic as its oracle."""
     residual: list[list[int] | None] = [None] * len(positions)
 
     def rest(v: int) -> list[int]:
@@ -455,58 +458,6 @@ def _peel_integer(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | 
             den = lcm(r[2], ln)
             old, new = den // r[2], m * ld * (den // ln)
             r[0], r[1], r[2] = r[0] * old - new * ax, r[1] * old - new * ay, den
-    return tuple(values)
-
-
-def _peel_field(positions, exterior_mults, chords, dirs) -> tuple[int, ...] | None:
-    """peel_solve in exact field arithmetic, for any lookup: Fraction or
-    RadExpr residuals and values, and _multiplicity's test; each chord
-    comes oriented from _peel_order, so only the arithmetic is here."""
-    residual: list[list[ExactScalar] | None] = [None] * len(positions)
-
-    def rest(v: int) -> list[ExactScalar]:
-        # m_v * v plus the solved chords at v; built on first use, since
-        # most structures are refuted after a vertex or two
-        r = residual[v]
-        if r is None:
-            (x, y), m = positions[v].exact_xy(), exterior_mults[v]
-            r = residual[v] = [m * x, m * y]
-        return r
-
-    values: list[int] = [0] * len(chords)
-    for v, oriented in _peel_order(len(positions), chords, dirs):
-        rx, ry = rest(v)
-        if not oriented:
-            if rx or ry:
-                return None
-            continue
-        if len(oriented) == 1:
-            ((_, _, (ax, ay, length)),) = oriented
-            # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
-            if ax * ry - ay * rx:
-                return None
-            y = -(rx * ax + ry * ay) / (length * length)
-            x = _multiplicity(y, length)
-            if x is None:
-                return None
-            solved = [(y, x)]
-        else:
-            (_, _, (ax, ay, la)), (_, _, (bx, by, lb)) = oriented
-            det = ax * by - ay * bx
-            ya = (ry * bx - rx * by) / det
-            xa = _multiplicity(ya, la)
-            if xa is None:
-                return None
-            yb = (ay * rx - ax * ry) / det
-            xb = _multiplicity(yb, lb)
-            if xb is None:
-                return None
-            solved = [(ya, xa), (yb, xb)]
-        for (k, w, (ax, ay, _)), (y, x) in zip(oriented, solved):
-            values[k] = x
-            r = rest(w)
-            r[0] = r[0] - y * ax
-            r[1] = r[1] - y * ay
     return tuple(values)
 
 

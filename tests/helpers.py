@@ -10,7 +10,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from geonet import circle, exact, replace
+from geonet import circle, exact, replace, solver
 from geonet.chords import ChordSet, chords_cross, enumerate_chord_sets
 from geonet.circle import (
     INFINITY,
@@ -703,6 +703,71 @@ def unpruned_replacement_feasible(problem, bound: int) -> Network | None:
         assert is_admissible(net, mode="exact").admissible
         return net
     return None
+
+
+def field_multiplicity(y, length) -> int | None:
+    """x = y * length when it is a positive integer, else None."""
+    x = simplify(y * length)
+    if isinstance(x, RadExpr):
+        return None
+    return int(x) if x.denominator == 1 and x >= 1 else None
+
+
+def field_peel(positions, exterior_mults, chords, chord) -> tuple[int, ...] | None:
+    """solver.peel_solve in exact field arithmetic, for any lookup: Fraction
+    or RadExpr residuals and values, and field_multiplicity's test.
+
+    Oracle for the library's integer peel (solver._peel_integer) and for
+    its system route: the library's walk (solver._peel_order) with the
+    unknowns y = m_vw/|u| solved in the field, so it takes any chord(i, j)
+    that peel_solve takes and must give the same answer."""
+    dirs = [chord(i, j) for i, j in chords]
+    residual = [None] * len(positions)
+
+    def rest(v: int) -> list:
+        # m_v * v plus the solved chords at v; built on first use, since
+        # most structures are refuted after a vertex or two
+        r = residual[v]
+        if r is None:
+            (x, y), m = positions[v].exact_xy(), exterior_mults[v]
+            r = residual[v] = [m * x, m * y]
+        return r
+
+    values = [0] * len(chords)
+    for v, oriented in solver._peel_order(len(positions), chords, dirs):
+        rx, ry = rest(v)
+        if not oriented:
+            if rx or ry:
+                return None
+            continue
+        if len(oriented) == 1:
+            ((_, _, (ax, ay, length)),) = oriented
+            # y * a = -r needs r parallel to a, and then y = -r.a/|a|^2
+            if ax * ry - ay * rx:
+                return None
+            y = -(rx * ax + ry * ay) / (length * length)
+            x = field_multiplicity(y, length)
+            if x is None:
+                return None
+            solved = [(y, x)]
+        else:
+            (_, _, (ax, ay, la)), (_, _, (bx, by, lb)) = oriented
+            det = ax * by - ay * bx
+            ya = (ry * bx - rx * by) / det
+            xa = field_multiplicity(ya, la)
+            if xa is None:
+                return None
+            yb = (ay * rx - ax * ry) / det
+            xb = field_multiplicity(yb, lb)
+            if xb is None:
+                return None
+            solved = [(ya, xa), (yb, xb)]
+        for (k, w, (ax, ay, _)), (y, x) in zip(oriented, solved):
+            values[k] = x
+            r = rest(w)
+            r[0] = r[0] - y * ax
+            r[1] = r[1] - y * ay
+    return tuple(values)
 
 
 def uncached_good_network_audit(net: Network, depth: int, bound: int):

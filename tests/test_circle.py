@@ -323,6 +323,16 @@ def test_angle_order_decides_near_ties_exactly():
     assert angle_order(pair) == [1, 0]
 
 
+def test_tan_halves_past_float_range_have_an_angle():
+    # float(t) overflows for |t| >= 2**1024, where 2*atan(t) rounds to +-pi
+    huge = Fraction(10**400)
+    for t, angle in ((huge, math.pi), (-huge, math.pi), (1 / huge, 0.0), (-1 / huge, 0.0)):
+        p = CirclePoint.from_tan_half(t)
+        assert p.angle == angle and p.tan_half == t
+    points = [CirclePoint.from_tan_half(t) for t in (-huge, INFINITY, huge, Fraction(0))]
+    assert angle_order(points) == [3, 2, 1, 0]
+
+
 def test_reflect():
     p = CirclePoint.from_tan_half(Fraction(2, 5))
     assert reflect_point(p).tan_half == Fraction(-2, 5)

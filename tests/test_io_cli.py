@@ -189,6 +189,20 @@ def test_reading_an_exact_file_builds_one_point_per_vertex(tmp_path, monkeypatch
     assert str(info.value) == "vertex 1: angle and tan_half describe different points"
 
 
+def test_tan_half_past_float_range_round_trips(tmp_path):
+    data = network_to_dict(line_network())
+    data["vertices"][1]["tan_half"] = [10**400, 1]
+    assert data["vertices"][1]["angle"] == math.pi
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert network_to_dict(read_network(path)) == data
+    # a disagreeing angle is the file's fault, not an overflow
+    data["vertices"][1]["angle"] = 1.0
+    with pytest.raises(ParseError) as info:
+        network_from_dict(data)
+    assert str(info.value) == "vertex 1: angle and tan_half describe different points"
+
+
 def test_angle_near_tan_half_keeps_exact_angle():
     data = network_to_dict(golden_triangle())
     exact = [v["angle"] for v in data["vertices"]]

@@ -18,6 +18,7 @@ from geonet.circle import (
 )
 from geonet.errors import DuplicateVertexAngle, InexactPosition, IsolatedVertex
 from geonet.exact import RadExpr
+from geonet.io import network_from_dict, network_to_dict
 from geonet.network import (
     InteriorEdge,
     Network,
@@ -47,6 +48,7 @@ from helpers import (
     diameter_sides,
     evaluate_angle,
     factored,
+    field_peel,
     golden_triangle,
     in_balance_cone,
     irrational_chord_pairs,
@@ -560,8 +562,9 @@ def compare_peel_with_solver(problem: ReplacementProblem, bound: int) -> list:
         # fixed-exterior systems of non-crossing chords have nullity 0
         assert result.nullity == 0
         expected = positive_integer_solutions(result, bound)
-        peeled = peel_solve(problem.positions, problem.exterior_mults, cs.chords, chord)
-        # the search's lookup, a multiple of each chord, forces the same values
+        peeled = field_peel(problem.positions, problem.exterior_mults, cs.chords, chord)
+        # the library, on the search's lookup, a multiple of each chord,
+        # forces the same values
         assert peel_solve(problem.positions, problem.exterior_mults, cs.chords, direction) == peeled
         if peeled is not None and max(peeled) > bound:
             peeled = None
@@ -586,20 +589,52 @@ def test_peel_matches_solver(name, bound):
 
 def test_peel_routes_integer_chords_to_the_integer_pass(monkeypatch):
     # chord_direction's ints between rational rays take the integer pass,
-    # irrational lengths included (the vertex problems); _chord's Fractions
-    # and radical rays take the field pass.  So compare_peel_with_solver,
-    # which peels each structure with _chord and then with chord_direction,
-    # compares the field pass with the integer one
-    calls = []
-    for name in ("_peel_field", "_peel_integer"):
-        run = getattr(solver, name)
-        monkeypatch.setattr(solver, name, partial(lambda n, f, *a: calls.append(n) or f(*a), name, run))
+    # irrational lengths included (the vertex problems); radical rays are
+    # solved by the system, one solver.solve call per structure.  So
+    # compare_peel_with_solver, which peels each structure with field_peel
+    # and then with peel_solve on chord_direction, compares the field pass
+    # with the integer pass, and with the system route on radical rays
+    integer = counted(monkeypatch, solver, "_peel_integer")
+    system = counted(monkeypatch, solver, "solve")
     for name, bound, *_ in ORACLE_CASES:
         problem = oracle_problem(name)
         compare_peel_with_solver(problem, bound)
-        second = "_peel_field" if name in RADICAL else "_peel_integer"
-        assert calls == ["_peel_field", second] * len(cone_only(problem)) and calls, name
-        calls.clear()
+        cone = len(cone_only(problem))
+        routes = (0, cone) if name in RADICAL else (cone, 0)
+        assert cone and (len(integer), len(system)) == routes, name
+        integer.clear()
+        system.clear()
+    # _chord's Fractions take the system route on rational rays too
+    problem = oracle_problem("rotated-golden")
+    (cs,) = cone_only(problem)
+
+    def chord(i, j):
+        return _chord(problem.positions[i], problem.positions[j])
+
+    assert peel_solve(problem.positions, problem.exterior_mults, cs.chords, chord) == (35, 75, 35)
+    assert (len(integer), len(system)) == (0, 1)
+
+
+def test_rational_searches_never_take_the_system_route(monkeypatch):
+    # every solver.solve call inside peel_solve is the system route; the
+    # search's own certificate calls solve through replace's binding
+    system = counted(monkeypatch, solver, "solve")
+    problems = [oracle_problem(name) for name, *_ in ORACLE_CASES if name not in RADICAL]
+    for net in admissible_fan_rectangles():
+        problems.append(
+            ReplacementProblem(
+                tuple(v.position for v in net.vertices), tuple(v.exterior_mult for v in net.vertices)
+            )
+        )
+    for net in (line_network(), golden_triangle(), rectangle_network()):
+        problems += [replacement_problem(net, i) for i in range(net.n_vertices)]
+    assert len(problems) == 17 + 80 + 9
+    for problem in problems:
+        replacement_feasible(problem, 50)
+    assert system == []
+    # the radical oracle problem solves each of its in-cone structures so
+    replacement_feasible(oracle_problem("radical-two-pairs"), 50)
+    assert len(system) == 3
 
 
 def test_rational_search_makes_no_sign_call_and_no_peel_product(monkeypatch):
@@ -887,16 +922,22 @@ def test_generated_problems_match_the_unpruned_search(net, turn, mirror, k, ray,
     found = replacement_feasible(problem, bound)
     assert found is not None and found == unpruned_replacement_feasible(problem, bound)
     assert max(e.mult for e in found.edges) <= bound
+    # the bound is one comparison with the forced values, and the network
+    # keeps its key through the file format
+    assert replacement_feasible(problem, 10**18) == found
+    assert canonical_key(network_from_dict(network_to_dict(found))) == canonical_key(found)
     # one multiplicity off by one: one length class, refuted by the balance
     t, m = rays[ray]
     off = ray_problem([*rays[:ray], (t, m + step or m + 1), *rays[ray + 1 :]])
     assert replace._one_length_class(off.positions)
     assert not all(c.is_zero() for c in exterior_balance(zip(off.positions, off.exterior_mults)))
     assert replacement_feasible(off, bound) is None
+    assert replacement_feasible(off, 10**18) is None
     assert unpruned_replacement_feasible(off, bound) is None
     # an antipodal pair of another class: refuted by the length class
     if pair is not None and irrational_chord_pairs([pt(pair), problem.positions[0]]):
         wider = ray_problem([*rays, *antipodal([(pair, k)])])
         assert not replace._one_length_class(wider.positions)
         assert replacement_feasible(wider, bound) is None
+        assert replacement_feasible(wider, 10**18) is None
         assert unpruned_replacement_feasible(wider, bound) is None

@@ -38,6 +38,7 @@ from helpers import (
     difference_system,
     factored,
     fan_chords,
+    field_multiplicity,
     norm,
     normalized_solve,
     pt,
@@ -646,7 +647,7 @@ def test_peel_refutes_an_unbalanced_last_vertex(lookup):
     # the rays at 0 and pi joined by their diameter: the first vertex fixes
     # the chord at its own multiplicity, and the last vertex, with no open
     # chord left, balances only when its multiplicity is the same; both
-    # lookups, so the field pass and the integer pass
+    # lookups, so the system route and the integer pass
     line = [pt(0), pt(INFINITY)]
 
     def chord(i, j):
@@ -669,7 +670,7 @@ def test_peel_checks_every_single_chord_vertex():
 
 
 def test_peel_on_radical_positions():
-    # chords w - v with radical components, so every residual is a RadExpr
+    # chords w - v with radical components, solved by the system
     golden = rotated([Fraction(0), Fraction(4, 3), Fraction(-24, 7)])
     triangle = ((0, 1), (0, 2), (1, 2))
     looked_up = []
@@ -692,18 +693,52 @@ def test_peel_on_radical_positions():
     assert peel(square, (1, 1, 1, 1), sides) is None
 
 
-def test_multiplicity_needs_an_integer_product():
+def test_system_route_returns_only_positive_integers():
+    # radical positions are solved by the system, whose particular solution
+    # is the structure's forced values: returned when all are positive
+    # integers, None otherwise (at (100, 56, 100) the same triangle gives
+    # (35, 75, 35), test_peel_on_radical_positions)
+    golden = rotated([Fraction(0), Fraction(4, 3), Fraction(-24, 7)])
+    triangle = ((0, 1), (0, 2), (1, 2))
+    halved = solve(build_system(golden, ChordSet(3, triangle), (50, 28, 50)))
+    assert halved.particular == (Fraction(35, 2), Fraction(75, 2), Fraction(35, 2))
+    assert peel(golden, (50, 28, 50), triangle) is None
+    # the rotated 3-4-5 rectangle with a diagonal: the sides keep 3 and 4,
+    # and the diagonal, a diameter along both of its rays, is forced to 0
+    rectangle = rotated([HALF, Fraction(2), Fraction(-2), -HALF])
+    chords = ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3))
+    forced = solve(build_system(rectangle, ChordSet(4, chords), (5, 5, 5, 5))).particular
+    assert forced == (3, 0, 4, 4, 3)
+    assert peel(rectangle, (5, 5, 5, 5), chords) is None
+    # the four diagonal rays of the radical oracle problem: irrational values
     root2 = RadExpr.sqrt(2)
-    assert solver._multiplicity(Fraction(3, 2), Fraction(2)) == 3
-    assert solver._multiplicity(root2 * HALF, root2) == 1
+    diagonals = [CirclePoint.from_tan_half(t) for t in (root2 - 1, root2 + 1, -root2 - 1, 1 - root2)]
+    forced = solve(build_system(diagonals, ChordSet(4, chords), (1, 2, 1, 2))).particular
+    assert forced == (root2, -1, root2, root2, root2)
+    assert peel(diagonals, (1, 2, 1, 2), chords) is None
+
+
+def test_system_route_keeps_the_callers_order():
+    # build_system sorts the positions by angle and the chords by pair; the
+    # values come back in the caller's chord order
+    points = [pt(Fraction(4, 3)), pt(Fraction(-24, 7)), pt(0)]
+    chords = ((1, 2), (0, 1), (0, 2))
+    assert peel(points, (56, 100, 100), chords) == (75, 35, 35)
+
+
+def test_multiplicity_needs_an_integer_product():
+    # the multiplicity test of the field peel, the test helpers' oracle
+    root2 = RadExpr.sqrt(2)
+    assert field_multiplicity(Fraction(3, 2), Fraction(2)) == 3
+    assert field_multiplicity(root2 * HALF, root2) == 1
     # no upper limit: the bound is replacement_feasible's one comparison
-    assert solver._multiplicity(Fraction(10**18), Fraction(1)) == 10**18
+    assert field_multiplicity(Fraction(10**18), Fraction(1)) == 10**18
     # 2 + 2*sqrt2: the rational term alone would pass
-    assert solver._multiplicity(1 + root2, Fraction(2)) is None
-    assert solver._multiplicity(Fraction(1), root2) is None
-    assert solver._multiplicity(Fraction(1, 3), Fraction(1)) is None
-    assert solver._multiplicity(Fraction(0), Fraction(1)) is None
-    assert solver._multiplicity(Fraction(-3), Fraction(1)) is None
+    assert field_multiplicity(1 + root2, Fraction(2)) is None
+    assert field_multiplicity(Fraction(1), root2) is None
+    assert field_multiplicity(Fraction(1, 3), Fraction(1)) is None
+    assert field_multiplicity(Fraction(0), Fraction(1)) is None
+    assert field_multiplicity(Fraction(-3), Fraction(1)) is None
 
 
 # --- the column-scaled system against the unit-direction oracle -------------
