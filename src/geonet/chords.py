@@ -253,10 +253,18 @@ def max_nonadjacent_chords(n: int) -> int:
 # typed: a keyword call n=2.0 or n=True must not hit the cached n=2 or n=1
 @lru_cache(maxsize=None, typed=True)
 def nonadjacent_max_recursive(n: int) -> int:
-    """Split recursion: a chord leaves k and l >= 1 points on its two sides."""
+    """Split recursion: a chord leaves k and l >= 1 points on its two sides.
+
+    The memo is filled upward, each m < n before n, so every call finds its
+    sub-results cached and the recursion stays two calls deep for any n.
+    """
     check_int("n", n)
+    if n < 1:
+        raise ValueError("need at least one point")
     if n <= 3:
         return 0
+    for m in range(4, n):
+        nonadjacent_max_recursive(m)
     return max(
         1 + nonadjacent_max_recursive(k + 2) + nonadjacent_max_recursive(n - 2 - k + 2)
         for k in range(1, n - 2)

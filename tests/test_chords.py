@@ -93,6 +93,11 @@ def test_recursion_equals_closed_form(n):
     assert nonadjacent_max_recursive(n) == closed_form_bounds(n).nonadjacent_max
 
 
+def test_recursion_stays_shallow_for_large_n():
+    # a top-down fill would recurse about n calls deep, past the default limit
+    assert nonadjacent_max_recursive(1000) == closed_form_bounds(1000).nonadjacent_max
+
+
 @pytest.mark.parametrize("n", sorted(ALLOW_ADJACENT_COUNTS))
 def test_enumeration_counts(n):
     assert sum(1 for _ in enumerate_chord_sets(n, allow_adjacent=True)) == ALLOW_ADJACENT_COUNTS[n]
@@ -147,7 +152,12 @@ def test_closed_form_bounds_small():
 
 
 def test_point_counts_below_the_minimum_raise():
-    for call in (lambda: ChordSet(0, ()), lambda: closed_form_bounds(0)):
+    for call in (
+        lambda: ChordSet(0, ()),
+        lambda: closed_form_bounds(0),
+        lambda: nonadjacent_max_recursive(0),
+        lambda: nonadjacent_max_recursive(-1),
+    ):
         with pytest.raises(ValueError, match="need at least one point"):
             call()
     with pytest.raises(ValueError, match="audit needs at least three points"):

@@ -354,6 +354,67 @@ def test_sweep_names_load_on_access():
         geonet.nonexistent
 
 
+# every public name of the package, by defining module; "" marks a submodule
+PUBLIC_NAMES = {
+    "circle": "INFINITY CirclePoint tangent_point",
+    "chords": "ChordSet audit_counting_argument closed_form_bounds enumerate_chord_sets "
+    "max_nonadjacent_chords",
+    "errors": "GeonetError",
+    "exact": "RadExpr",
+    "network": "InteriorEdge Network Vertex crossing_pairs invariant_report is_admissible "
+    "is_stationary make_network stationarity_residual",
+    "io": "read_network write_network",
+    "replace": "AngleExpr AuditEffort AuditVerdict ReplacementProblem certify_no_good_n3 "
+    "good_network_audit n3_angle_map rational_point_of_expr replacement_feasible "
+    "replacement_problem",
+    "render": "RenderStyle render_svg",
+    "solver": "SolveResult StationaritySystem build_system n3_closed_forms n3_imaginary_kernel "
+    "positive_integer_solutions solve",
+    "sweep": "CapRegion PolyCurve SphereConfig Sweepout c_length flow_to_cmc latitude_curve "
+    "latitude_sweepout minmax_closed_form minmax_estimate",
+    "": "chords circle errors exact io linalg network render replace solver",
+}
+
+
+def _run_fresh(code):
+    src = str(Path(geonet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    prelude = f"import importlib, sys\nPUBLIC_NAMES = {PUBLIC_NAMES!r}\n"
+    result = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_only_the_modules_a_caller_uses():
+    assert sum(len(names.split()) for names in PUBLIC_NAMES.values()) == 60
+    _run_fresh(
+        "loaded = lambda: {m for m in sys.modules if m.startswith('geonet.')}\n"
+        "import geonet\n"
+        "assert loaded() == set(), loaded()\n"
+        "from geonet import chords\n"
+        "assert loaded() == {'geonet.chords', 'geonet.errors'}, loaded()\n"
+        "public = {n for names in PUBLIC_NAMES.values() for n in names.split()}\n"
+        "assert public <= set(dir(geonet)), public - set(dir(geonet))\n"
+        "for module, names in PUBLIC_NAMES.items():\n"
+        "    for name in names.split():\n"
+        "        want = importlib.import_module('geonet.' + (module or name))\n"
+        "        if module:\n"
+        "            want = getattr(want, name)\n"
+        "        assert getattr(geonet, name) is want, name\n"
+    )
+
+
+def test_star_import_binds_the_exact_library_without_numpy():
+    _run_fresh(
+        "names = {}\n"
+        "exec('from geonet import *', names)\n"
+        "del names['__builtins__']\n"
+        "want = {n for m, ns in PUBLIC_NAMES.items() if m != 'sweep' for n in ns.split()}\n"
+        "assert set(names) == want and len(want) == 50, set(names) ^ want\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+
+
 def test_cli_solve_fixed_exterior(tmp_path, capsys):
     path = write_fixture(golden_triangle(), tmp_path)
     assert dispatch(["solve", "--network", path, "--fix-exterior"]) == 0
