@@ -51,6 +51,12 @@ def _adjacent(i: int, j: int, n: int) -> bool:
     return j - i == 1 or (i == 0 and j == n - 1)
 
 
+def _check_points(n: int) -> None:
+    check_int("n", n)
+    if n < 1:
+        raise ValueError("need at least one point")
+
+
 @dataclass(frozen=True)
 class ChordSet:
     """A validated pairwise non-crossing set of chords on n circle points."""
@@ -59,9 +65,7 @@ class ChordSet:
     chords: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        check_int("n", self.n)
-        if self.n < 1:
-            raise ValueError("need at least one point")
+        _check_points(self.n)
         seen = set()
         for i, j in self.chords:
             if not (is_index(i, self.n) and is_index(j, self.n) and i < j):
@@ -103,9 +107,7 @@ class ChordBounds:
 
 
 def closed_form_bounds(n: int) -> ChordBounds:
-    check_int("n", n)
-    if n < 1:
-        raise ValueError("need at least one point")
+    _check_points(n)
     nonadj = max(n - 3, 0)
     total = 2 * n - 3 if n >= 3 else max(n - 1, 0)
     leaf = 2 * n - 5 if n >= 4 else 1
@@ -136,9 +138,7 @@ def _crossing_table(n: int, allow_adjacent: bool) -> _CrossingTable:
 
 
 def _check_enumerable(n: int) -> None:
-    check_int("n", n)
-    if n < 1:
-        raise ValueError("need at least one point")
+    _check_points(n)
     if n > ENUMERATION_CAP:
         raise ValueError(f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}")
 
@@ -258,9 +258,7 @@ def nonadjacent_max_recursive(n: int) -> int:
     The memo is filled upward, each m < n before n, so every call finds its
     sub-results cached and the recursion stays two calls deep for any n.
     """
-    check_int("n", n)
-    if n < 1:
-        raise ValueError("need at least one point")
+    _check_points(n)
     if n <= 3:
         return 0
     for m in range(4, n):
@@ -281,12 +279,6 @@ def _arc_sides(chord: tuple[int, int], n: int) -> tuple[list[int], list[int]]:
 @dataclass(frozen=True)
 class StructureRow:
     chords: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
-    edge_count: int
-    within_edge_max: bool
-    has_leaf: bool
-    leaf_bound_ok: bool | None
-    leaf_geometry_ok: bool | None
     fate: str  # kill reason, "forwarded-to-three-vertex", or "survivor"
 
 
@@ -342,24 +334,6 @@ def _classify(cs: ChordSet, deg: list[int]) -> str:
     return "survivor"
 
 
-_LEAF_GEOMETRY_KILLS = ("too-many-leaves", "disjoint-leaf-diameters", "leaf-antipode-one-sided")
-
-
-def _structure_row(cs: ChordSet, deg: list[int], fate: str, bounds: ChordBounds) -> StructureRow:
-    e = len(cs.chords)
-    has_leaf = 1 in deg
-    return StructureRow(
-        chords=cs.chords,
-        degrees=tuple(deg),
-        edge_count=e,
-        within_edge_max=e <= bounds.edge_max,
-        has_leaf=has_leaf,
-        leaf_bound_ok=(e <= bounds.leaf_edge_max) if has_leaf else None,
-        leaf_geometry_ok=(fate not in _LEAF_GEOMETRY_KILLS) if has_leaf else None,
-        fate=fate,
-    )
-
-
 def audit_counting_argument(n: int, *, keep_rows: bool = False) -> CountingAuditReport:
     """Exhaust all non-crossing structures on n points and classify each.
 
@@ -385,7 +359,7 @@ def audit_counting_argument(n: int, *, keep_rows: bool = False) -> CountingAudit
         deg = cs.degrees()
         fate = _classify(cs, deg)
         if keep_rows or fate == "survivor":
-            row = _structure_row(cs, deg, fate, bounds)
+            row = StructureRow(cs.chords, fate)
             if keep_rows:
                 rows.append(row)
         if fate == "survivor":

@@ -321,7 +321,10 @@ def chord_direction(
     """
     s, t = norm_parts(v.tan_half), norm_parts(w.tan_half)
     if s is None or t is None:
-        return _chord(v, w)
+        dx, dy, length = _chord(v, w)
+        if not length:
+            raise ValueError("chord direction of coincident points")
+        return dx, dy, length
     (a, b, dv, kv), (c, e, dw, kw) = s, t
     cross = c * b - a * e
     if not cross:

@@ -144,6 +144,8 @@ def read_network(path) -> Network:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     return network_from_dict(data)
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 from .chords import enumerate_chord_sets
 from .circle import (
     CirclePoint,
+    _is_ratio,
     chord_direction,
     diameter_side,
     norm_parts,
@@ -325,10 +326,12 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     reads the bound; a structure whose largest forced multiplicity exceeds
     it is skipped.  Both cuts drop only structures without a solution, so
     the order of the rest is that of the uncut search.  The first structure
-    left is certified by an independent re-solve (build_system, solve),
-    which must have nullity 0 and the peel's multiplicities as its
-    particular solution, and by the exact admissibility check; its network
-    is returned, and None when the search is exhausted.
+    left is certified by the exact admissibility check and, when the rays
+    are rational so that peel_solve's integer pass peeled it, by an
+    independent re-solve (build_system, solve), which must have nullity 0
+    and the peel's multiplicities as its particular solution; on radical
+    rays peel_solve solved that system itself.  Its network is returned,
+    and None when the search is exhausted.
     """
     check_int("bound", bound)
     if bound < 1:
@@ -342,6 +345,7 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
     if not (bx.is_zero() and by.is_zero()):
         return None
     chord = functools.cache(lambda i, j: chord_direction(positions[i], positions[j]))
+    peeled = all(_is_ratio(p.tan_half) for p in positions)
     structures = enumerate_chord_sets(
         len(positions),
         allow_adjacent=True,
@@ -351,9 +355,10 @@ def replacement_feasible(problem: ReplacementProblem, bound: int) -> Network | N
         edge_mults = peel_solve(positions, mults, cs.chords, chord)
         if edge_mults is None or max(edge_mults) > bound:
             continue
-        certificate = solve(build_system(positions, cs, mults))
-        if certificate.nullity or certificate.particular != edge_mults:
-            raise ArithmeticError("peel solve disagrees with the stationarity system")
+        if peeled:
+            certificate = solve(build_system(positions, cs, mults))
+            if certificate.nullity or certificate.particular != edge_mults:
+                raise ArithmeticError("peel solve disagrees with the stationarity system")
         vertices = [Vertex(p, m) for p, m in zip(positions, mults)]
         edges = [
             InteriorEdge(i, j, em) for (i, j), em in zip(cs.chords, edge_mults)

@@ -160,7 +160,7 @@ class PolyCurve:
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 8:
             raise DomainError("curve needs at least 8 points in R^3")
         norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-12:
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN fails too
             raise DomainError("curve points must lie on the unit sphere")
         if np.min(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1)) < 1e-15:
             raise DomainError("consecutive curve points must be distinct")

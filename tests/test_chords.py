@@ -236,10 +236,10 @@ def test_audit_tallies_pinned(n):
 
 # sha256 of repr(rows) with every row kept
 AUDIT_ROW_DIGESTS = {
-    3: "8cf311febd958a04e15ce7441c9bb7967974cece0083af245d849eb677affb5d",
-    4: "b3ca414c581dbc475ad0f7da51a4f797268541e296241728e0d9994476ba5cab",
-    5: "900a9e7bb008924364c0e38df5bfa623b2407c3f94d80f8a3b974f7956600351",
-    6: "875afd118e2f4f66722006a30ed3e52ddd2c9ea0b38af9d84bfd3fb3c6859b21",
+    3: "f5cb36109860652c1ec647e91829292139d72d19035b06ec44d4bca933bda8b9",
+    4: "74daf31ab8fcc825e87e097e35614f3c5e0844b482c118527f5a46df6843236f",
+    5: "2bec47beaae48ee4354d8bc775c33e5a82e76a702fcf15c461f5177f2cfa9b81",
+    6: "58202296941341ce1d313c4f767768abc1051446c87a45f21b4d02259ecffd3f",
 }
 
 

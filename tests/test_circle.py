@@ -420,6 +420,9 @@ def test_chord_direction_on_radical_points_is_the_chord():
         chord_direction(turned[0], pt(0))
     with pytest.raises(ValueError, match="coincident"):
         chord_direction(pt(Fraction(2, 3)), pt(Fraction(2, 3)))
+    for v in (*turned, CirclePoint.from_tan_half(turn)):
+        with pytest.raises(ValueError, match="chord direction of coincident points"):
+            chord_direction(v, v)
 
 
 # 0, +-p/q with p, q <= 6 and the point at pi: norms in several length classes

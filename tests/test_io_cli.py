@@ -285,6 +285,25 @@ def test_cli_missing_file_is_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 200000,
+        '{"version": "geonet/1", "vertices": ' + "[" * 5000 + "]" * 5000 + ', "edges": []}',
+    ],
+    ids=["bare", "in-vertices"],
+)
+def test_cli_deeply_nested_file_is_failure(text, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert dispatch(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        read_network(path)
+
+
+@pytest.mark.parametrize(
     "args, code",
     [(["certify-n3"], 0), (["validate", "--network", "nope.json"], 1), (["frobnicate"], 2)],
 )

@@ -532,6 +532,18 @@ def test_certificate_refuses_a_peel_that_disagrees(monkeypatch):
         replacement_feasible(ray_problem(GOLDEN_RAYS), 75)
 
 
+@pytest.mark.parametrize("case, routes", [(0, (0, 1)), (1, (1, 0))], ids=["golden", "golden-turned"])
+def test_certificate_solves_each_winner_once(case, routes, monkeypatch):
+    # (peel_solve's system route, the certificate's re-solve): the integer
+    # pass's winner is re-solved once; a radical winner was solved by the
+    # system route, and not again
+    problem = BOUND_CASES[case][1]
+    system = counted(monkeypatch, solver, "solve")
+    certificate = counted(monkeypatch, replace, "solve")
+    assert replacement_feasible(problem, 75) is not None
+    assert (len(system), len(certificate)) == routes
+
+
 # --- the peel solve against the rref path -----------------------------------
 
 @cache

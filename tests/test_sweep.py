@@ -191,6 +191,11 @@ def test_polycurve_validation():
     dup[3] = dup[4]
     with pytest.raises(DomainError):
         PolyCurve(dup)
+    one_nan = latitude_curve(0.4, 32).points.copy()
+    one_nan[5] = np.nan
+    for pts in (one_nan, np.full((8, 3), np.nan)):
+        with pytest.raises(DomainError, match="curve points must lie on the unit sphere"):
+            PolyCurve(pts)
 
 
 def test_latitude_curve_geometry():
